@@ -49,6 +49,13 @@ inline PipelineOptions benchPipeline() {
   return P;
 }
 
+/// Greedy evaluation at the default verification budget: one inline shard
+/// of evaluateModelSharded.
+inline EvalResult evaluate(const RewritePolicyModel &M,
+                           const std::vector<Sample> &Valid, PromptMode Mode) {
+  return evaluateModelSharded(M, Valid, Mode, VerifyOptions(), EvalOptions());
+}
+
 inline void header(const char *Title, const char *PaperRef) {
   std::printf("==============================================================="
               "=\n%s\n(reproduces %s; shape comparison, not absolute "

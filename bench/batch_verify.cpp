@@ -4,7 +4,9 @@
 // (G = 8 candidates per source) through one shared solver context —
 // source falsification, encoding, and CNF prefix built once, candidates
 // activated behind assumption selectors, renaming duplicates deduped —
-// against the sequential oracle that verifies each candidate from scratch.
+// against the sequential oracle: the plain ladder (oracle::verifyLadder),
+// verifying each candidate from scratch with verifyCandidateText at each
+// rung's tierOptions.
 //
 // The batch path's verdict stream must be bit-identical to the sequential
 // one; this binary exits nonzero on any divergence, so CI can run it in
@@ -17,6 +19,7 @@
 
 #include "ir/Parser.h"
 #include "ir/Printer.h"
+#include "oracle/Oracle.h"
 
 #include <chrono>
 #include <cstdio>
@@ -134,15 +137,15 @@ int main(int Argc, char **Argv) {
               "%u-tier ladder\n\n",
               DS.Train.size(), 8u, RVO.MaxTiers);
 
-  // Sequential oracle: what the scoring path runs with batching off — a
-  // cold fresh verification per candidate.
+  // Sequential oracle: the plain ladder, a cold fresh verification per
+  // candidate.
   std::vector<std::vector<VerdictKey>> SeqVerdicts(Groups.size());
   double SeqMs = wallMs([&] {
     for (size_t I = 0; I < Groups.size(); ++I) {
       const Sample &S = DS.Train[I];
-      RobustVerifier RV(RVO);
       for (const std::string &T : Groups[I])
-        SeqVerdicts[I].push_back(keyOf(RV.verify(S.SrcText, *S.source(), T).Result));
+        SeqVerdicts[I].push_back(
+            keyOf(oracle::verifyLadder(S.SrcText, *S.source(), T, RVO)));
     }
   });
 

@@ -21,6 +21,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "oracle/Oracle.h"
 
 #include "pipeline/EvalDriver.h"
 #include "support/AtomicFile.h"
@@ -102,8 +103,9 @@ int main(int Argc, char **Argv) {
               DS.Valid.size(), Shards);
 
   EvalResult Oracle;
-  double SerialMs = wallMs(
-      [&] { Oracle = evaluateModel(Base, DS.Valid, PromptMode::Generic); });
+  double SerialMs = wallMs([&] {
+    Oracle = oracle::evaluateSerially(Base, DS.Valid, PromptMode::Generic);
+  });
 
   unsigned Failures = 0;
   std::string Err;

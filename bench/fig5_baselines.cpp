@@ -37,7 +37,7 @@ EvalResult sftBaseline(const ModelConfig &Cfg, const Dataset &DS) {
   SFTOptions Opts;
   Opts.Epochs = 10;
   sftTrain(Model, Data, Opts);
-  return evaluateModel(Model, DS.Valid, PromptMode::Generic);
+  return bench::evaluate(Model, DS.Valid, PromptMode::Generic);
 }
 
 } // namespace
@@ -62,14 +62,14 @@ int main() {
   {
     // LLM-Compiler-7B: evaluated without task-specific fine-tuning.
     RewritePolicyModel M(presetLLMCompiler7B());
-    row(evaluateModel(M, DS.Valid, PromptMode::Generic), 7.0, "no FT");
+    row(bench::evaluate(M, DS.Valid, PromptMode::Generic), 7.0, "no FT");
   }
   row(sftBaseline(presetQwen32B(), DS), 32.0, "SFT");
 
   std::printf("training LLM-VeriOpt pipeline...\n");
   PipelineArtifacts Art = runTrainingPipeline(DS, bench::benchPipeline());
   EvalResult Veriopt =
-      evaluateModel(*Art.Latency, DS.Valid, PromptMode::Generic);
+      bench::evaluate(*Art.Latency, DS.Valid, PromptMode::Generic);
   Veriopt.ModelName = "VERIOPT (3B)";
   row(Veriopt, 3.0, "GRPO+Alive");
 

@@ -22,7 +22,7 @@ int main() {
   PipelineArtifacts Art = runTrainingPipeline(DS, bench::benchPipeline());
 
   EvalResult Model =
-      evaluateModel(*Art.Latency, DS.Valid, PromptMode::Generic);
+      bench::evaluate(*Art.Latency, DS.Valid, PromptMode::Generic);
   EvalResult Ref = evaluateReferencePass(DS.Valid);
 
   std::printf("(a)/(b) improvements over -O0 (geomean):\n");

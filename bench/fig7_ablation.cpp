@@ -36,15 +36,15 @@ int main() {
   std::printf("%-18s %10s %9s %9s %9s %11s\n", "", "(vs-O0,hi)",
               "(ratio,lo)", "(ratio,lo)", "", "");
   row("base (qwen-3b)",
-      evaluateModel(*Art.Base, DS.Valid, PromptMode::Generic));
+      bench::evaluate(*Art.Base, DS.Valid, PromptMode::Generic));
   row("MODEL-ZERO",
-      evaluateModel(*Art.ModelZero, DS.Valid, PromptMode::Generic));
+      bench::evaluate(*Art.ModelZero, DS.Valid, PromptMode::Generic));
   row("WARM-UP (SFT)",
-      evaluateModel(*Art.WarmUp, DS.Valid, PromptMode::Augmented));
+      bench::evaluate(*Art.WarmUp, DS.Valid, PromptMode::Augmented));
   row("MODEL-CORRECTNESS",
-      evaluateModel(*Art.Correctness, DS.Valid, PromptMode::Augmented));
+      bench::evaluate(*Art.Correctness, DS.Valid, PromptMode::Augmented));
   row("MODEL-LATENCY",
-      evaluateModel(*Art.Latency, DS.Valid, PromptMode::Generic));
+      bench::evaluate(*Art.Latency, DS.Valid, PromptMode::Generic));
   row("instcombine (ref)", evaluateReferencePass(DS.Valid));
 
   std::printf("\nharvested diagnostic-augmented samples: %u corrections + "

@@ -10,7 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "verify/RobustVerifier.h"
+#include "verify/BatchVerifier.h"
 
 #include "ir/Parser.h"
 
@@ -90,28 +90,35 @@ struct LadderStats {
 
 LadderStats runLadder(const std::vector<HardCase> &Set, unsigned MaxTiers,
                       uint64_t Growth) {
-  RobustVerifyOptions O;
-  O.Base.FalsifyTrials = 0;        // force the SMT path
-  O.Base.SolverConflictBudget = 60; // deliberately starved tier 0
-  O.Base.FuelBudget = 3000;
-  O.MaxTiers = MaxTiers;
-  O.BudgetGrowth = Growth;
-  RobustVerifier RV(O);
+  BatchVerifier::Options BO;
+  BO.Robust.Base.FalsifyTrials = 0;        // force the SMT path
+  BO.Robust.Base.SolverConflictBudget = 60; // deliberately starved tier 0
+  BO.Robust.Base.FuelBudget = 3000;
+  BO.Robust.MaxTiers = MaxTiers;
+  BO.Robust.BudgetGrowth = Growth;
+  BatchVerifier BV(BO, nullptr);
+
+  MetricsRegistry &Reg = MetricsRegistry::global();
+  Counter &Terminal = Reg.counter("verify.retry.terminal_inconclusive");
+  Counter &Escalated = Reg.counter("verify.retry.escalations");
+  Counter &Rescued = Reg.counter("verify.retry.rescued");
+  const uint64_t T0 = Terminal.value(), E0 = Escalated.value(),
+                 R0 = Rescued.value();
 
   LadderStats S;
   for (const HardCase &C : Set) {
     auto M = parseModule(C.Src);
-    auto Out = RV.verify(C.Src, *M.value()->getMainFunction(), C.Tgt);
-    if (Out.Result.Status == VerifyStatus::Equivalent ||
-        Out.Result.Status == VerifyStatus::NotEquivalent)
+    VerifyResult Out =
+        BV.verifyOne(C.Src, *M.value()->getMainFunction(), C.Tgt);
+    if (Out.Status == VerifyStatus::Equivalent ||
+        Out.Status == VerifyStatus::NotEquivalent)
       ++S.Definitive;
-    S.Conflicts += Out.Result.SolverConflicts;
-    S.Fuel += Out.Result.FuelSpent;
+    S.Conflicts += Out.SolverConflicts;
+    S.Fuel += Out.FuelSpent;
   }
-  auto C = RV.counters();
-  S.TerminalInconclusive = static_cast<unsigned>(C.TerminalInconclusive);
-  S.Escalated = static_cast<unsigned>(C.Escalations);
-  S.Rescued = static_cast<unsigned>(C.Rescued);
+  S.TerminalInconclusive = static_cast<unsigned>(Terminal.value() - T0);
+  S.Escalated = static_cast<unsigned>(Escalated.value() - E0);
+  S.Rescued = static_cast<unsigned>(Rescued.value() - R0);
   return S;
 }
 

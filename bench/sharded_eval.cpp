@@ -4,8 +4,9 @@
 // validation corpus, two ways:
 //
 //  1. Differential gate: evaluateModelSharded() must be bit-identical to
-//     the serial oracle evaluateModel() at every shard/thread configuration,
-//     with BatchVerify on or off, and every shard must survive a JSON
+//     the serial oracle (oracle::evaluateSerially, plain verifyCandidateText)
+//     at every shard/thread configuration, and every shard — verified by
+//     evaluateEvalShard's local cacheless verifier — must survive a JSON
 //     round-trip and still merge to the oracle. Exits nonzero on any
 //     divergence, so CI runs `--tiny` as a cheap correctness gate.
 //
@@ -24,6 +25,7 @@
 
 #include "BenchUtil.h"
 
+#include "oracle/Oracle.h"
 #include "support/ThreadPool.h"
 
 #include <chrono>
@@ -74,12 +76,13 @@ int main(int Argc, char **Argv) {
               "workload = %u successive evaluations, %u worker threads\n\n",
               DS.Valid.size(), Evals, Threads);
 
-  // Serial oracle: the unsharded evaluateModel() walk, once per
-  // evaluation, cold each time (it has no cache to carry).
+  // Serial oracle: the unsharded greedy walk over plain
+  // verifyCandidateText, once per evaluation, cold each time (it has no
+  // cache to carry).
   EvalResult Oracle;
   double SerialMs = wallMs([&] {
     for (unsigned E = 0; E < Evals; ++E)
-      Oracle = evaluateModel(Base, DS.Valid, PromptMode::Generic);
+      Oracle = oracle::evaluateSerially(Base, DS.Valid, PromptMode::Generic);
   });
 
   unsigned Divergent = 0;
@@ -94,7 +97,6 @@ int main(int Argc, char **Argv) {
     EvalOptions EO;
     EO.Shards = 2 * Threads;
     EO.Pool = &Pool;
-    EO.BatchVerify = true;
     EO.SharedCache = &Shared;
     ShardedMs = wallMs([&] {
       for (unsigned E = 0; E < Evals; ++E) {
@@ -113,24 +115,21 @@ int main(int Argc, char **Argv) {
               Evals, ShardedMs, Speedup, Divergent ? "  DIVERGED" : "");
 
   // Differential sweep (untimed): single cold evaluations across shard
-  // counts and thread counts, batch verification on and off.
+  // counts and thread counts.
   struct Config {
     const char *Label;
     unsigned Shards, Threads;
-    bool Batch;
   };
   const std::vector<Config> Configs = {
-      {"1 shard, 1 thread", 1, 1, true},
-      {"3 shards, 1 thread", 3, 1, true},
-      {"8 shards, 4 threads", 8, 4, true},
-      {"8 shards, 4 threads, no batch", 8, 4, false},
+      {"1 shard, 1 thread", 1, 1},
+      {"3 shards, 1 thread", 3, 1},
+      {"8 shards, 4 threads", 8, 4},
   };
   for (const Config &C : Configs) {
     ThreadPool Pool(C.Threads);
     EvalOptions EO;
     EO.Shards = C.Shards;
     EO.Pool = &Pool;
-    EO.BatchVerify = C.Batch;
     EvalResult R = evaluateModelSharded(Base, DS.Valid, PromptMode::Generic,
                                         VerifyOptions(), EO);
     unsigned D = countResultDivergence(Oracle, R);

@@ -22,7 +22,7 @@ int main() {
               DS.Valid.size());
 
   RewritePolicyModel Base(presetQwen3B());
-  EvalResult E = evaluateModel(Base, DS.Valid, PromptMode::Generic);
+  EvalResult E = bench::evaluate(Base, DS.Valid, PromptMode::Generic);
   bench::taxonomyRow("baseline qwen-3b (greedy)", E.Taxonomy);
 
   std::printf("\npaper reference: correct 73.2%% (copies 56.8%%), semantic "

@@ -21,8 +21,8 @@ int main() {
   PipelineArtifacts Art = runTrainingPipeline(DS, bench::benchPipeline());
 
   EvalResult Corr =
-      evaluateModel(*Art.Correctness, DS.Valid, PromptMode::Augmented);
-  EvalResult Lat = evaluateModel(*Art.Latency, DS.Valid, PromptMode::Generic);
+      bench::evaluate(*Art.Correctness, DS.Valid, PromptMode::Augmented);
+  EvalResult Lat = bench::evaluate(*Art.Latency, DS.Valid, PromptMode::Generic);
 
   bench::taxonomyRow("MODEL-CORRECTNESS", Corr.Taxonomy);
   std::printf("\n");

@@ -33,10 +33,10 @@ int main() {
               DS.Train.size(), DS.Valid.size());
   PipelineArtifacts Art = runTrainingPipeline(DS, bench::benchPipeline());
 
-  EvalResult Lat = evaluateModel(*Art.Latency, DS.Valid, PromptMode::Generic);
+  EvalResult Lat = bench::evaluate(*Art.Latency, DS.Valid, PromptMode::Generic);
   EvalResult Corr =
-      evaluateModel(*Art.Correctness, DS.Valid, PromptMode::Augmented);
-  EvalResult Base = evaluateModel(*Art.Base, DS.Valid, PromptMode::Generic);
+      bench::evaluate(*Art.Correctness, DS.Valid, PromptMode::Augmented);
+  EvalResult Base = bench::evaluate(*Art.Base, DS.Valid, PromptMode::Generic);
 
   unsigned N = Lat.Taxonomy.Total;
   std::printf("%-8s %-12s %6s %6s %6s %6s   %9s\n", "Metric", "Model",

@@ -5,7 +5,7 @@
 //
 //  1. Differential gate: evaluation against a cold store, against a warm
 //     (reopened) store, and with no store at all must be bit-identical to
-//     the serial oracle evaluateModel() at every shard/thread
+//     the serial oracle (oracle::evaluateSerially) at every shard/thread
 //     configuration. Exits nonzero on any divergence, so CI runs `--tiny`
 //     as a cheap correctness gate.
 //
@@ -24,6 +24,7 @@
 
 #include "BenchUtil.h"
 
+#include "oracle/Oracle.h"
 #include "store/VerdictStore.h"
 #include "support/ThreadPool.h"
 
@@ -92,7 +93,8 @@ int main(int Argc, char **Argv) {
               DS.Valid.size(), Evals, Threads);
 
   // Serial reference for every bit-identity check below.
-  EvalResult Oracle = evaluateModel(Base, DS.Valid, PromptMode::Generic);
+  EvalResult Oracle =
+      oracle::evaluateSerially(Base, DS.Valid, PromptMode::Generic);
 
   ScratchJournal Journal;
   ThreadPool Pool(Threads);
@@ -178,19 +180,15 @@ int main(int Argc, char **Argv) {
   }
 
   // Differential sweep (untimed): warm-store evaluations across shard and
-  // thread configurations, each bit-identical to the serial oracle. The
-  // no-batch row checks the documented fallback: without BatchVerify the
-  // tier is ignored and the run still matches the oracle.
+  // thread configurations, each bit-identical to the serial oracle.
   struct Config {
     const char *Label;
     unsigned Shards, Threads;
-    bool Batch;
   };
   const std::vector<Config> Configs = {
-      {"warm, 1 shard, 1 thread", 1, 1, true},
-      {"warm, 3 shards, 1 thread", 3, 1, true},
-      {"warm, 8 shards, 4 threads", 8, 4, true},
-      {"warm, 8 shards, 4 threads, no batch", 8, 4, false},
+      {"warm, 1 shard, 1 thread", 1, 1},
+      {"warm, 3 shards, 1 thread", 3, 1},
+      {"warm, 8 shards, 4 threads", 8, 4},
   };
   {
     std::string Err;
@@ -205,7 +203,6 @@ int main(int Argc, char **Argv) {
       EvalOptions EO;
       EO.Shards = C.Shards;
       EO.Pool = &P;
-      EO.BatchVerify = C.Batch;
       EO.VerdictTier = Store ? Store.get() : nullptr;
       EvalResult R = evaluateModelSharded(Base, DS.Valid,
                                           PromptMode::Generic,

@@ -4,9 +4,8 @@
 
 #include "support/AtomicFile.h"
 #include "support/FileLock.h"
+#include "trace/Json.h"
 
-#include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -14,39 +13,11 @@ namespace veriopt {
 
 namespace {
 
-/// Doubles round-trip as their IEEE-754 bit pattern: text formatting must
-/// never perturb a resumed run.
-std::string dhex(double D) {
-  uint64_t Bits;
-  std::memcpy(&Bits, &D, sizeof(Bits));
-  char Buf[17];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(Bits));
-  return Buf;
-}
-
-bool dunhex(const std::string &S, double &D) {
-  if (S.size() != 16)
-    return false;
-  uint64_t Bits = 0;
-  for (char C : S) {
-    Bits <<= 4;
-    if (C >= '0' && C <= '9')
-      Bits |= static_cast<uint64_t>(C - '0');
-    else if (C >= 'a' && C <= 'f')
-      Bits |= static_cast<uint64_t>(C - 'a' + 10);
-    else
-      return false;
-  }
-  std::memcpy(&D, &Bits, sizeof(D));
-  return true;
-}
-
 void writeParams(std::ostream &OS, const char *Name,
                  const std::vector<double> &P) {
   OS << "model " << Name << ' ' << P.size();
   for (double V : P)
-    OS << ' ' << dhex(V);
+    OS << ' ' << hexDouble(V);
   OS << '\n';
 }
 
@@ -58,7 +29,7 @@ bool readParams(std::istream &IS, const char *Name, std::vector<double> &P) {
   P.resize(N);
   std::string Tok;
   for (size_t I = 0; I < N; ++I)
-    if (!(IS >> Tok) || !dunhex(Tok, P[I]))
+    if (!(IS >> Tok) || !parseHexDouble(Tok, P[I]))
       return false;
   return true;
 }
@@ -67,10 +38,10 @@ void writeLog(std::ostream &OS, unsigned Which,
               const std::vector<TrainLogEntry> &Log) {
   OS << "log " << Which << ' ' << Log.size() << '\n';
   for (const TrainLogEntry &E : Log) {
-    OS << E.Step << ' ' << dhex(E.MeanReward) << ' ' << dhex(E.EMAReward)
-       << ' ' << dhex(E.EquivalentRate) << ' ' << dhex(E.CopyRate) << ' '
-       << dhex(E.GradNorm) << ' ' << dhex(E.ScoreWallMs) << ' '
-       << dhex(E.CacheHitRate) << ' ' << E.FalsifyWins << ' '
+    OS << E.Step << ' ' << hexDouble(E.MeanReward) << ' ' << hexDouble(E.EMAReward)
+       << ' ' << hexDouble(E.EquivalentRate) << ' ' << hexDouble(E.CopyRate) << ' '
+       << hexDouble(E.GradNorm) << ' ' << hexDouble(E.ScoreWallMs) << ' '
+       << hexDouble(E.CacheHitRate) << ' ' << E.FalsifyWins << ' '
        << E.SolverConflicts << ' ' << E.RetryEscalations << ' '
        << E.TerminalInconclusive << ' ' << E.MaxRetryTier << '\n';
   }
@@ -90,10 +61,10 @@ bool readLog(std::istream &IS, unsigned Which,
           D[6] >> E.FalsifyWins >> E.SolverConflicts >> E.RetryEscalations >>
           E.TerminalInconclusive >> E.MaxRetryTier))
       return false;
-    if (!dunhex(D[0], E.MeanReward) || !dunhex(D[1], E.EMAReward) ||
-        !dunhex(D[2], E.EquivalentRate) || !dunhex(D[3], E.CopyRate) ||
-        !dunhex(D[4], E.GradNorm) || !dunhex(D[5], E.ScoreWallMs) ||
-        !dunhex(D[6], E.CacheHitRate))
+    if (!parseHexDouble(D[0], E.MeanReward) || !parseHexDouble(D[1], E.EMAReward) ||
+        !parseHexDouble(D[2], E.EquivalentRate) || !parseHexDouble(D[3], E.CopyRate) ||
+        !parseHexDouble(D[4], E.GradNorm) || !parseHexDouble(D[5], E.ScoreWallMs) ||
+        !parseHexDouble(D[6], E.CacheHitRate))
       return false;
   }
   return true;
@@ -141,7 +112,7 @@ bool saveCheckpoint(const std::string &Path, const PipelineCheckpoint &CP,
   OS << "seed " << CP.Seed << '\n';
   OS << "stage " << CP.StageIdx << '\n';
   OS << "trainer " << CP.Trainer.StepCount << ' ' << CP.Trainer.RNGState
-     << ' ' << dhex(CP.Trainer.EMAValue) << ' '
+     << ' ' << hexDouble(CP.Trainer.EMAValue) << ' '
      << (CP.Trainer.EMAPrimed ? 1 : 0) << '\n';
   writeParams(OS, "zero", CP.ModelZeroParams);
   writeParams(OS, "warmup", CP.WarmUpParams);
@@ -191,7 +162,7 @@ bool loadCheckpoint(const std::string &Path, PipelineCheckpoint &CP) {
     return false;
   if (!(F >> Kw >> Out.Trainer.StepCount >> Out.Trainer.RNGState >> EmaHex >>
         Primed) ||
-      Kw != "trainer" || !dunhex(EmaHex, Out.Trainer.EMAValue))
+      Kw != "trainer" || !parseHexDouble(EmaHex, Out.Trainer.EMAValue))
     return false;
   Out.Trainer.EMAPrimed = Primed != 0;
   if (!readParams(F, "zero", Out.ModelZeroParams) ||

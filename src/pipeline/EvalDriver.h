@@ -9,7 +9,7 @@
 // diagnostics instead of taking the run down. The final merge salvages all
 // healthy shards and is — by the PR6 shard contract — bit-identical to the
 // serial oracle restricted to the healthy shard set. When every shard is
-// healthy it equals evaluateModelSharded()/evaluateModel() exactly.
+// healthy it equals evaluateModelSharded() exactly.
 //
 // Per-shard state machine (docs/FAULT_TOLERANCE.md):
 //

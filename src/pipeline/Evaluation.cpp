@@ -38,6 +38,14 @@ void fillMetrics(SampleEval &E, const Sample &S, const Function *Out) {
   E.SizeOut = binarySize(*Kept);
 }
 
+/// Evaluation runs one fixed budget: a ladder of one rung.
+BatchVerifier::Options evalVerifierOptions(const VerifyOptions &VOpts) {
+  BatchVerifier::Options BO;
+  BO.Robust.Base = VOpts;
+  BO.Robust.MaxTiers = 1;
+  return BO;
+}
+
 } // namespace
 
 void recomputeAggregates(EvalResult &R) {
@@ -103,7 +111,7 @@ void recomputeAggregates(EvalResult &R) {
 //===--- Per-sample core ------------------------------------------------------//
 
 SampleEval evaluateCandidate(const Sample &S, const Completion &C,
-                             const CandidateVerifier &Verify,
+                             const VerifyResult &Verdict,
                              VerifyTaxonomy &Tax) {
   SampleEval E;
   ++Tax.Total;
@@ -115,7 +123,7 @@ SampleEval evaluateCandidate(const Sample &S, const Completion &C,
     VR.Status = VerifyStatus::SyntaxError;
     VR.Kind = DiagKind::ParseError;
   } else {
-    VR = Verify(S, C.AnswerIR);
+    VR = Verdict;
     if (VR.equivalent()) {
       // An Equivalent verdict whose answer fails to reparse (a lying or
       // fault-injected verifier, or parser/verifier drift) must not be
@@ -160,26 +168,7 @@ SampleEval evaluateCandidate(const Sample &S, const Completion &C,
   return E;
 }
 
-//===--- Serial oracle --------------------------------------------------------//
-
-EvalResult evaluateModel(const RewritePolicyModel &Model,
-                         const std::vector<Sample> &Valid, PromptMode Mode,
-                         const VerifyOptions &VOpts) {
-  EvalResult R;
-  R.ModelName = Model.config().Name;
-  RNG Rng(0xE7A1); // greedy decoding ignores it; kept for API symmetry
-
-  CandidateVerifier Verify = [&VOpts](const Sample &S,
-                                      const std::string &Text) {
-    return verifyCandidateText(*S.source(), Text, VOpts);
-  };
-  for (const Sample &S : Valid) {
-    Completion C = Model.generate(*S.source(), Mode, Rng, /*Greedy=*/true);
-    R.PerSample.push_back(evaluateCandidate(S, C, Verify, R.Taxonomy));
-  }
-  recomputeAggregates(R);
-  return R;
-}
+//===--- Whole-corpus helpers -------------------------------------------------//
 
 EvalResult evaluateReferencePass(const std::vector<Sample> &Valid) {
   EvalResult R;
@@ -234,22 +223,17 @@ ShardEvalResult evaluateEvalShard(const RewritePolicyModel &Model,
   ShardEvalResult R;
   R.Shard = Shard;
   RNG Rng(Shard.RngSeed);
-
-  CandidateVerifier Verify;
-  if (Batch)
-    Verify = [Batch](const Sample &S, const std::string &Text) {
-      return Batch->verifyOne(S.SrcText, *S.source(), Text);
-    };
-  else
-    Verify = [&VOpts](const Sample &S, const std::string &Text) {
-      return verifyCandidateText(*S.source(), Text, VOpts);
-    };
+  const BatchVerifier Local(evalVerifierOptions(VOpts), nullptr);
+  const BatchVerifier &Verifier = Batch ? *Batch : Local;
 
   const size_t End = std::min(Shard.End, Valid.size());
   for (size_t I = Shard.Begin; I < End; ++I) {
     const Sample &S = Valid[I];
     Completion C = Model.generate(*S.source(), Mode, Rng, /*Greedy=*/true);
-    R.PerSample.push_back(evaluateCandidate(S, C, Verify, R.Taxonomy));
+    VerifyResult Verdict;
+    if (C.FormatOk)
+      Verdict = Verifier.verifyOne(S.SrcText, *S.source(), C.AnswerIR);
+    R.PerSample.push_back(evaluateCandidate(S, C, Verdict, R.Taxonomy));
   }
 
   static Counter &ShardCount = MetricsRegistry::global().counter("eval.shards");
@@ -363,34 +347,25 @@ EvalResult evaluateModelSharded(const RewritePolicyModel &Model,
     CWriteFailed.inc();
   }
 
-  // One shared cache + BatchVerifier context for the whole run: shards are
+  // One shared cache + BatchVerifier for the whole run: shards are
   // parallelized at shard granularity (the group-level fan-out stays off —
-  // ThreadPool jobs are not reentrant), and the cache's single-flight keeps
-  // duplicate (source, candidate) pairs across shards from paying twice.
-  std::unique_ptr<VerifyCache> Cache;
-  std::unique_ptr<BatchVerifier> BV;
-  if (EOpts.BatchVerify) {
-    VerifyCache *C = EOpts.SharedCache;
-    if (!C) {
-      Cache = std::make_unique<VerifyCache>(EOpts.VerifyCacheCapacity);
-      C = Cache.get();
-    }
-    if (EOpts.Faults)
-      C->setFaultInjector(EOpts.Faults);
-    if (EOpts.VerdictTier)
-      C->setBackingStore(EOpts.VerdictTier);
-    BatchVerifier::Options BO;
-    BO.Robust.Base = VOpts;
-    BO.Robust.MaxTiers = 1; // evaluation runs one fixed budget, no ladder
-    BO.Pool = nullptr;
-    BO.Threads = 1;
-    BV = std::make_unique<BatchVerifier>(BO, C, EOpts.Faults);
+  // ThreadPool jobs are not reentrant), and a verdict one shard seeds is a
+  // hit for every later peek of the same (source, candidate) pair.
+  std::unique_ptr<VerifyCache> OwnCache;
+  VerifyCache *Cache = EOpts.SharedCache;
+  if (!Cache) {
+    OwnCache = std::make_unique<VerifyCache>();
+    Cache = OwnCache.get();
   }
+  if (EOpts.Faults)
+    Cache->setFaultInjector(EOpts.Faults);
+  if (EOpts.VerdictTier)
+    Cache->setBackingStore(EOpts.VerdictTier);
+  const BatchVerifier BV(evalVerifierOptions(VOpts), Cache, EOpts.Faults);
 
   std::vector<ShardEvalResult> Results(Plan.size());
   auto RunShard = [&](size_t I) {
-    Results[I] =
-        evaluateEvalShard(Model, Valid, Mode, VOpts, Plan[I], BV.get());
+    Results[I] = evaluateEvalShard(Model, Valid, Mode, VOpts, Plan[I], &BV);
   };
   if (EOpts.Pool && EOpts.Pool->numThreads() > 1 && Plan.size() > 1)
     EOpts.Pool->parallelFor(Plan.size(), RunShard);
@@ -415,7 +390,6 @@ EvalResult evaluateModelSharded(const RewritePolicyModel &Model,
     Span.arg(TraceArg::ofInt("correct", R.Taxonomy.Correct));
     Span.arg(TraceArg::ofInt("inconclusive", R.Taxonomy.Inconclusive));
     Span.arg(TraceArg::ofStr("model", R.ModelName));
-    Span.arg(TraceArg::ofBool("batch_verify", EOpts.BatchVerify));
     // Pool width shapes the schedule, not the result.
     Span.meta(TraceArg::ofInt(
         "threads", EOpts.Pool ? EOpts.Pool->numThreads() : 1));
@@ -427,76 +401,31 @@ EvalResult evaluateModelSharded(const RewritePolicyModel &Model,
 
 namespace {
 
-/// IEEE-754 bit-hex for doubles (the checkpoint discipline): JSON numeric
-/// round-trips are not bit-exact in general; these are.
-std::string dhex(double D) {
-  uint64_t Bits;
-  std::memcpy(&Bits, &D, sizeof(Bits));
-  char Buf[20];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(Bits));
-  return Buf;
-}
-
-bool dunhex(const std::string &S, double &D) {
-  if (S.size() != 16)
-    return false;
-  uint64_t Bits = 0;
-  for (char C : S) {
-    Bits <<= 4;
-    if (C >= '0' && C <= '9')
-      Bits |= static_cast<uint64_t>(C - '0');
-    else if (C >= 'a' && C <= 'f')
-      Bits |= static_cast<uint64_t>(C - 'a' + 10);
-    else
-      return false;
-  }
-  std::memcpy(&D, &Bits, sizeof(D));
-  return true;
-}
-
-bool jsonU64(const JsonValue &O, const char *Key, uint64_t &Out) {
-  const JsonValue *V = O.get(Key);
-  // Reject negatives AND non-integers: a count field of 1.5 (bit rot,
-  // hand-edited file) must be a typed parse error, not a silent truncation.
-  if (!V || !V->isNumber() || V->number() < 0 ||
-      V->number() != std::floor(V->number()))
-    return false;
-  Out = static_cast<uint64_t>(V->number());
-  return true;
-}
-
 bool jsonDhex(const JsonValue &O, const char *Key, double &Out) {
   const JsonValue *V = O.get(Key);
-  return V && V->isString() && dunhex(V->str(), Out);
+  return V && V->isString() && parseHexDouble(V->str(), Out);
 }
 
 bool shardFromJsonObject(const JsonValue &O, EvalShard &S) {
   uint64_t Index = 0, Begin = 0, End = 0;
-  if (!jsonU64(O, "index", Index) || !jsonU64(O, "begin", Begin) ||
-      !jsonU64(O, "end", End))
-    return false;
   const JsonValue *Seed = O.get("rng_seed");
-  if (!Seed || !Seed->isString())
-    return false;
-  double SeedD;
-  if (!dunhex(Seed->str(), SeedD))
+  if (!jsonUnsigned(O.get("index"), Index) ||
+      !jsonUnsigned(O.get("begin"), Begin) ||
+      !jsonUnsigned(O.get("end"), End) || !Seed || !Seed->isString() ||
+      !parseHexU64(Seed->str(), S.RngSeed))
     return false;
   S.Index = static_cast<unsigned>(Index);
   S.Begin = static_cast<size_t>(Begin);
   S.End = static_cast<size_t>(End);
-  std::memcpy(&S.RngSeed, &SeedD, sizeof(S.RngSeed));
   return true;
 }
 
 void shardToJson(std::ostringstream &OS, const EvalShard &S) {
   // rng_seed is a full uint64, which a JSON double cannot carry exactly —
-  // reuse the bit-hex channel.
-  double SeedD;
-  std::memcpy(&SeedD, &S.RngSeed, sizeof(SeedD));
+  // it travels bit-hex.
   OS << "{\"index\":" << S.Index << ",\"begin\":" << S.Begin
-     << ",\"end\":" << S.End << ",\"rng_seed\":" << jsonString(dhex(SeedD))
-     << "}";
+     << ",\"end\":" << S.End
+     << ",\"rng_seed\":" << jsonString(hexU64(S.RngSeed)) << "}";
 }
 
 } // namespace
@@ -504,9 +433,7 @@ void shardToJson(std::ostringstream &OS, const EvalShard &S) {
 std::string shardManifestToJson(const std::vector<EvalShard> &Plan,
                                 uint64_t Seed, size_t Samples) {
   std::ostringstream OS;
-  double SeedD;
-  std::memcpy(&SeedD, &Seed, sizeof(SeedD));
-  OS << "{\"seed\":" << jsonString(dhex(SeedD)) << ",\"samples\":" << Samples
+  OS << "{\"seed\":" << jsonString(hexU64(Seed)) << ",\"samples\":" << Samples
      << ",\"shards\":[";
   for (size_t I = 0; I < Plan.size(); ++I) {
     if (I)
@@ -559,9 +486,9 @@ std::string shardResultToJson(const ShardEvalResult &R) {
     OS << "{\"status\":" << jsonString(verifyStatusName(E.Status))
        << ",\"is_copy\":" << (E.IsCopy ? "true" : "false")
        << ",\"used_fallback\":" << (E.UsedFallback ? "true" : "false")
-       << ",\"lat_o0\":" << jsonString(dhex(E.LatO0))
-       << ",\"lat_out\":" << jsonString(dhex(E.LatOut))
-       << ",\"lat_ref\":" << jsonString(dhex(E.LatRef))
+       << ",\"lat_o0\":" << jsonString(hexDouble(E.LatO0))
+       << ",\"lat_out\":" << jsonString(hexDouble(E.LatOut))
+       << ",\"lat_ref\":" << jsonString(hexDouble(E.LatRef))
        << ",\"icount_o0\":" << E.ICountO0 << ",\"icount_out\":" << E.ICountOut
        << ",\"icount_ref\":" << E.ICountRef << ",\"size_o0\":" << E.SizeO0
        << ",\"size_out\":" << E.SizeOut << ",\"size_ref\":" << E.SizeRef
@@ -590,7 +517,7 @@ bool shardResultFromJson(const std::string &Text, ShardEvalResult &R,
     return fail("missing 'taxonomy' object");
   uint64_t U = 0;
   auto taxField = [&](const char *Key, unsigned &Out) {
-    if (!jsonU64(*Tax, Key, U))
+    if (!jsonUnsigned(Tax->get(Key), U))
       return false;
     Out = static_cast<unsigned>(U);
     return true;
@@ -633,7 +560,7 @@ bool shardResultFromJson(const std::string &Text, ShardEvalResult &R,
         !jsonDhex(EJ, "lat_ref", E.LatRef))
       return fail("sample missing latency bit-hex fields");
     auto u32Field = [&](const char *Key, unsigned &Out) {
-      if (!jsonU64(EJ, Key, U))
+      if (!jsonUnsigned(EJ.get(Key), U))
         return false;
       Out = static_cast<unsigned>(U);
       return true;

@@ -11,13 +11,13 @@
 //
 // The harness scales with the corpus: evaluateModelSharded() partitions the
 // validation set into deterministic contiguous shards, evaluates each shard
-// (optionally on the shared ThreadPool, optionally through a BatchVerifier
-// context so one SourceEncoding serves a sample's whole candidate group),
-// and merges the per-shard results with an order-independent reduction that
-// is bit-identical to the serial oracle evaluateModel() at any shard/thread
-// count. A shard is a serializable work unit — planEvalShards() emits a
-// manifest and every ShardEvalResult round-trips through JSON with
-// bit-exact doubles — so a later PR can split shards across processes.
+// (optionally on the shared ThreadPool) through one BatchVerifier and
+// VerifyCache, and merges the per-shard results with an order-independent
+// reduction that is bit-identical at any shard/thread count to a serial
+// greedy walk verifying with plain verifyCandidateText (the tests' oracle).
+// A shard is a serializable work unit — planEvalShards() emits a manifest
+// and every ShardEvalResult round-trips through JSON with bit-exact doubles
+// — so veriopt-drive can run shards across processes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,7 +27,6 @@
 #include "model/Policy.h"
 #include "data/Dataset.h"
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -95,13 +94,7 @@ struct EvalResult {
   std::vector<SampleEval> PerSample;
 };
 
-//===--- Serial oracle ------------------------------------------------------===//
-
-/// Evaluate a policy on \p Valid with greedy decoding, serially. This is
-/// the oracle the sharded path must reproduce bit for bit.
-EvalResult evaluateModel(const RewritePolicyModel &Model,
-                         const std::vector<Sample> &Valid, PromptMode Mode,
-                         const VerifyOptions &VOpts = VerifyOptions());
+//===--- Whole-corpus helpers -----------------------------------------------===//
 
 /// The reference pass itself as a "model" row (its outputs are the
 /// Sample::Reference functions).
@@ -117,19 +110,15 @@ void recomputeAggregates(EvalResult &R);
 
 //===--- Per-sample core ----------------------------------------------------===//
 
-/// How a candidate text gets verified against its sample (plain
-/// verifyCandidateText, a cache, or a BatchVerifier context).
-using CandidateVerifier =
-    std::function<VerifyResult(const Sample &S, const std::string &Text)>;
-
-/// Verify and classify one completion for \p S: the shared per-sample core
-/// of the serial and sharded paths (identical logic is what makes the
-/// differential guarantee hold). Counts the outcome into \p Tax. A verdict
-/// of Equivalent whose answer fails to reparse is recorded as Inconclusive
-/// with a distinct diagnostic and keeps the -O0 fallback — never UB.
+/// Classify one completion for \p S given the verifier's \p Verdict on its
+/// answer (ignored when the completion fails the format gate): the shared
+/// per-sample core of every evaluation path (identical logic is what makes
+/// the differential guarantee hold). Counts the outcome into \p Tax. A
+/// verdict of Equivalent whose answer fails to reparse is recorded as
+/// Inconclusive with a distinct diagnostic and keeps the -O0 fallback —
+/// never UB.
 SampleEval evaluateCandidate(const Sample &S, const Completion &C,
-                             const CandidateVerifier &Verify,
-                             VerifyTaxonomy &Tax);
+                             const VerifyResult &Verdict, VerifyTaxonomy &Tax);
 
 //===--- Sharded evaluation -------------------------------------------------===//
 
@@ -157,33 +146,24 @@ struct EvalOptions {
   /// Shards run on this pool when it has more than one thread; null or
   /// single-threaded pools evaluate shards inline, in index order.
   ThreadPool *Pool = nullptr;
-  /// Route verification through a shared BatchVerifier + VerifyCache (the
-  /// GRPO group machinery; a sample's candidate set shares one
-  /// SourceEncoding). Off = plain verifyCandidateText. Verdicts are
-  /// bit-identical either way.
-  bool BatchVerify = true;
-  /// Verify-memo capacity in entries when BatchVerify is on (0 = unbounded).
-  size_t VerifyCacheCapacity = 4096;
   /// Optional externally owned verify cache. When set, the run uses it
   /// instead of creating a private one, so successive evaluations (the
   /// checkpoint-cadence and ablation-table workloads, which re-verify
   /// mostly unchanged (source, candidate) pairs) replay verdicts instead
-  /// of recomputing them — bit-identical either way (the PR4 cache
-  /// contract). Ignored when BatchVerify is off.
+  /// of recomputing them — bit-identical either way.
   VerifyCache *SharedCache = nullptr;
   /// Optional durable verdict tier (the persistent VerdictStore) attached
   /// under the run's verify cache: memo misses read through to it and
   /// fresh verdicts write behind, so a warm store replays verification
   /// across processes and runs. Bit-identical either way (verification is
   /// deterministic and the store admits only deterministic verdicts — see
-  /// docs/PERSISTENCE.md). Requires BatchVerify (the store sits under the
-  /// cache); ignored otherwise. Caller owns; must outlive the evaluation.
+  /// docs/PERSISTENCE.md). Caller owns; must outlive the evaluation.
   VerdictBackingTier *VerdictTier = nullptr;
   /// Base seed for per-shard RNG derivation (API symmetry with training;
   /// greedy decoding ignores the stream).
   uint64_t Seed = 0xE7A1;
-  /// Optional deterministic fault injection, honored by the BatchVerify
-  /// path's oracle-budget / verdict-flip / cache-miss sites.
+  /// Optional deterministic fault injection, honored by the verifier's
+  /// oracle-budget / verdict-flip sites and the cache's cache-miss site.
   FaultInjector *Faults = nullptr;
   /// When non-empty, write the shard plan as JSON (atomic write-then-
   /// rename) so an external driver can later run shards out of process.
@@ -203,8 +183,9 @@ uint64_t deriveShardSeed(uint64_t Seed, unsigned ShardIdx);
 std::vector<EvalShard> planEvalShards(size_t N, unsigned Shards,
                                       uint64_t Seed);
 
-/// Evaluate one shard. \p Batch may be null (plain verification at
-/// \p VOpts). This is the unit a multi-process driver would invoke.
+/// Evaluate one shard, verifying through \p Batch. A null \p Batch means a
+/// local cacheless BatchVerifier at \p VOpts. This is the unit
+/// veriopt-worker invokes.
 ShardEvalResult evaluateEvalShard(const RewritePolicyModel &Model,
                                   const std::vector<Sample> &Valid,
                                   PromptMode Mode, const VerifyOptions &VOpts,
@@ -217,8 +198,10 @@ ShardEvalResult evaluateEvalShard(const RewritePolicyModel &Model,
 EvalResult mergeShardResults(const std::string &ModelName,
                              std::vector<ShardEvalResult> Shards);
 
-/// The sharded front door. Bit-identical to evaluateModel() at any
-/// Shards/Pool configuration, with or without BatchVerify.
+/// The evaluation front door: greedy decoding over \p Valid, one
+/// BatchVerifier at \p VOpts (one rung, no ladder) over one VerifyCache
+/// for the whole run. Bit-identical at any Shards/Pool configuration; the
+/// default EvalOptions evaluate one inline shard.
 EvalResult evaluateModelSharded(const RewritePolicyModel &Model,
                                 const std::vector<Sample> &Valid,
                                 PromptMode Mode, const VerifyOptions &VOpts,

@@ -24,53 +24,25 @@ static RolloutScore scoreFromBreakdown(const RewardBreakdown &B,
   return Score;
 }
 
-RewardFn makeAnswerReward(const VerifyOptions &VOpts, VerifyCache *Cache) {
-  return [VOpts, Cache](const Sample &S, Completion &C) {
-    RewardBreakdown B = answerReward(S, C, VOpts, Cache);
+RewardFn makeAnswerReward() {
+  return [](const Sample &S, const Completion &C, const RolloutVerdicts &V) {
+    RewardBreakdown B = answerReward(S, C, V.Answer);
     return scoreFromBreakdown(B, B.Total);
   };
 }
 
-RewardFn makeCorrectnessReward(const VerifyOptions &VOpts, VerifyCache *Cache) {
-  return [VOpts, Cache](const Sample &S, Completion &C) {
-    RewardBreakdown B = answerReward(S, C, VOpts, Cache);
-    VerifyResult AttemptV = verifyAttempt(S, C, VOpts, Cache);
-    return scoreFromBreakdown(B, B.Total + cotReward(C, AttemptV));
+RewardFn makeCorrectnessReward() {
+  return [](const Sample &S, const Completion &C, const RolloutVerdicts &V) {
+    RewardBreakdown B = answerReward(S, C, V.Answer);
+    return scoreFromBreakdown(B, B.Total + cotReward(C, V.Attempt));
   };
 }
 
-RewardFn makeLatencyReward(const VerifyOptions &VOpts,
-                           const LatencyRewardParams &P, VerifyCache *Cache) {
-  return [VOpts, P, Cache](const Sample &S, Completion &C) {
-    RewardBreakdown B = answerReward(S, C, VOpts, Cache);
+RewardFn makeLatencyReward(const LatencyRewardParams &P) {
+  return [P](const Sample &S, const Completion &C, const RolloutVerdicts &V) {
+    RewardBreakdown B = answerReward(S, C, V.Answer);
     // Eq. (4): equivalence-gated shaped speedup. Alive2 stays in the loop
     // as the gate even though the instcombine labels are gone.
-    return scoreFromBreakdown(B, latencyReward(S, C, B.Equivalent, P));
-  };
-}
-
-RewardFn makeAnswerReward(const RobustVerifier &RV) {
-  const RobustVerifier *V = &RV;
-  return [V](const Sample &S, Completion &C) {
-    RewardBreakdown B = answerReward(S, C, *V);
-    return scoreFromBreakdown(B, B.Total);
-  };
-}
-
-RewardFn makeCorrectnessReward(const RobustVerifier &RV) {
-  const RobustVerifier *V = &RV;
-  return [V](const Sample &S, Completion &C) {
-    RewardBreakdown B = answerReward(S, C, *V);
-    VerifyResult AttemptV = verifyAttempt(S, C, *V);
-    return scoreFromBreakdown(B, B.Total + cotReward(C, AttemptV));
-  };
-}
-
-RewardFn makeLatencyReward(const RobustVerifier &RV,
-                           const LatencyRewardParams &P) {
-  const RobustVerifier *V = &RV;
-  return [V, P](const Sample &S, Completion &C) {
-    RewardBreakdown B = answerReward(S, C, *V);
     return scoreFromBreakdown(B, latencyReward(S, C, B.Equivalent, P));
   };
 }
@@ -154,43 +126,41 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
   Art.Base = std::make_unique<RewritePolicyModel>(Opts.BaseModel);
   Art.UMax = computeUMax(DS.Train);
 
-  // One scoring pool and one verification memo serve all three GRPO stages
-  // (the cache key carries the budget, so sharing across stages is sound).
+  // One pool, one verification memo and one verifier serve all three GRPO
+  // stages (the cache key carries the budget, so sharing across stages is
+  // sound). All training verification goes through the verifier's
+  // escalating retry ladder; with one tier this is exactly the plain
+  // single-budget verifier.
   ThreadPool Pool(Opts.Threads);
-  std::unique_ptr<VerifyCache> Cache;
-  if (Opts.VerifyCacheCapacity) {
-    Cache = std::make_unique<VerifyCache>(Opts.VerifyCacheCapacity);
-    if (Opts.Faults)
-      Cache->setFaultInjector(Opts.Faults);
-    // Durable tier under the memo: warm-store training replays verdicts
-    // instead of recomputing them, bit-identically (the cache bypasses the
-    // tier while a fault injector is attached — see docs/PERSISTENCE.md).
-    if (Opts.VerdictTier)
-      Cache->setBackingStore(Opts.VerdictTier);
-  }
+  VerifyCache Cache;
+  if (Opts.Faults)
+    Cache.setFaultInjector(Opts.Faults);
+  // Durable tier under the memo: warm-store training replays verdicts
+  // instead of recomputing them, bit-identically (the cache bypasses the
+  // tier while a fault injector is attached — see docs/PERSISTENCE.md).
+  if (Opts.VerdictTier)
+    Cache.setBackingStore(Opts.VerdictTier);
 
-  // All training verification goes through the escalating retry ladder.
-  // With one tier this is exactly the plain single-budget verifier.
-  RobustVerifyOptions RVO;
-  RVO.Base = Opts.TrainVerify;
-  RVO.MaxTiers = std::max(1u, Opts.VerifyRetryTiers);
-  RVO.BudgetGrowth = Opts.VerifyRetryGrowth;
-  RobustVerifier RV(RVO, Cache.get(), Opts.Faults);
+  BatchVerifier::Options BO;
+  BO.Robust.Base = Opts.TrainVerify;
+  BO.Robust.MaxTiers = std::max(1u, Opts.VerifyRetryTiers);
+  BO.Robust.BudgetGrowth = Opts.VerifyRetryGrowth;
+  BO.Pool = &Pool;
+  BO.Threads = Opts.Threads;
+  BatchVerifier BV(BO, &Cache, Opts.Faults);
+
+  auto oracleFaults = [&]() -> uint64_t {
+    if (!Opts.Faults)
+      return 0;
+    FaultInjector::Counters C = Opts.Faults->counters();
+    return C.injected(FaultSite::OracleBudget) +
+           C.injected(FaultSite::VerdictFlip);
+  };
+  const uint64_t OracleFaultsBefore = oracleFaults();
 
   GRPOOptions GBase = Opts.GRPO;
   GBase.Threads = Opts.Threads;
   GBase.Pool = &Pool;
-  GBase.Cache = Cache.get();
-
-  // Batched group verification: pre-verify each prompt group through one
-  // shared solver context, seeding the cache the reward replays from.
-  // Shares the ladder configuration with RV so cache keys line up.
-  BatchVerifier::Options BO;
-  BO.Robust = RVO;
-  BO.Pool = &Pool;
-  BO.Threads = Opts.Threads;
-  BatchVerifier BV(BO, Cache.get(), Opts.Faults);
-  GBase.Batch = (Opts.BatchVerify && Cache) ? &BV : nullptr;
 
   //===--- Resume --------------------------------------------------------===//
 
@@ -362,7 +332,7 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
           ++Art.CorrectionSamples;
         }
       };
-      GRPOTrainer Trainer(*Art.ModelZero, makeAnswerReward(RV), G);
+      GRPOTrainer Trainer(*Art.ModelZero, BV, makeAnswerReward(), G);
       runStage(0, Trainer, Art.Stage1Log, Opts.Stage1Steps);
     }
 
@@ -404,7 +374,7 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
     G.Mode = PromptMode::Augmented;
     G.Seed = Opts.Seed * 7 + 3;
     G.TraceLabel = "stage2";
-    GRPOTrainer Trainer(*Art.Correctness, makeCorrectnessReward(RV), G);
+    GRPOTrainer Trainer(*Art.Correctness, BV, makeCorrectnessReward(), G);
     runStage(1, Trainer, Art.Stage2Log, Opts.Stage2Steps);
     if (!Halt) {
       Art.Latency = std::make_unique<RewritePolicyModel>(*Art.Correctness);
@@ -425,7 +395,7 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
     G.LearningRate = Opts.Stage3LearningRate;
     G.Seed = Opts.Seed * 11 + 4;
     G.TraceLabel = "stage3";
-    GRPOTrainer Trainer(*Art.Latency, makeLatencyReward(RV, P), G);
+    GRPOTrainer Trainer(*Art.Latency, BV, makeLatencyReward(P), G);
     runStage(2, Trainer, Art.Stage3Log, Opts.Stage3Steps);
     if (!Halt)
       writeCkpt(snapshot(3, nullptr)); // complete
@@ -435,14 +405,11 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
   foldStageLog(Art, Art.Stage1Log);
   foldStageLog(Art, Art.Stage2Log);
   foldStageLog(Art, Art.Stage3Log);
-  if (Cache) {
-    VerifyCache::Counters C = Cache->counters();
-    Art.VerifyCacheHits = C.Hits;
-    Art.VerifyCacheMisses = C.Misses;
-    Art.VerifyCacheEvictions = C.Evictions;
-  }
-  RobustVerifier::Counters RC = RV.counters();
-  Art.InjectedFaults = RC.InjectedBudgetFaults + RC.InjectedVerdictFlips;
+  VerifyCache::Counters CC = Cache.counters();
+  Art.VerifyCacheHits = CC.Hits;
+  Art.VerifyCacheMisses = CC.Misses;
+  Art.VerifyCacheEvictions = CC.Evictions;
+  Art.InjectedFaults = oracleFaults() - OracleFaultsBefore;
 
   return Art;
 }

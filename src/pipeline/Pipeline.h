@@ -50,24 +50,16 @@ struct PipelineOptions {
   VerifyOptions TrainVerify = trainVerifyDefaults();
   uint64_t Seed = 2026;
 
-  /// Rollout-scoring worker threads, shared by all three GRPO stages.
-  /// Generation stays sequential, so results are bit-identical at any
-  /// setting (see GRPOOptions::Threads).
+  /// Verification and scoring worker threads, shared by all three GRPO
+  /// stages. Generation stays sequential, so results are bit-identical at
+  /// any setting (see GRPOOptions::Threads).
   unsigned Threads = 1;
-  /// Verify-memo capacity in entries; 0 disables the cache. The cache is
-  /// shared across stages (keys carry the full verification budget).
-  size_t VerifyCacheCapacity = 4096;
-  /// Batched group verification (BatchVerifier): pre-verify each prompt
-  /// group through one shared solver context before scoring, seeding the
-  /// cache. Requires the cache; verdicts are bit-identical either way, so
-  /// the sequential path (off) remains the oracle.
-  bool BatchVerify = true;
 
   //===--- Fault-tolerant runtime ---------------------------------------===//
 
-  /// Escalating verification retry ladder (RobustVerifier): budget-bound
-  /// Inconclusives are re-asked at geometrically larger budgets. 1 tier
-  /// reproduces the plain single-budget behaviour exactly.
+  /// BatchVerifier's escalating retry ladder: budget-bound Inconclusives
+  /// are re-asked at geometrically larger budgets. 1 tier reproduces the
+  /// plain single-budget behaviour exactly.
   unsigned VerifyRetryTiers = 3;
   uint64_t VerifyRetryGrowth = 4;
 
@@ -102,8 +94,7 @@ struct PipelineOptions {
   /// the caller from e.g. train_mini's --verdict-store flag) attached under
   /// the run's shared VerifyCache and propagated to evaluation. Warm-store
   /// runs are bit-identical to cold ones — only the verification work is
-  /// skipped. Requires VerifyCacheCapacity > 0 (the store sits under the
-  /// cache). While Faults is set the cache bypasses the tier entirely, so
+  /// skipped. While Faults is set the cache bypasses the tier entirely, so
   /// chaos runs neither read nor warm the store.
   VerdictBackingTier *VerdictTier = nullptr;
 
@@ -118,15 +109,12 @@ struct PipelineOptions {
   std::string EvalShardManifestPath;
   std::string EvalShardResultDir;
 
-  /// EvalOptions matching this pipeline configuration (shards, batch
-  /// verification, cache capacity, seed, fault injection). \p Pool may be
-  /// null for inline evaluation.
+  /// EvalOptions matching this pipeline configuration (shards, seed, fault
+  /// injection, verdict store). \p Pool may be null for inline evaluation.
   EvalOptions makeEvalOptions(ThreadPool *Pool = nullptr) const {
     EvalOptions EO;
     EO.Shards = EvalShards;
     EO.Pool = Pool;
-    EO.BatchVerify = BatchVerify && VerifyCacheCapacity > 0;
-    EO.VerifyCacheCapacity = VerifyCacheCapacity;
     EO.Seed = Seed;
     EO.Faults = Faults;
     EO.VerdictTier = VerdictTier;
@@ -184,27 +172,16 @@ struct PipelineArtifacts {
 PipelineArtifacts runTrainingPipeline(const Dataset &DS,
                                       const PipelineOptions &Opts);
 
-/// Stage-1 style reward (Eq. 1) bound to a verification budget. A non-null
-/// \p Cache memoizes verification; all factories produce thread-safe
-/// functions suitable for parallel scoring.
-RewardFn makeAnswerReward(const VerifyOptions &VOpts,
-                          VerifyCache *Cache = nullptr);
+/// The three stage rewards. They read the verdicts the trainer hands them
+/// and never verify; all are thread-safe, suitable for parallel scoring.
+/// Stage 1: Eq. (1) on the answer.
+RewardFn makeAnswerReward();
 
-/// Stage-2 reward: Eq. (1) on the answer plus Eq. (2) on the think section.
-RewardFn makeCorrectnessReward(const VerifyOptions &VOpts,
-                               VerifyCache *Cache = nullptr);
+/// Stage 2: Eq. (1) on the answer plus Eq. (2) on the think section.
+RewardFn makeCorrectnessReward();
 
-/// Stage-3 reward: Eq. (4) with the given parameters.
-RewardFn makeLatencyReward(const VerifyOptions &VOpts,
-                           const LatencyRewardParams &P,
-                           VerifyCache *Cache = nullptr);
-
-/// Fault-tolerant factory variants: verification goes through \p RV's
-/// escalating retry ladder. \p RV must outlive the returned function.
-RewardFn makeAnswerReward(const RobustVerifier &RV);
-RewardFn makeCorrectnessReward(const RobustVerifier &RV);
-RewardFn makeLatencyReward(const RobustVerifier &RV,
-                           const LatencyRewardParams &P);
+/// Stage 3: Eq. (4) with the given parameters.
+RewardFn makeLatencyReward(const LatencyRewardParams &P);
 
 } // namespace veriopt
 

@@ -4,29 +4,10 @@
 
 #include "trace/Json.h"
 
-#include <cmath>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
 namespace veriopt {
-
-bool parseBitHexDouble(const std::string &S, double &Out) {
-  if (S.size() != 16)
-    return false;
-  uint64_t Bits = 0;
-  for (char C : S) {
-    Bits <<= 4;
-    if (C >= '0' && C <= '9')
-      Bits |= static_cast<uint64_t>(C - '0');
-    else if (C >= 'a' && C <= 'f')
-      Bits |= static_cast<uint64_t>(C - 'a' + 10);
-    else
-      return false;
-  }
-  std::memcpy(&Out, &Bits, sizeof(Out));
-  return true;
-}
 
 namespace {
 
@@ -36,18 +17,13 @@ bool fail(std::string *Err, const std::string &Why) {
   return false;
 }
 
-bool isU64(const JsonValue &V) {
-  return V.isNumber() && V.number() >= 0 &&
-         V.number() == std::floor(V.number());
-}
-
 bool parseGauge(const JsonValue &V, double &Out) {
   if (V.isNumber()) {
     Out = V.number();
     return true;
   }
   // The exact channel: a 16-hex-char string is the IEEE-754 bit pattern.
-  return V.isString() && parseBitHexDouble(V.str(), Out);
+  return V.isString() && parseHexDouble(V.str(), Out);
 }
 
 bool parseHist(const std::string &Name, const JsonValue &V,
@@ -70,20 +46,19 @@ bool parseHist(const std::string &Name, const JsonValue &V,
     return fail(Err, "histogram '" + Name + "' missing 'counts' array");
   uint64_t Total = 0;
   for (const JsonValue &C : Counts->array()) {
-    if (!isU64(C))
+    uint64_t N;
+    if (!jsonUnsigned(&C, N))
       return fail(Err, "histogram '" + Name +
                            "' has a negative/non-integer bucket count");
-    Out.Counts.push_back(static_cast<uint64_t>(C.number()));
-    Total += Out.Counts.back();
+    Out.Counts.push_back(N);
+    Total += N;
   }
   if (Out.Counts.size() != Out.Bounds.size() + 1)
     return fail(Err, "histogram '" + Name +
                          "' needs len(counts) == len(bounds)+1 (overflow "
                          "bucket)");
-  const JsonValue *Count = V.get("count");
-  if (!Count || !isU64(*Count))
+  if (!jsonUnsigned(V.get("count"), Out.Count))
     return fail(Err, "histogram '" + Name + "' missing integer 'count'");
-  Out.Count = static_cast<uint64_t>(Count->number());
   if (Out.Count != Total)
     return fail(Err, "histogram '" + Name +
                          "' count does not equal the bucket-count sum");
@@ -111,10 +86,10 @@ bool parseBenchJson(const std::string &Text, BenchReport &Out,
     return fail(Err, "missing nonempty string 'bench'");
   Out.Bench = Bench->str();
 
-  const JsonValue *Schema = Doc.get("schema");
-  if (!Schema || !isU64(*Schema))
+  uint64_t Schema;
+  if (!jsonUnsigned(Doc.get("schema"), Schema))
     return fail(Err, "missing integer 'schema' version");
-  Out.Schema = static_cast<int>(Schema->number());
+  Out.Schema = static_cast<int>(Schema);
   if (Out.Schema != BenchJsonSchemaVersion)
     return fail(Err, "unsupported schema version " +
                          std::to_string(Out.Schema) + " (this build reads " +
@@ -133,12 +108,10 @@ bool parseBenchJson(const std::string &Text, BenchReport &Out,
   if (!Hists || !Hists->isObject())
     return fail(Err, "metrics missing 'histograms' object");
 
-  for (const auto &[Name, V] : Counters->object()) {
-    if (!isU64(V))
+  for (const auto &[Name, V] : Counters->object())
+    if (!jsonUnsigned(&V, Out.Counters[Name]))
       return fail(Err, "counter '" + Name +
                            "' is not a non-negative integer");
-    Out.Counters[Name] = static_cast<uint64_t>(V.number());
-  }
   for (const auto &[Name, V] : Gauges->object()) {
     double D;
     if (!parseGauge(V, D))

@@ -227,11 +227,7 @@ std::string renderRunDiff(const RunDiff &D, unsigned TopN) {
       OS << "  hit-rate  " << fmt("%.1f%%", RateA) << " -> "
          << fmt("%.1f%%", RateB) << "  (" << signedF("%.1f", RateB - RateA)
          << " pp)\n";
-      OS << "  single-flight joins "
-         << static_cast<uint64_t>(M(A, "verify.cache.singleflight_join"))
-         << " -> "
-         << static_cast<uint64_t>(M(B, "verify.cache.singleflight_join"))
-         << "  evictions "
+      OS << "  evictions "
          << static_cast<uint64_t>(M(A, "verify.cache.eviction")) << " -> "
          << static_cast<uint64_t>(M(B, "verify.cache.eviction")) << "\n";
     }

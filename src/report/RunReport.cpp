@@ -174,11 +174,8 @@ std::string renderRunReport(const RunSummary &S, unsigned TopN) {
       OS << "  lookups " << static_cast<uint64_t>(Hits + Misses) << "  hits "
          << static_cast<uint64_t>(Hits) << "  misses "
          << static_cast<uint64_t>(Misses) << "  hit-rate "
-         << fmt("%.1f%%", 100.0 * Hits / (Hits + Misses)) << "\n";
-      OS << "  single-flight joins "
-         << static_cast<uint64_t>(M("verify.cache.singleflight_join"))
-         << "  evictions " << static_cast<uint64_t>(M("verify.cache.eviction"))
-         << "\n";
+         << fmt("%.1f%%", 100.0 * Hits / (Hits + Misses)) << "  evictions "
+         << static_cast<uint64_t>(M("verify.cache.eviction")) << "\n";
     }
   }
   OS << "\n";
@@ -192,7 +189,7 @@ std::string renderRunReport(const RunSummary &S, unsigned TopN) {
     };
     double Groups = M("batch.groups");
     if (Groups == 0) {
-      OS << "no batch.* metrics in this trace (BatchVerify off or no cache)\n";
+      OS << "no batch.* metrics in this trace\n";
     } else {
       double Cands = M("batch.candidates"), Uniq = M("batch.unique");
       double Hits = M("batch.cache_hits"), Comp = M("batch.computed");

@@ -27,16 +27,14 @@ static bool isCopyOfSource(const Sample &S, const std::string &AnswerIR) {
          printFunction(*S.source());
 }
 
-/// Everything after the verification verdict is shared between the plain
-/// and the retry-ladder overloads.
-static RewardBreakdown scoreWithVerdict(const Sample &S, const Completion &C,
-                                        VerifyResult Verdict) {
+RewardBreakdown answerReward(const Sample &S, const Completion &C,
+                             const VerifyResult &Verdict) {
   RewardBreakdown Out;
   Out.FormatOk = C.FormatOk;
   Out.IsCopy = isCopyOfSource(S, C.AnswerIR);
 
   if (Out.FormatOk) {
-    Out.Verify = std::move(Verdict);
+    Out.Verify = Verdict;
     Out.Equivalent = Out.Verify.equivalent();
   } else {
     Out.Verify.Status = VerifyStatus::SyntaxError;
@@ -51,35 +49,6 @@ static RewardBreakdown scoreWithVerdict(const Sample &S, const Completion &C,
   double M = Out.ExactMatch ? 1.0 : 0.0;
   Out.Total = T * (1.0 + A * (1.0 + M)) + Out.Bleu; // Eq. (1)
   return Out;
-}
-
-RewardBreakdown answerReward(const Sample &S, const Completion &C,
-                             const VerifyOptions &VOpts, VerifyCache *Cache) {
-  VerifyResult V;
-  if (C.FormatOk)
-    V = Cache ? Cache->verify(S.SrcText, *S.source(), C.AnswerIR, VOpts)
-              : verifyCandidateText(*S.source(), C.AnswerIR, VOpts);
-  return scoreWithVerdict(S, C, std::move(V));
-}
-
-RewardBreakdown answerReward(const Sample &S, const Completion &C,
-                             const RobustVerifier &RV) {
-  VerifyResult V;
-  if (C.FormatOk)
-    V = RV.verify(S.SrcText, *S.source(), C.AnswerIR).Result;
-  return scoreWithVerdict(S, C, std::move(V));
-}
-
-VerifyResult verifyAttempt(const Sample &S, const Completion &C,
-                           const VerifyOptions &VOpts, VerifyCache *Cache) {
-  if (Cache)
-    return Cache->verify(S.SrcText, *S.source(), C.ThinkAttemptIR, VOpts);
-  return verifyCandidateText(*S.source(), C.ThinkAttemptIR, VOpts);
-}
-
-VerifyResult verifyAttempt(const Sample &S, const Completion &C,
-                           const RobustVerifier &RV) {
-  return RV.verify(S.SrcText, *S.source(), C.ThinkAttemptIR).Result;
 }
 
 double cotReward(const Completion &C, const VerifyResult &AttemptVerify) {

@@ -18,8 +18,6 @@
 #include "data/Dataset.h"
 #include "model/Policy.h"
 #include "verify/AliveLite.h"
-#include "verify/RobustVerifier.h"
-#include "verify/VerifyCache.h"
 
 namespace veriopt {
 
@@ -36,32 +34,16 @@ struct RewardBreakdown {
 };
 
 /// Evaluate Eq. (1) for a completion's answer against the sample's source
-/// and reference. A non-null \p Cache memoizes the verification (the GRPO
-/// hot path); results are identical with or without it.
+/// and reference, given the verifier's \p Verdict on the answer (the
+/// trainer computes it through BatchVerifier). A completion that fails the
+/// format gate scores as a syntax error and \p Verdict is ignored.
 RewardBreakdown answerReward(const Sample &S, const Completion &C,
-                             const VerifyOptions &VOpts = VerifyOptions(),
-                             VerifyCache *Cache = nullptr);
-
-/// Fault-tolerant variant: verification goes through \p RV's escalating
-/// retry ladder, so budget-bound Inconclusives are re-asked at larger
-/// budgets before scoring. With injection disabled, rewards are identical
-/// to the plain overload evaluated at the tier that settled the query.
-RewardBreakdown answerReward(const Sample &S, const Completion &C,
-                             const RobustVerifier &RV);
+                             const VerifyResult &Verdict);
 
 /// Eq. (2): 1 when model and Alive agree the think-attempt verifies;
 /// 0.5 + 0.5*BLEU(model message, alive message) when both agree it fails;
 /// 0 on disagreement. \p AttemptVerify is Alive's verdict on the attempt.
 double cotReward(const Completion &C, const VerifyResult &AttemptVerify);
-
-/// Verify the <think> attempt of an augmented completion.
-VerifyResult verifyAttempt(const Sample &S, const Completion &C,
-                           const VerifyOptions &VOpts = VerifyOptions(),
-                           VerifyCache *Cache = nullptr);
-
-/// Fault-tolerant variant of verifyAttempt through the retry ladder.
-VerifyResult verifyAttempt(const Sample &S, const Completion &C,
-                           const RobustVerifier &RV);
 
 struct LatencyRewardParams {
   double UMax = 3.0;   ///< saturation threshold (80th pct of reference)

@@ -31,9 +31,11 @@ double clipGradient(std::vector<double> &Grad, double MaxNorm) {
   return Norm;
 }
 
-GRPOTrainer::GRPOTrainer(RewritePolicyModel &Model, RewardFn Reward,
+GRPOTrainer::GRPOTrainer(RewritePolicyModel &Model,
+                         const BatchVerifier &Verifier, RewardFn Reward,
                          const GRPOOptions &Opts)
-    : Model(Model), Reward(std::move(Reward)), Opts(Opts), R(Opts.Seed) {
+    : Model(Model), Verifier(Verifier), Reward(std::move(Reward)), Opts(Opts),
+      R(Opts.Seed) {
   if (this->Opts.Threads > 1 && !this->Opts.Pool) {
     OwnedPool = std::make_unique<ThreadPool>(this->Opts.Threads);
     this->Opts.Pool = OwnedPool.get();
@@ -44,6 +46,7 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
   struct Rollout {
     const Sample *S;
     Completion C;
+    RolloutVerdicts Verdicts;
     RolloutScore Score;
     double Advantage = 0;
   };
@@ -72,38 +75,40 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
     }
   }
 
-  // Phase 1.5: batched group pre-verification. One shared solver context
-  // per prompt group computes every verdict the scoring pass is about to
-  // ask for and seeds the verification cache; scoring then replays from
-  // the cache through the ordinary retry ladder. The batch runs the same
-  // ladder over the same budgets, so verdicts — and therefore rewards and
-  // the trained model — are bit-identical with this knob off.
-  if (Opts.Batch && Opts.Cache) {
-    for (unsigned PromptIdx = 0; PromptIdx < Batch.size(); ++PromptIdx) {
-      const Sample *S = Batch[PromptIdx];
-      std::vector<std::string> Texts;
-      Texts.reserve(Opts.GroupSize * 2);
-      for (unsigned G = 0; G < Opts.GroupSize; ++G) {
-        const Completion &C = Rollouts[PromptIdx * Opts.GroupSize + G].C;
-        // Mirror exactly what the reward verifies: answers only when the
-        // format gate passes, think-attempts unconditionally in augmented
-        // mode (see answerReward / verifyAttempt).
-        if (C.FormatOk)
-          Texts.push_back(C.AnswerIR);
-        if (Opts.Mode == PromptMode::Augmented)
-          Texts.push_back(C.ThinkAttemptIR);
+  // Phase 2: verification. One verifyGroup call per prompt group computes
+  // every verdict the reward needs — answers that pass the format gate, and
+  // think-attempts in augmented mode — through one shared solver context,
+  // once per canonically distinct candidate.
+  unsigned RungHits = 0, RungsComputed = 0;
+  for (unsigned PromptIdx = 0; PromptIdx < Batch.size(); ++PromptIdx) {
+    const Sample *S = Batch[PromptIdx];
+    std::vector<std::string> Texts;
+    std::vector<VerifyResult *> Slots;
+    for (unsigned G = 0; G < Opts.GroupSize; ++G) {
+      Rollout &Ro = Rollouts[PromptIdx * Opts.GroupSize + G];
+      if (Ro.C.FormatOk) {
+        Texts.push_back(Ro.C.AnswerIR);
+        Slots.push_back(&Ro.Verdicts.Answer);
       }
-      if (!Texts.empty())
-        Opts.Batch->verifyGroup(S->SrcText, *S->source(), Texts);
+      if (Opts.Mode == PromptMode::Augmented) {
+        Texts.push_back(Ro.C.ThinkAttemptIR);
+        Slots.push_back(&Ro.Verdicts.Attempt);
+      }
     }
+    if (Texts.empty())
+      continue;
+    BatchVerifier::GroupStats GS;
+    std::vector<VerifyResult> Verdicts =
+        Verifier.verifyGroup(S->SrcText, *S->source(), Texts, &GS);
+    for (size_t I = 0; I < Slots.size(); ++I)
+      *Slots[I] = std::move(Verdicts[I]);
+    RungHits += GS.CacheHits;
+    RungsComputed += GS.Computed;
   }
 
-  // Phase 2: scoring — the verification-dominated hot path — fans out over
-  // the pool. Each task writes only its own rollout's Score slot, so the
-  // result is identical to the serial loop.
-  VerifyCache::Counters Before;
-  if (Opts.Cache)
-    Before = Opts.Cache->counters();
+  // Phase 3: scoring (cost model, BLEU) fans out over the pool. Each task
+  // writes only its own rollout's Score slot, so the result is identical to
+  // the serial loop.
   auto ScoreStart = std::chrono::steady_clock::now();
   {
     TraceSpan ScoreSpan("grpo.score");
@@ -111,7 +116,8 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
     ScoreSpan.arg(
         TraceArg::ofInt("rollouts", static_cast<int64_t>(Rollouts.size())));
     auto ScoreOne = [&](size_t I) {
-      Rollouts[I].Score = Reward(*Rollouts[I].S, Rollouts[I].C);
+      Rollout &Ro = Rollouts[I];
+      Ro.Score = Reward(*Ro.S, Ro.C, Ro.Verdicts);
     };
     if (Opts.Pool && Opts.Threads > 1)
       Opts.Pool->parallelFor(Rollouts.size(), ScoreOne);
@@ -136,9 +142,7 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
     if (AV.RetryTier > 0)
       ++Escalations;
     MaxTier = std::max(MaxTier, AV.RetryTier);
-    if (AV.Status == VerifyStatus::Inconclusive &&
-        (AV.Kind == DiagKind::SolverTimeout ||
-         AV.Kind == DiagKind::ResourceExhausted))
+    if (retryable(AV))
       ++TerminalInconclusive;
     if (Opts.OnRollout)
       Opts.OnRollout(*Ro.S, Ro.C, Ro.Score);
@@ -198,13 +202,9 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
   Log.ScoreWallMs =
       std::chrono::duration<double, std::milli>(ScoreEnd - ScoreStart)
           .count();
-  if (Opts.Cache) {
-    VerifyCache::Counters After = Opts.Cache->counters();
-    uint64_t Lookups = After.lookups() - Before.lookups();
+  if (RungHits + RungsComputed)
     Log.CacheHitRate =
-        Lookups ? static_cast<double>(After.Hits - Before.Hits) / Lookups
-                : 0.0;
-  }
+        static_cast<double>(RungHits) / (RungHits + RungsComputed);
   Log.FalsifyWins = FalsifyWins;
   Log.SolverConflicts = Conflicts;
   Log.RetryEscalations = Escalations;

@@ -32,12 +32,23 @@ struct RolloutScore {
   VerifyResult AnswerVerify;
 };
 
-/// Stage-specific reward: (sample, completion) -> score. Scoring fans out
-/// over a thread pool when GRPOOptions::Threads > 1, so the function must
-/// be safe to call concurrently on distinct completions (shared state needs
-/// its own synchronization — or better, use GRPOOptions::OnRollout, which
-/// runs sequentially).
-using RewardFn = std::function<RolloutScore(const Sample &, Completion &)>;
+/// The verifier's verdicts on one rollout. The trainer computes them with
+/// one BatchVerifier::verifyGroup call per prompt group, before scoring.
+struct RolloutVerdicts {
+  /// Verdict on the answer; left default when the completion fails the
+  /// format gate (the reward scores those without a verdict).
+  VerifyResult Answer;
+  /// Verdict on the <think> attempt; set in augmented mode only.
+  VerifyResult Attempt;
+};
+
+/// Stage-specific reward: (sample, completion, verdicts) -> score. It never
+/// verifies. Scoring fans out over a thread pool when GRPOOptions::Threads
+/// > 1, so the function must be safe to call concurrently on distinct
+/// completions (shared state needs its own synchronization — or better,
+/// use GRPOOptions::OnRollout, which runs sequentially).
+using RewardFn = std::function<RolloutScore(
+    const Sample &, const Completion &, const RolloutVerdicts &)>;
 
 /// Sequential per-rollout observer, invoked after the (possibly parallel)
 /// scoring phase in deterministic rollout order. The place for stateful
@@ -62,15 +73,6 @@ struct GRPOOptions {
   unsigned Threads = 1;
   /// Shared scoring pool; when null and Threads > 1 the trainer owns one.
   ThreadPool *Pool = nullptr;
-  /// Verification memo consulted by the reward (via the reward factories);
-  /// referenced here only to report per-step hit rates in the log.
-  VerifyCache *Cache = nullptr;
-  /// Batched group verification: when set (and Cache is set), each prompt
-  /// group's candidates are pre-verified through one shared solver context
-  /// between generation and scoring, seeding the cache the reward then
-  /// replays from. Verdicts are bit-identical with or without it, so the
-  /// trained model and the log never depend on this knob.
-  BatchVerifier *Batch = nullptr;
   /// Optional sequential observer of every scored rollout.
   RolloutHook OnRollout;
   /// Stage label stamped onto this trainer's trace events ("stage1"...);
@@ -89,14 +91,15 @@ struct TrainLogEntry {
   double GradNorm = 0;
 
   // Scoring-phase instrumentation (not part of the determinism guarantee:
-  // wall time and hit rate depend on thread count and cache history).
+  // wall time depends on the host, hit rate on the cache's history).
   double ScoreWallMs = 0;       ///< wall time of the scoring phase
-  double CacheHitRate = 0;      ///< verify-cache hits / lookups this step
+  double CacheHitRate = 0;      ///< ladder rungs served by the cache / run
   unsigned FalsifyWins = 0;     ///< counterexamples found pre-SMT
   uint64_t SolverConflicts = 0; ///< CDCL conflicts spent this step
 
   // Retry-ladder telemetry (deterministic: derived from verdicts, and
-  // identical whether a verdict came from the cache or a fresh run).
+  // identical whether a verdict came from the cache or a fresh run). Counted
+  // per rollout answer.
   unsigned RetryEscalations = 0;     ///< rollouts verified above tier 0
   unsigned TerminalInconclusive = 0; ///< budget-bound even at the top tier
   unsigned MaxRetryTier = 0;         ///< highest tier reached this step
@@ -117,8 +120,12 @@ struct GRPOTrainerState {
 /// Group Relative Policy Optimization over a fixed prompt set.
 class GRPOTrainer {
 public:
-  GRPOTrainer(RewritePolicyModel &Model, RewardFn Reward,
-              const GRPOOptions &Opts);
+  /// \p Verifier computes every verdict the reward sees; it must outlive
+  /// the trainer.
+  GRPOTrainer(RewritePolicyModel &Model, const BatchVerifier &Verifier,
+              RewardFn Reward, const GRPOOptions &Opts);
+  GRPOTrainer(RewritePolicyModel &Model, const BatchVerifier &&Verifier,
+              RewardFn Reward, const GRPOOptions &Opts) = delete;
 
   /// Run \p Steps updates over \p Prompts (cycled, shuffled by seed).
   /// Returns the per-step log. \p OnStep, when set, observes each step's
@@ -138,6 +145,7 @@ public:
 
 private:
   RewritePolicyModel &Model;
+  const BatchVerifier &Verifier;
   RewardFn Reward;
   GRPOOptions Opts;
   RNG R;

@@ -11,8 +11,7 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
-#include <cmath>
-#include <cstring>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -57,47 +56,12 @@ Gauge &degradedGauge() {
   return G;
 }
 
-/// uint64 -> fixed 16-digit lowercase hex. JSON numbers are doubles, which
-/// cannot carry a full uint64 (fuel budgets, conflict counts, APInt64 bits)
-/// — so 64-bit fields travel as hex strings, the checkpoint discipline.
-std::string uhex(uint64_t V) {
-  char Buf[17];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(V));
-  return Buf;
-}
-
-bool unhexU64(const std::string &Hex, uint64_t &Out) {
-  if (Hex.size() != 16)
-    return false;
-  uint64_t V = 0;
-  for (char C : Hex) {
-    V <<= 4;
-    if (C >= '0' && C <= '9')
-      V |= static_cast<uint64_t>(C - '0');
-    else if (C >= 'a' && C <= 'f')
-      V |= static_cast<uint64_t>(C - 'a' + 10);
-    else
-      return false;
-  }
-  Out = V;
-  return true;
-}
-
-/// Non-negative integral JSON number (the shardResultFromJson discipline:
-/// 1.5 or -3 in a count field is a typed reject, not a truncation).
-bool jsonCount(const JsonValue &O, const char *Key, uint64_t &Out) {
-  const JsonValue *V = O.get(Key);
-  if (!V || !V->isNumber() || V->number() < 0 ||
-      V->number() != std::floor(V->number()))
-    return false;
-  Out = static_cast<uint64_t>(V->number());
-  return true;
-}
-
+/// A 64-bit field: JSON numbers are doubles, which cannot carry a full
+/// uint64 (fuel budgets, conflict counts, APInt64 bits), so these travel as
+/// bit-hex strings.
 bool jsonHex64(const JsonValue &O, const char *Key, uint64_t &Out) {
   const JsonValue *V = O.get(Key);
-  return V && V->isString() && unhexU64(V->str(), Out);
+  return V && V->isString() && parseHexU64(V->str(), Out);
 }
 
 bool statusFromName(const std::string &Name, VerifyStatus &Out) {
@@ -177,14 +141,14 @@ std::string VerdictStore::encodeRecord(const std::string &Key,
       P.push_back(',');
     P += "{\"n\":" + jsonString(B.Name) +
          ",\"w\":" + std::to_string(B.Value.width()) +
-         ",\"v\":" + jsonString(uhex(B.Value.zext())) + "}";
+         ",\"v\":" + jsonString(hexU64(B.Value.zext())) + "}";
   }
   P += "],\"bounded\":";
   P += R.BoundedOnly ? "true" : "false";
   P += ",\"falsified\":";
   P += R.FoundByFalsification ? "true" : "false";
-  P += ",\"conflicts\":" + jsonString(uhex(R.SolverConflicts));
-  P += ",\"fuel\":" + jsonString(uhex(R.FuelSpent));
+  P += ",\"conflicts\":" + jsonString(hexU64(R.SolverConflicts));
+  P += ",\"fuel\":" + jsonString(hexU64(R.FuelSpent));
   P += ",\"tier\":" + std::to_string(R.RetryTier);
   P.push_back('}');
 
@@ -242,8 +206,8 @@ bool VerdictStore::decodeRecord(const std::string &Line, std::string &Key,
       return false;
     const JsonValue *N = BJ.get("n");
     uint64_t W = 0, Bits = 0;
-    if (!N || !N->isString() || !jsonCount(BJ, "w", W) || W < 1 || W > 64 ||
-        !jsonHex64(BJ, "v", Bits))
+    if (!N || !N->isString() || !jsonUnsigned(BJ.get("w"), W) || W < 1 ||
+        W > 64 || !jsonHex64(BJ, "v", Bits))
       return false;
     // Reject bits above the declared width: APInt64's invariant, and a
     // cheap extra integrity check beyond the CRC.
@@ -258,8 +222,8 @@ bool VerdictStore::decodeRecord(const std::string &Line, std::string &Key,
   Out.FoundByFalsification = Falsified->boolean();
   uint64_t Tier = 0;
   if (!jsonHex64(V, "conflicts", Out.SolverConflicts) ||
-      !jsonHex64(V, "fuel", Out.FuelSpent) || !jsonCount(V, "tier", Tier) ||
-      Tier > 0xFFFFFFFFull)
+      !jsonHex64(V, "fuel", Out.FuelSpent) ||
+      !jsonUnsigned(V.get("tier"), Tier) || Tier > 0xFFFFFFFFull)
     return false;
   Out.RetryTier = static_cast<unsigned>(Tier);
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 namespace veriopt {
@@ -356,6 +357,54 @@ private:
 
 bool parseJson(const std::string &Text, JsonValue &Out, std::string *Err) {
   return Parser(Text).parse(Out, Err);
+}
+
+bool jsonUnsigned(const JsonValue *V, uint64_t &Out) {
+  // 2^64 and above would overflow the conversion below (undefined).
+  if (!V || !V->isNumber() || V->number() < 0 ||
+      V->number() >= 18446744073709551616.0 ||
+      V->number() != std::floor(V->number()))
+    return false;
+  Out = static_cast<uint64_t>(V->number());
+  return true;
+}
+
+std::string hexU64(uint64_t V) {
+  char Buf[17];
+  std::snprintf(Buf, sizeof(Buf), "%016llx",
+                static_cast<unsigned long long>(V));
+  return Buf;
+}
+
+bool parseHexU64(const std::string &S, uint64_t &Out) {
+  if (S.size() != 16)
+    return false;
+  uint64_t V = 0;
+  for (char C : S) {
+    V <<= 4;
+    if (C >= '0' && C <= '9')
+      V |= static_cast<uint64_t>(C - '0');
+    else if (C >= 'a' && C <= 'f')
+      V |= static_cast<uint64_t>(C - 'a' + 10);
+    else
+      return false;
+  }
+  Out = V;
+  return true;
+}
+
+std::string hexDouble(double D) {
+  uint64_t Bits;
+  std::memcpy(&Bits, &D, sizeof(Bits));
+  return hexU64(Bits);
+}
+
+bool parseHexDouble(const std::string &S, double &Out) {
+  uint64_t Bits;
+  if (!parseHexU64(S, Bits))
+    return false;
+  std::memcpy(&Out, &Bits, sizeof(Out));
+  return true;
 }
 
 } // namespace veriopt

@@ -68,6 +68,21 @@ public:
 /// in \p Err) on malformed input or trailing garbage.
 bool parseJson(const std::string &Text, JsonValue &Out, std::string *Err);
 
+/// A non-negative integral JSON number below 2^64 (a count, an index).
+/// Null, negative, non-integral (1.5, -3) and out-of-range values are
+/// rejected, never truncated.
+bool jsonUnsigned(const JsonValue *V, uint64_t &Out);
+
+/// The bit-hex codec: a 64-bit value as exactly 16 lowercase hex digits.
+/// JSON numbers are doubles, which cannot carry a full uint64, and decimal
+/// formatting can perturb a double; doubles therefore travel as their
+/// IEEE-754 bit pattern, so a round-trip is bit-exact. Decoding rejects any
+/// other length and any character outside [0-9a-f].
+std::string hexU64(uint64_t V);
+bool parseHexU64(const std::string &S, uint64_t &Out);
+std::string hexDouble(double D);
+bool parseHexDouble(const std::string &S, double &Out);
+
 } // namespace veriopt
 
 #endif // VERIOPT_TRACE_JSON_H

@@ -100,7 +100,8 @@ struct VerifyResult {
   /// untracked); reported for telemetry and the retry ladder's tiering.
   uint64_t FuelSpent = 0;
   /// Retry-ladder tier that produced this verdict (0 = first attempt).
-  /// Set by RobustVerifier; plain verifyCandidateText always reports 0.
+  /// Set by BatchVerifier's retry ladder; plain verifyCandidateText always
+  /// reports 0.
   unsigned RetryTier = 0;
 
   bool equivalent() const { return Status == VerifyStatus::Equivalent; }

@@ -11,28 +11,54 @@
 
 namespace veriopt {
 
+namespace {
+
+/// Scale a budget by Growth^Tier, saturating instead of overflowing.
+/// 0 means "unlimited" and stays 0.
+uint64_t scaleBudget(uint64_t Budget, uint64_t Growth, unsigned Tier) {
+  if (Budget == 0 || Growth <= 1)
+    return Budget;
+  for (unsigned I = 0; I < Tier; ++I) {
+    if (Budget > UINT64_MAX / Growth)
+      return UINT64_MAX;
+    Budget *= Growth;
+  }
+  return Budget;
+}
+
+} // namespace
+
+VerifyOptions tierOptions(const RobustVerifyOptions &O, unsigned Tier) {
+  VerifyOptions T = O.Base;
+  T.SolverConflictBudget =
+      scaleBudget(T.SolverConflictBudget, O.BudgetGrowth, Tier);
+  T.FuelBudget = scaleBudget(T.FuelBudget, O.BudgetGrowth, Tier);
+  return T;
+}
+
 std::vector<VerifyResult>
 BatchVerifier::verifyGroup(const std::string &SrcText, const Function &Src,
                            const std::vector<std::string> &Texts,
                            GroupStats *Stats) const {
   TraceSpan Span("batch.verify");
+  const VerifyOptions Tier0 = tierOptions(Opts.Robust, 0);
 
   // Canonical dedupe: GRPO's small action space makes byte- or
   // renaming-identical candidates common within a group; they share every
-  // per-tier cache key, so one ladder serves all of them.
+  // per-tier cache key, so one ladder serves all of them. The tier-0 key
+  // also keys the fault sites and the tier-0 cache entry.
   std::vector<size_t> UniqueOf(Texts.size());
-  std::vector<size_t> UniqueIdx; // positions of first occurrences
+  std::vector<size_t> UniqueIdx;     // positions of first occurrences
+  std::vector<std::string> Tier0Key; // per unique candidate
   {
     std::unordered_map<std::string, size_t> Seen;
-    const VerifyOptions Tier0 = [&] {
-      RobustVerifier RV(Opts.Robust);
-      return RV.tierOptions(0);
-    }();
     for (size_t I = 0; I < Texts.size(); ++I) {
       std::string Key = VerifyCache::makeKey(SrcText, Texts[I], Tier0);
-      auto [It, Inserted] = Seen.emplace(std::move(Key), UniqueIdx.size());
-      if (Inserted)
+      auto [It, Inserted] = Seen.emplace(Key, UniqueIdx.size());
+      if (Inserted) {
         UniqueIdx.push_back(I);
+        Tier0Key.push_back(std::move(Key));
+      }
       UniqueOf[I] = It->second;
     }
   }
@@ -42,48 +68,50 @@ BatchVerifier::verifyGroup(const std::string &SrcText, const Function &Src,
   std::unique_ptr<SourceEncoding> SC;
   std::once_flag SCOnce;
   auto sharedEncoding = [&]() -> SourceEncoding * {
-    std::call_once(SCOnce, [&] {
-      SC = buildSourceEncoding(Src, [&] {
-        RobustVerifier RV(Opts.Robust);
-        return RV.tierOptions(0);
-      }());
-    });
+    std::call_once(SCOnce, [&] { SC = buildSourceEncoding(Src, Tier0); });
     return SC.get();
   };
+
+  MetricsRegistry &Reg = MetricsRegistry::global();
+  static Counter &MQueries = Reg.counter("verify.retry.queries");
+  static Counter &MEscalations = Reg.counter("verify.retry.escalations");
+  static Counter &MRescued = Reg.counter("verify.retry.rescued");
+  static Counter &MTerminal =
+      Reg.counter("verify.retry.terminal_inconclusive");
 
   const unsigned MaxTiers = Opts.Robust.MaxTiers ? Opts.Robust.MaxTiers : 1;
   std::vector<VerifyResult> Finals(UniqueIdx.size());
   std::vector<unsigned> Hits(UniqueIdx.size(), 0), Comps(UniqueIdx.size(), 0);
 
   // One task per unique candidate: its full ladder runs on one thread, so
-  // per-candidate trace spans stay contiguous. Mirrors
-  // RobustVerifier::verify rung for rung — same fault sites, same budget
-  // tiers, same early exit — but leaves the verify.tier instants and
-  // verify.retry.* metrics to the scoring pass, which replays this ladder
-  // over the seeded cache entries and reports them once.
+  // per-candidate trace spans stay contiguous.
   auto RunOne = [&](size_t U) {
     const std::string &TgtText = Texts[UniqueIdx[U]];
-    const std::string FaultKey = SrcText + '\x1f' + TgtText;
-    RobustVerifier Ladder(Opts.Robust);
+    const std::string &FaultKey = Tier0Key[U];
 
     uint64_t TotalConflicts = 0, TotalFuel = 0;
     VerifyResult Final;
+    unsigned Rungs = 0;
     for (unsigned Tier = 0; Tier < MaxTiers; ++Tier) {
       VerifyResult R;
+      bool Injected = false;
       if (Tier == 0 && Faults &&
           Faults->shouldInject(FaultSite::OracleBudget, FaultKey)) {
-        // Mirror of RobustVerifier's injected tier-0 exhaustion. Never
-        // cached there either (the injection fires before its cache), so
-        // the scoring pass re-injects identically.
+        // Simulated oracle budget exhaustion: the first attempt reports
+        // ResourceExhausted without running (and is never cached), and the
+        // ladder must recover by escalating exactly as it would for a
+        // genuinely hard candidate.
         R.Status = VerifyStatus::Inconclusive;
         R.Kind = DiagKind::ResourceExhausted;
         R.Diagnostic = "Inconclusive: injected oracle budget exhaustion\n";
+        Injected = true;
       } else {
-        const VerifyOptions TierOpts = Ladder.tierOptions(Tier);
+        const VerifyOptions TierOpts = tierOptions(Opts.Robust, Tier);
         std::string Key;
         bool Served = false;
         if (Cache) {
-          Key = VerifyCache::makeKey(SrcText, TgtText, TierOpts);
+          Key = Tier == 0 ? FaultKey
+                          : VerifyCache::makeKey(SrcText, TgtText, TierOpts);
           Served = Cache->peek(Key, R);
         }
         if (Served) {
@@ -98,29 +126,48 @@ BatchVerifier::verifyGroup(const std::string &SrcText, const Function &Src,
             Cache->seed(Key, R);
         }
       }
+
+      TraceRecorder::instance().instant(
+          "verify.tier",
+          {TraceArg::ofInt("tier", Tier),
+           TraceArg::ofStr("status", verifyStatusName(R.Status)),
+           TraceArg::ofStr("diag", diagKindName(R.Kind)),
+           TraceArg::ofInt("conflicts",
+                           static_cast<int64_t>(R.SolverConflicts)),
+           TraceArg::ofInt("fuel", static_cast<int64_t>(R.FuelSpent)),
+           TraceArg::ofBool("injected", Injected)});
+      ++Rungs;
       TotalConflicts += R.SolverConflicts;
       TotalFuel += R.FuelSpent;
       Final = std::move(R);
       Final.RetryTier = Tier;
-      if (!RobustVerifier::retryable(Final))
+      if (!retryable(Final))
         break;
     }
 
-    // Mirror of the VerdictFlip site (applied after the ladder, outside
-    // the cache, exactly as RobustVerifier does).
-    if (Faults && (Final.Status == VerifyStatus::Equivalent ||
-                   Final.Status == VerifyStatus::NotEquivalent) &&
-        Faults->shouldInject(FaultSite::VerdictFlip, FaultKey)) {
+    MQueries.inc();
+    if (Rungs > 1)
+      MEscalations.inc();
+    if (retryable(Final))
+      MTerminal.inc();
+    else if (Rungs > 1)
+      MRescued.inc();
+
+    // Simulated oracle bug: flip a definitive verdict (after the ladder,
+    // outside the cache). The trainer must tolerate occasional wrong
+    // rewards with bounded impact (GRPO's group baseline absorbs them).
+    if ((Final.Status == VerifyStatus::Equivalent ||
+         Final.Status == VerifyStatus::NotEquivalent) &&
+        Faults && Faults->shouldInject(FaultSite::VerdictFlip, FaultKey)) {
       if (Final.Status == VerifyStatus::Equivalent) {
         Final.Status = VerifyStatus::NotEquivalent;
         Final.Kind = DiagKind::ValueMismatch;
-        Final.Diagnostic += "(injected verdict flip)\n";
       } else {
         Final.Status = VerifyStatus::Equivalent;
         Final.Kind = DiagKind::None;
         Final.Counterexample.clear();
-        Final.Diagnostic += "(injected verdict flip)\n";
       }
+      Final.Diagnostic += "(injected verdict flip)\n";
     }
 
     Final.SolverConflicts = TotalConflicts;
@@ -144,12 +191,11 @@ BatchVerifier::verifyGroup(const std::string &SrcText, const Function &Src,
   if (Stats)
     *Stats = GS;
 
-  MetricsRegistry &M = MetricsRegistry::global();
-  static Counter &Groups = M.counter("batch.groups");
-  static Counter &Cands = M.counter("batch.candidates");
-  static Counter &Uniq = M.counter("batch.unique");
-  static Counter &CacheHits = M.counter("batch.cache_hits");
-  static Counter &Computed = M.counter("batch.computed");
+  static Counter &Groups = Reg.counter("batch.groups");
+  static Counter &Cands = Reg.counter("batch.candidates");
+  static Counter &Uniq = Reg.counter("batch.unique");
+  static Counter &CacheHits = Reg.counter("batch.cache_hits");
+  static Counter &Computed = Reg.counter("batch.computed");
   Groups.inc();
   Cands.inc(GS.Candidates);
   Uniq.inc(GS.Unique);

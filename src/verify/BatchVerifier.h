@@ -1,38 +1,70 @@
 //===- BatchVerifier.h - Batched group verification --------------*- C++ -*-=//
 //
-// Verifies a whole GRPO group — G candidate texts against one source —
-// through a single shared solver context. The source function's
-// falsification runs, symbolic encoding, and CNF are built once
-// (SourceEncoding); each candidate pays only for its own screen, encode,
-// and an assumption-guarded SAT activation on a clone of the retained
-// prefix (QueryPrefix).
+// The one entry point that turns candidate text into a verdict. Verifies a
+// whole GRPO group — G candidate texts against one source — through a
+// single shared solver context. The source function's falsification runs,
+// symbolic encoding, and CNF are built once (SourceEncoding); each
+// candidate pays only for its own screen, encode, and an assumption-guarded
+// SAT activation on a clone of the retained prefix (QueryPrefix). A single
+// candidate is a group of one (verifyOne).
 //
-// The batch runs the same escalating-budget ladder as RobustVerifier —
-// including its deterministic fault sites — and pre-warms the verification
-// cache with every tier it computes, so the scoring pass replays verdicts
-// from the cache and reports the same per-tier telemetry it would have
-// produced by computing them itself. Verdicts, diagnostics, conflict
-// counts, and fuel spent are bit-identical to the sequential oracle at any
-// thread count (see RefinementQuery.h for the mechanisms).
+// Every unique candidate runs an escalating retry ladder: an Inconclusive
+// verdict caused by budget exhaustion (SolverTimeout / ResourceExhausted)
+// is retried at geometrically larger budget tiers before being accepted as
+// terminal. Non-budget Inconclusives (Unsupported, LoopBound) are never
+// retried — a bigger budget cannot change them. Each rung is its own
+// VerifyCache key (the budget knobs are part of the key), so a later
+// identical query replays the same ladder over per-tier cache entries.
+//
+// Every decision is deterministic: tier budgets derive from the base
+// options alone, retries are triggered by verdict kinds (never wall clock),
+// and the optional fault sites (OracleBudget, VerdictFlip) are a pure hash
+// of (seed, site, canonical tier-0 key), so canonically equal candidates
+// get the same injection decision whatever their bytes or group order.
+// Verdicts, diagnostics, conflict counts, and fuel spent are bit-identical
+// to verifyCandidateText at each rung's tierOptions, at any thread count
+// (see RefinementQuery.h for the mechanisms).
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef VERIOPT_VERIFY_BATCHVERIFIER_H
 #define VERIOPT_VERIFY_BATCHVERIFIER_H
 
+#include "support/FaultInjector.h"
 #include "support/ThreadPool.h"
-#include "verify/RobustVerifier.h"
+#include "verify/AliveLite.h"
+#include "verify/VerifyCache.h"
 
 #include <string>
 #include <vector>
 
 namespace veriopt {
 
+struct RobustVerifyOptions {
+  /// Tier-0 verification options; higher tiers scale the budget knobs only.
+  VerifyOptions Base;
+  /// Number of rungs (1 = no retries).
+  unsigned MaxTiers = 3;
+  /// Geometric budget growth per tier: tier k runs with
+  /// SolverConflictBudget and FuelBudget multiplied by BudgetGrowth^k
+  /// (0-valued budgets stay 0 = unlimited; scaling saturates).
+  uint64_t BudgetGrowth = 4;
+};
+
+/// Options for rung \p Tier of \p O's ladder.
+VerifyOptions tierOptions(const RobustVerifyOptions &O, unsigned Tier);
+
+/// A verdict the ladder will retry at a higher budget.
+inline bool retryable(const VerifyResult &R) {
+  return R.Status == VerifyStatus::Inconclusive &&
+         (R.Kind == DiagKind::SolverTimeout ||
+          R.Kind == DiagKind::ResourceExhausted);
+}
+
 class BatchVerifier {
 public:
   struct Options {
-    /// Ladder configuration shared with the scoring pass's RobustVerifier;
-    /// the two must agree or cache keys will not line up.
+    /// The retry ladder every unique candidate runs.
     RobustVerifyOptions Robust;
     /// Per-candidate parallelism (the group fans out over the pool; the
     /// context-mutating build phase serializes internally).
@@ -48,22 +80,25 @@ public:
     unsigned Computed = 0;   ///< ladder rungs computed by this batch
   };
 
+  /// \p Cache may be null (every rung is computed); \p Faults null disables
+  /// the OracleBudget / VerdictFlip sites.
   BatchVerifier(const Options &O, VerifyCache *Cache,
                 FaultInjector *Faults = nullptr)
       : Opts(O), Cache(Cache), Faults(Faults) {}
 
   /// Verify every candidate in \p Texts against \p Src, sharing the source
   /// half across the group. Returns the final ladder result per candidate,
-  /// aligned with \p Texts; every computed rung is seeded into the cache
-  /// first. \p SrcText must be the printed form of \p Src.
+  /// aligned with \p Texts: RetryTier is the rung that settled it, and
+  /// SolverConflicts / FuelSpent are summed over every rung run. Each
+  /// unique candidate emits one verify.tier instant per rung and counts
+  /// once in verify.retry.*. \p SrcText must be the printed form of \p Src.
   std::vector<VerifyResult> verifyGroup(const std::string &SrcText,
                                         const Function &Src,
                                         const std::vector<std::string> &Texts,
                                         GroupStats *Stats = nullptr) const;
 
-  /// Single-candidate convenience: a group of one. Used by the evaluation
-  /// harness, where greedy decoding yields exactly one candidate per sample
-  /// but the shared cache / fault-site plumbing should still apply.
+  /// A group of one: evaluation's greedy decoding yields exactly one
+  /// candidate per sample.
   VerifyResult verifyOne(const std::string &SrcText, const Function &Src,
                          const std::string &Text) const;
 

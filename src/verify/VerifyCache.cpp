@@ -22,11 +22,6 @@ Counter &missCounter() {
   static Counter &C = MetricsRegistry::global().counter("verify.cache.miss");
   return C;
 }
-Counter &joinCounter() {
-  static Counter &C =
-      MetricsRegistry::global().counter("verify.cache.singleflight_join");
-  return C;
-}
 Counter &evictionCounter() {
   static Counter &C =
       MetricsRegistry::global().counter("verify.cache.eviction");
@@ -76,121 +71,33 @@ std::string VerifyCache::makeKey(const std::string &SrcText,
   return Key;
 }
 
-VerifyResult VerifyCache::verify(const std::string &SrcText,
-                                 const Function &Src,
-                                 const std::string &TgtText,
-                                 const VerifyOptions &Opts) {
-  std::string Key = makeKey(SrcText, TgtText, Opts);
-
-  // Injected cache miss: bypass the memo entirely (no lookup, no store, no
-  // single-flight). Deterministic per key, so every thread asking for this
-  // key takes the same path. Verification itself is deterministic, so the
-  // result is unchanged — only the work is repeated.
-  FaultInjector *FI;
-  {
-    std::lock_guard<std::mutex> L(M);
-    FI = Faults;
-  }
-  if (FI && FI->shouldInject(FaultSite::CacheMiss, Key)) {
-    {
-      std::lock_guard<std::mutex> L(M);
-      ++Stats.Misses;
-    }
-    missCounter().inc();
-    return verifyCandidateText(Src, TgtText, Opts);
-  }
-
-  std::shared_ptr<InFlight> Slot;
-  bool Owner = false;
-  VerdictBackingTier *Tier;
-  {
-    std::lock_guard<std::mutex> L(M);
-    Tier = Store;
-    auto It = Index.find(Key);
-    if (It != Index.end()) {
-      LRU.splice(LRU.begin(), LRU, It->second); // touch
-      ++Stats.Hits;
-      hitCounter().inc();
-      return It->second->second;
-    }
-    auto PIt = Pending.find(Key);
-    if (PIt != Pending.end()) {
-      Slot = PIt->second; // join the in-flight computation
-      ++Stats.Hits;
-      hitCounter().inc();
-      joinCounter().inc();
-    } else {
-      Slot = std::make_shared<InFlight>();
-      Pending.emplace(Key, Slot);
-      Owner = true;
-      ++Stats.Misses;
-      missCounter().inc();
-    }
-  }
-
-  if (!Owner) {
-    std::unique_lock<std::mutex> L(Slot->M);
-    Slot->ReadyCV.wait(L, [&] { return Slot->Ready; });
-    return Slot->Result;
-  }
-
-  // Read-through: the single-flight owner probes the durable tier before
-  // paying for verification (joiners still block on this thread's slot, so
-  // a store hit satisfies the whole flight with one disk-index lookup).
-  // Verification is deterministic and the store only admits deterministic
-  // verdicts, so a stored result is bit-identical to recomputing. Skipped
-  // entirely under fault injection (trust model: chaos runs neither read
-  // nor warm the store).
-  VerifyResult Result;
-  bool FromStore = Tier && !FI && Tier->lookup(Key, Result);
-  if (!FromStore) {
-    Result = verifyCandidateText(Src, TgtText, Opts);
-    // Write-behind: report the fresh verdict; the tier buffers and batches
-    // its own journal appends, so this is an in-memory append here.
-    if (Tier && !FI)
-      Tier->put(Key, Result);
-  }
-
-  {
-    std::lock_guard<std::mutex> L(M);
-    LRU.emplace_front(Key, Result);
-    Index.emplace(std::move(Key), LRU.begin());
-    while (Capacity && LRU.size() > Capacity) {
-      Index.erase(LRU.back().first);
-      LRU.pop_back();
-      ++Stats.Evictions;
-      evictionCounter().inc();
-    }
-    Pending.erase(LRU.front().first);
-  }
-  {
-    std::lock_guard<std::mutex> L(Slot->M);
-    Slot->Result = Result;
-    Slot->Ready = true;
-  }
-  Slot->ReadyCV.notify_all();
-  return Result;
-}
-
 bool VerifyCache::peek(const std::string &Key, VerifyResult &Out) {
   VerdictBackingTier *Tier;
   {
     std::lock_guard<std::mutex> L(M);
-    if (Faults && Faults->shouldInject(FaultSite::CacheMiss, Key))
-      return false;
-    auto It = Index.find(Key);
+    // An injected miss behaves as if the entry were evicted. Deterministic
+    // per key, so every thread asking for this key takes the same path.
+    bool Injected = Faults && Faults->shouldInject(FaultSite::CacheMiss, Key);
+    auto It = Injected ? Index.end() : Index.find(Key);
     if (It != Index.end()) {
+      LRU.splice(LRU.begin(), LRU, It->second); // touch
+      ++Stats.Hits;
+      hitCounter().inc();
       Out = It->second->second;
       return true;
     }
+    ++Stats.Misses;
+    missCounter().inc();
     if (Faults || !Store)
       return false;
     Tier = Store;
   }
-  // Memo miss with a durable tier attached: probe it outside the cache
-  // mutex (the tier does its own locking) and memoize a hit via the silent
-  // seed path, so repeated batch peeks of a warm key stop paying the store
-  // index lookup.
+  // Read-through: probe the durable tier outside the cache mutex (the tier
+  // does its own locking) and memoize a hit, so repeated peeks of a warm
+  // key stop paying the store index lookup. Verification is deterministic
+  // and the store only admits deterministic verdicts, so a stored result is
+  // bit-identical to recomputing. Skipped entirely under fault injection
+  // (trust model: chaos runs neither read nor warm the store).
   if (!Tier->lookup(Key, Out))
     return false;
   seed(Key, Out);
@@ -216,10 +123,10 @@ void VerifyCache::seed(const std::string &Key, const VerifyResult &R) {
       }
     }
   }
-  // Write-behind for batch-computed verdicts too: the batch pass is where
-  // evaluation pays its verification, so without this a worker fleet would
-  // never warm the store. The tier dedupes (a key it already holds is a
-  // no-op), so seeding a store-served result does not re-journal it.
+  // Write-behind: the tier buffers and batches its own journal appends, so
+  // this is an in-memory append here. The tier dedupes (a key it already
+  // holds is a no-op), so seeding a store-served result does not re-journal
+  // it.
   if (Tier)
     Tier->put(Key, R);
 }

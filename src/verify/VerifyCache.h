@@ -1,10 +1,11 @@
 //===- VerifyCache.h - Memoized candidate verification -----------*- C++ -*-=//
 //
-// A thread-safe LRU memo in front of verifyCandidateText for the GRPO
-// rollout-scoring hot path. GRPO's small action space makes many rollouts
-// in a group byte-identical (and the Copy action exactly reproduces the
-// prompt), so the same (source, candidate) pair is verified over and over;
-// one symbolic-encode + CDCL call can stand in for all of them.
+// A thread-safe LRU memo of verdicts for BatchVerifier, the one path that
+// turns candidate text into a verdict. GRPO's small action space makes many
+// rollouts byte-identical across steps (and the Copy action exactly
+// reproduces the prompt), so the same (source, candidate) pair is verified
+// over and over; one symbolic-encode + CDCL call can stand in for all of
+// them.
 //
 // Keys are the source text plus the *canonically re-printed* candidate
 // (parse + print), so whitespace or value-numbering variants of the same IR
@@ -12,10 +13,6 @@
 // VerifyOptions budget is part of the key: results under different budgets
 // are never conflated, and a cached result is bit-identical to what a fresh
 // verifyCandidateText call would return (verification is deterministic).
-//
-// Concurrent lookups of the same key single-flight: the first caller
-// computes, the rest block on its result instead of burning duplicate SAT
-// time — exactly the shape of a GRPO group scored in parallel.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,11 +22,8 @@
 #include "support/FaultInjector.h"
 #include "verify/AliveLite.h"
 
-#include <condition_variable>
 #include <cstdint>
 #include <list>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -56,37 +50,27 @@ public:
   /// \p Capacity entries before LRU eviction. 0 means "unbounded".
   explicit VerifyCache(size_t Capacity = 4096) : Capacity(Capacity) {}
 
-  /// Cached front door mirroring verifyCandidateText(Src, TgtText, Opts).
-  /// \p SrcText must be the printed form of \p Src (Sample::SrcText); it is
-  /// the cheap, stable half of the key.
-  VerifyResult verify(const std::string &SrcText, const Function &Src,
-                      const std::string &TgtText, const VerifyOptions &Opts);
-
   /// The cache key for a query: every budget knob, the source text, and the
   /// canonically re-printed candidate. Public so the batch verifier can
-  /// pre-compute group keys (and dedupe canonical-equal candidates) without
-  /// triggering lookups.
+  /// pre-compute group keys (and dedupe canonical-equal candidates).
   static std::string makeKey(const std::string &SrcText,
                              const std::string &TgtText,
                              const VerifyOptions &Opts);
 
-  /// Silent lookup for the batch pre-verification pass: no hit/miss
-  /// accounting, no LRU touch, no single-flight join. Honors the CacheMiss
-  /// fault site (an injected-missing entry stays invisible here too, so the
-  /// batch recomputes exactly what the scoring pass would). Consults the
-  /// backing store on a memo miss (memoizing a store hit), so a warm
-  /// persistent store pre-warms batch verification too — not just the
-  /// verify() front door.
+  /// Look \p Key up. A memo hit counts a hit and makes the entry most
+  /// recently used; anything else counts a miss. On a memo miss the backing
+  /// store is consulted, and a store hit is memoized (and returned). Honors
+  /// the CacheMiss fault site: an injected key misses as if evicted.
   bool peek(const std::string &Key, VerifyResult &Out);
 
-  /// Insert a computed result without counting a miss, so the batch pass
-  /// can pre-warm group verdicts for the scoring pass. No-op when the key
-  /// is resident or its CacheMiss fault fires; evictions count normally.
+  /// Insert the computed result \p R for \p Key and report it to the
+  /// backing store. No-op when the key is resident or its CacheMiss fault
+  /// fires; evictions count normally.
   void seed(const std::string &Key, const VerifyResult &R);
 
   struct Counters {
-    uint64_t Hits = 0;      ///< served from the memo (incl. in-flight joins)
-    uint64_t Misses = 0;    ///< paid a full verification
+    uint64_t Hits = 0;      ///< peeks served from the memo
+    uint64_t Misses = 0;    ///< peeks the memo could not serve
     uint64_t Evictions = 0; ///< LRU entries dropped at capacity
     uint64_t lookups() const { return Hits + Misses; }
     double hitRate() const {
@@ -113,32 +97,20 @@ public:
   }
 
   /// Attach a durable tier under the memo (null detaches). Read-through on
-  /// owner misses and silent peeks, write-behind on computed and seeded
-  /// verdicts; single-flight is preserved (the owning thread probes the
-  /// store, joiners still wait on its result). The tier must outlive the
-  /// cache or be detached first.
+  /// memo misses, write-behind on seeded verdicts. The tier must outlive
+  /// the cache or be detached first.
   void setBackingStore(VerdictBackingTier *S) {
     std::lock_guard<std::mutex> L(M);
     Store = S;
   }
 
 private:
-  /// Single-flight slot: the first thread to miss computes into it; joiners
-  /// wait on ReadyCV.
-  struct InFlight {
-    std::mutex M;
-    std::condition_variable ReadyCV;
-    bool Ready = false;
-    VerifyResult Result;
-  };
-
   using LRUList = std::list<std::pair<std::string, VerifyResult>>;
 
   size_t Capacity;
   mutable std::mutex M;
   LRUList LRU; ///< front = most recently used
   std::unordered_map<std::string, LRUList::iterator> Index;
-  std::map<std::string, std::shared_ptr<InFlight>> Pending;
   Counters Stats;
   FaultInjector *Faults = nullptr;
   VerdictBackingTier *Store = nullptr;

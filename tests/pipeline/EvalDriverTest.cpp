@@ -16,6 +16,8 @@
 
 #include "pipeline/EvalDriver.h"
 
+#include "oracle/Oracle.h"
+
 #include "support/AtomicFile.h"
 
 #include "gtest/gtest.h"
@@ -147,7 +149,8 @@ TEST_F(DriverTest, AllHealthyIsBitIdenticalToInProcess) {
   EXPECT_EQ(R.Spawned, NumShards);
   EXPECT_EQ(R.Retried, 0u);
 
-  EvalResult Serial = evaluateModel(Model, Valid, PromptMode::Generic);
+  EvalResult Serial =
+      oracle::evaluateSerially(Model, Valid, PromptMode::Generic);
   EXPECT_EQ(countResultDivergence(Serial, R.Merged), 0u);
 
   EvalOptions EO;
@@ -215,7 +218,8 @@ TEST_F(DriverTest, FlakyShardIsSalvagedByRetry) {
   EXPECT_EQ(R.Retried, 1u);
   EXPECT_EQ(R.Salvaged, NumShards);
   EXPECT_EQ(countResultDivergence(
-                evaluateModel(Model, Valid, PromptMode::Generic), R.Merged),
+                oracle::evaluateSerially(Model, Valid, PromptMode::Generic),
+                R.Merged),
             0u);
 }
 

@@ -29,9 +29,15 @@ const Dataset &ds() {
   return DS;
 }
 
+EvalResult evaluate(const RewritePolicyModel &M,
+                    const std::vector<Sample> &Valid) {
+  return evaluateModelSharded(M, Valid, PromptMode::Generic, VerifyOptions(),
+                              EvalOptions());
+}
+
 TEST(Evaluation, PerSampleMetricsAreConsistent) {
   RewritePolicyModel Base(presetQwen3B());
-  auto E = evaluateModel(Base, ds().Valid, PromptMode::Generic);
+  auto E = evaluate(Base, ds().Valid);
   ASSERT_EQ(E.PerSample.size(), ds().Valid.size());
   for (size_t I = 0; I < E.PerSample.size(); ++I) {
     const SampleEval &S = E.PerSample[I];
@@ -52,7 +58,7 @@ TEST(Evaluation, PerSampleMetricsAreConsistent) {
 
 TEST(Evaluation, BetterWorseTieSumsToTotal) {
   RewritePolicyModel Base(presetQwen3B());
-  auto E = evaluateModel(Base, ds().Valid, PromptMode::Generic);
+  auto E = evaluate(Base, ds().Valid);
   unsigned N = static_cast<unsigned>(E.PerSample.size());
   EXPECT_EQ(E.Latency.Better + E.Latency.Worse + E.Latency.Tie, N);
   EXPECT_EQ(E.Size.Better + E.Size.Worse + E.Size.Tie, N);
@@ -62,7 +68,7 @@ TEST(Evaluation, BetterWorseTieSumsToTotal) {
 
 TEST(Evaluation, TaxonomySumsToTotal) {
   RewritePolicyModel Base(presetQwen3B());
-  auto E = evaluateModel(Base, ds().Valid, PromptMode::Generic);
+  auto E = evaluate(Base, ds().Valid);
   EXPECT_EQ(E.Taxonomy.Correct + E.Taxonomy.SemanticError +
                 E.Taxonomy.SyntaxError + E.Taxonomy.Inconclusive,
             E.Taxonomy.Total);
@@ -71,8 +77,8 @@ TEST(Evaluation, TaxonomySumsToTotal) {
 
 TEST(Evaluation, GreedyEvaluationIsReproducible) {
   RewritePolicyModel Base(presetQwen3B());
-  auto A = evaluateModel(Base, ds().Valid, PromptMode::Generic);
-  auto B = evaluateModel(Base, ds().Valid, PromptMode::Generic);
+  auto A = evaluate(Base, ds().Valid);
+  auto B = evaluate(Base, ds().Valid);
   EXPECT_EQ(A.Taxonomy.Correct, B.Taxonomy.Correct);
   EXPECT_EQ(A.Taxonomy.SyntaxError, B.Taxonomy.SyntaxError);
   EXPECT_DOUBLE_EQ(A.GeoSpeedupVsO0, B.GeoSpeedupVsO0);
@@ -81,7 +87,7 @@ TEST(Evaluation, GreedyEvaluationIsReproducible) {
 TEST(Evaluation, FallbackGainIsNonNegative) {
   // min(model, reference) can never be slower than reference.
   RewritePolicyModel Base(presetQwen3B());
-  auto E = evaluateModel(Base, ds().Valid, PromptMode::Generic);
+  auto E = evaluate(Base, ds().Valid);
   EXPECT_GE(E.FallbackGainOverRef, 0.0);
 }
 
@@ -94,11 +100,8 @@ TEST(Evaluation, LyingVerifierVerdictIsDowngradedToInconclusive) {
   Completion C;
   C.FormatOk = true;
   C.AnswerIR = "this is not IR at all (";
-  CandidateVerifier Lying = [](const Sample &, const std::string &) {
-    VerifyResult VR;
-    VR.Status = VerifyStatus::Equivalent; // claims correctness, lies
-    return VR;
-  };
+  VerifyResult Lying;
+  Lying.Status = VerifyStatus::Equivalent; // claims correctness, lies
   VerifyTaxonomy Tax;
   SampleEval E = evaluateCandidate(S, C, Lying, Tax);
   EXPECT_EQ(E.Status, VerifyStatus::Inconclusive);
@@ -114,7 +117,7 @@ TEST(Evaluation, EmptyCorpusAggregatesFollowConventions) {
   // convention: 0.0 relative change, neutral 1.0 geo ratios, 0.0 gain.
   RewritePolicyModel Base(presetQwen3B());
   std::vector<Sample> Empty;
-  auto E = evaluateModel(Base, Empty, PromptMode::Generic);
+  auto E = evaluate(Base, Empty);
   EXPECT_EQ(E.Taxonomy.Total, 0u);
   EXPECT_DOUBLE_EQ(E.Latency.MeanRelChange, 0.0);
   EXPECT_DOUBLE_EQ(E.Latency.GeoRatio, 1.0);

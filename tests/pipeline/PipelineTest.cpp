@@ -64,9 +64,14 @@ TEST_F(PipelineFixture, HarvestsBothSampleKinds) {
             Art.CorrectionSamples + Art.FirstTimeSamples);
 }
 
+/// Greedy evaluation at the default budget: one inline shard.
+EvalResult evaluate(const RewritePolicyModel &M, PromptMode Mode) {
+  return evaluateModelSharded(M, PipelineFixture::dataset().Valid, Mode,
+                              VerifyOptions(), EvalOptions());
+}
+
 TEST_F(PipelineFixture, RQ1BaseModelIsVacuouslyCorrect) {
-  auto E = evaluateModel(*artifacts().Base, dataset().Valid,
-                         PromptMode::Generic);
+  auto E = evaluate(*artifacts().Base, PromptMode::Generic);
   // High headline correctness, dominated by copies, negligible speedup.
   EXPECT_GT(E.Taxonomy.pct(E.Taxonomy.CorrectCopies), 30.0);
   EXPECT_LT(E.Taxonomy.differentCorrectRate(), 40.0);
@@ -75,9 +80,8 @@ TEST_F(PipelineFixture, RQ1BaseModelIsVacuouslyCorrect) {
 
 TEST_F(PipelineFixture, RQ2TrainedModelIsDifferentCorrectAndFast) {
   auto &Art = artifacts();
-  auto Base = evaluateModel(*Art.Base, dataset().Valid, PromptMode::Generic);
-  auto Lat =
-      evaluateModel(*Art.Latency, dataset().Valid, PromptMode::Generic);
+  auto Base = evaluate(*Art.Base, PromptMode::Generic);
+  auto Lat = evaluate(*Art.Latency, PromptMode::Generic);
   EXPECT_GT(Lat.Taxonomy.differentCorrectRate(),
             3 * Base.Taxonomy.differentCorrectRate())
       << "paper: 5.4x more successfully-modified code";
@@ -87,8 +91,7 @@ TEST_F(PipelineFixture, RQ2TrainedModelIsDifferentCorrectAndFast) {
 
 TEST_F(PipelineFixture, RQ3ComparableToReferencePass) {
   auto &Art = artifacts();
-  auto Lat =
-      evaluateModel(*Art.Latency, dataset().Valid, PromptMode::Generic);
+  auto Lat = evaluate(*Art.Latency, PromptMode::Generic);
   auto Ref = evaluateReferencePass(dataset().Valid);
   // Within a reasonable band of the handwritten pass.
   EXPECT_GT(Lat.GeoSpeedupVsO0, 0.7 * Ref.GeoSpeedupVsO0);
@@ -99,7 +102,7 @@ TEST_F(PipelineFixture, RQ3ComparableToReferencePass) {
 TEST_F(PipelineFixture, RQ4AblationLadder) {
   auto &Art = artifacts();
   auto Valid = [&](const RewritePolicyModel &M, PromptMode Mode) {
-    return evaluateModel(M, dataset().Valid, Mode);
+    return evaluate(M, Mode);
   };
   auto Zero = Valid(*Art.ModelZero, PromptMode::Generic);
   auto Warm = Valid(*Art.WarmUp, PromptMode::Augmented);
@@ -132,10 +135,8 @@ TEST_F(PipelineFixture, TrainingLogsFeedFig4) {
 
 TEST_F(PipelineFixture, CorrectnessStaysHighAfterLatencyStage) {
   auto &Art = artifacts();
-  auto Corr = evaluateModel(*Art.Correctness, dataset().Valid,
-                            PromptMode::Augmented);
-  auto Lat =
-      evaluateModel(*Art.Latency, dataset().Valid, PromptMode::Generic);
+  auto Corr = evaluate(*Art.Correctness, PromptMode::Augmented);
+  auto Lat = evaluate(*Art.Latency, PromptMode::Generic);
   // The paper's §V-B: incremental latency training does not cost
   // correctness (within a small band).
   EXPECT_GE(Lat.Taxonomy.pct(Lat.Taxonomy.Correct),

@@ -1,14 +1,15 @@
 //===- ShardedEvalTest.cpp - Sharded-vs-serial differential guarantees -----===//
 //
 // The contract under test: evaluateModelSharded() is bit-identical to the
-// serial oracle evaluateModel() at any shard/thread count, with BatchVerify
-// on or off; shards serialize losslessly; and the merge tolerates
-// fault-injected, Inconclusive-heavy shards.
+// serial oracle (oracle::evaluateSerially) at any shard/thread count, with a
+// private or a warm shared verify cache; shards serialize losslessly; and
+// the merge tolerates fault-injected, Inconclusive-heavy shards.
 //
 //===----------------------------------------------------------------------===//
 
 #include "pipeline/Evaluation.h"
 
+#include "oracle/Oracle.h"
 #include "support/FaultInjector.h"
 #include "support/ThreadPool.h"
 
@@ -120,19 +121,21 @@ TEST(ShardedEval, DerivedSeedsAreStableAndDistinct) {
 
 TEST(ShardedEval, BitIdenticalToSerialAcrossShardAndThreadCounts) {
   RewritePolicyModel Base(presetQwen3B());
-  EvalResult Oracle = evaluateModel(Base, ds().Valid, PromptMode::Generic);
+  EvalResult Oracle =
+      oracle::evaluateSerially(Base, ds().Valid, PromptMode::Generic);
 
   ThreadPool Pool(4);
-  for (bool Batch : {false, true}) {
+  VerifyCache Warm;
+  for (bool Shared : {false, true}) {
     for (unsigned Shards : {1u, 3u, 4u, 11u}) {
       EvalOptions EO;
       EO.Shards = Shards;
       EO.Pool = &Pool;
-      EO.BatchVerify = Batch;
+      EO.SharedCache = Shared ? &Warm : nullptr;
       EvalResult Sharded = evaluateModelSharded(
           Base, ds().Valid, PromptMode::Generic, VerifyOptions(), EO);
       SCOPED_TRACE(testing::Message()
-                   << "shards=" << Shards << " batch=" << Batch);
+                   << "shards=" << Shards << " shared cache=" << Shared);
       expectResultEq(Oracle, Sharded);
     }
   }
@@ -260,7 +263,8 @@ TEST(ShardedEval, MergingDeserializedShardsEqualsSerialOracle) {
   // round-trip each through JSON (shuffled order), merge — and the result
   // must still equal the serial oracle bit for bit.
   RewritePolicyModel Base(presetQwen3B());
-  EvalResult Oracle = evaluateModel(Base, ds().Valid, PromptMode::Generic);
+  EvalResult Oracle =
+      oracle::evaluateSerially(Base, ds().Valid, PromptMode::Generic);
 
   auto Plan = planEvalShards(ds().Valid.size(), 4, 0xE7A1);
   std::vector<ShardEvalResult> Shards;

@@ -78,7 +78,6 @@ std::string syntheticRun(const RunSpec &S) {
   };
   Metric(0, "verify.cache.hit", S.FlipVerdict ? 20 : 30);
   Metric(1, "verify.cache.miss", 10);
-  Metric(2, "verify.cache.singleflight_join", 4);
   Metric(3, "verify.cache.eviction", 2);
   return OS.str();
 }

@@ -161,7 +161,6 @@ std::string syntheticRun() {
   };
   Metric(0, "verify.cache.hit", 30);
   Metric(1, "verify.cache.miss", 10);
-  Metric(2, "verify.cache.singleflight_join", 4);
   Metric(3, "verify.cache.eviction", 2);
 
   OS << R"({"name":"batch.verify","ph":"X","ts_ns":0,"dur_ns":7000000,"tid":5,"seq":0,"args":{"candidates":8,"unique":6,"cached":2,"computed":9}})"

@@ -2,6 +2,8 @@
 
 #include "rl/Reward.h"
 
+#include "verify/BatchVerifier.h"
+
 #include <gtest/gtest.h>
 
 namespace veriopt {
@@ -28,10 +30,15 @@ Completion completionWithAnswer(std::string IR, bool FormatOk = true) {
   return C;
 }
 
+/// Eq. (1) given the plain verifier's verdict on the answer.
+RewardBreakdown scored(const Sample &S, const Completion &C) {
+  return answerReward(S, C, verifyCandidateText(*S.source(), C.AnswerIR));
+}
+
 TEST(Reward, ExactReferenceMatchScoresHighest) {
   const Sample &S = sample();
   auto C = completionWithAnswer(S.RefText);
-  auto B = answerReward(S, C);
+  auto B = scored(S, C);
   EXPECT_TRUE(B.FormatOk);
   EXPECT_TRUE(B.Equivalent);
   EXPECT_TRUE(B.ExactMatch);
@@ -41,9 +48,9 @@ TEST(Reward, ExactReferenceMatchScoresHighest) {
 
 TEST(Reward, CopyScoresBetweenGarbageAndOptimized) {
   const Sample &S = sample();
-  auto Copy = answerReward(S, completionWithAnswer(S.SrcText));
-  auto Exact = answerReward(S, completionWithAnswer(S.RefText));
-  auto Garbage = answerReward(S, completionWithAnswer("not ir at all"));
+  auto Copy = scored(S, completionWithAnswer(S.SrcText));
+  auto Exact = scored(S, completionWithAnswer(S.RefText));
+  auto Garbage = scored(S, completionWithAnswer("not ir at all"));
   EXPECT_TRUE(Copy.IsCopy);
   EXPECT_TRUE(Copy.Equivalent);
   EXPECT_FALSE(Copy.ExactMatch);
@@ -54,7 +61,7 @@ TEST(Reward, CopyScoresBetweenGarbageAndOptimized) {
 TEST(Reward, FormatFailureZeroesTheHierarchy) {
   const Sample &S = sample();
   auto C = completionWithAnswer(S.RefText, /*FormatOk=*/false);
-  auto B = answerReward(S, C);
+  auto B = scored(S, C);
   EXPECT_FALSE(B.FormatOk);
   // Only the BLEU shaping term remains: t = 0.
   EXPECT_LE(B.Total, 1.0);
@@ -65,7 +72,7 @@ TEST(Reward, SyntaxErrorGetsOnlyBleu) {
   const Sample &S = sample();
   // Take the reference and break it.
   std::string Broken = S.RefText.substr(0, S.RefText.size() * 2 / 3);
-  auto B = answerReward(S, completionWithAnswer(Broken));
+  auto B = scored(S, completionWithAnswer(Broken));
   EXPECT_FALSE(B.Equivalent);
   EXPECT_EQ(B.Verify.Status, VerifyStatus::SyntaxError);
   EXPECT_LT(B.Total, 2.0);
@@ -150,26 +157,30 @@ TEST(Reward, CopyDetectionSeesThroughCosmeticEdits) {
       I += 1;
     }
   ASSERT_NE(Cosmetic, S.SrcText);
-  auto B = answerReward(S, completionWithAnswer(Cosmetic));
+  auto B = scored(S, completionWithAnswer(Cosmetic));
   EXPECT_TRUE(B.IsCopy) << "whitespace-edited copy evaded detection";
   EXPECT_TRUE(B.Equivalent);
   // Unparseable answers still fall back to the textual compare.
-  auto Garbage = answerReward(S, completionWithAnswer("not ir at all"));
+  auto Garbage = scored(S, completionWithAnswer("not ir at all"));
   EXPECT_FALSE(Garbage.IsCopy);
   // The reference output is not a copy.
-  EXPECT_FALSE(answerReward(S, completionWithAnswer(S.RefText)).IsCopy);
+  EXPECT_FALSE(scored(S, completionWithAnswer(S.RefText)).IsCopy);
 }
 
 TEST(Reward, CachedAnswerRewardMatchesUncached) {
+  // A verdict the verifier serves from its cache scores exactly like a
+  // freshly computed one.
   const Sample &S = sample();
   VerifyCache Cache;
+  BatchVerifier::Options BO;
+  BO.Robust.MaxTiers = 1;
+  BatchVerifier BV(BO, &Cache);
   for (const std::string &IR :
        {S.RefText, S.SrcText, S.RefText.substr(0, S.RefText.size() / 2)}) {
-    auto Plain = answerReward(S, completionWithAnswer(IR));
-    auto Cached = answerReward(S, completionWithAnswer(IR),
-                               VerifyOptions(), &Cache);
-    auto Hit = answerReward(S, completionWithAnswer(IR),
-                            VerifyOptions(), &Cache);
+    Completion C = completionWithAnswer(IR);
+    auto Plain = scored(S, C);
+    auto Cached = answerReward(S, C, BV.verifyOne(S.SrcText, *S.source(), IR));
+    auto Hit = answerReward(S, C, BV.verifyOne(S.SrcText, *S.source(), IR));
     for (const auto *B : {&Cached, &Hit}) {
       EXPECT_EQ(Plain.Total, B->Total);
       EXPECT_EQ(Plain.Equivalent, B->Equivalent);

@@ -2,11 +2,15 @@
 
 #include "rl/Trainer.h"
 
+#include "oracle/Oracle.h"
+#include "trace/Metrics.h"
 #include "verify/BatchVerifier.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <mutex>
 
 namespace veriopt {
 namespace {
@@ -32,25 +36,80 @@ TEST(Trainer, ClipGradientScalesDown) {
   EXPECT_DOUBLE_EQ(Small[0], 0.1); // untouched below the cap
 }
 
-TEST(Trainer, GRPOImprovesRewardAndKillsCorruption) {
-  const Dataset &DS = tinyDataset();
-  RewritePolicyModel Model(presetQwen3B());
-  VerifyOptions V;
-  V.FalsifyTrials = 8;
-  V.SolverConflictBudget = 20000;
+/// The stage-1 reward: Eq. (1) on the verdict the trainer hands over.
+RolloutScore answerScore(const Sample &S, const Completion &C,
+                         const VerifyResult &Answer) {
+  RewardBreakdown B = answerReward(S, C, Answer);
+  RolloutScore Sc;
+  Sc.Reward = B.Total;
+  Sc.Equivalent = B.Equivalent;
+  Sc.IsCopy = B.IsCopy;
+  Sc.AnswerVerify = B.Verify;
+  return Sc;
+}
+
+const RewardFn AnswerReward = [](const Sample &S, const Completion &C,
+                                 const RolloutVerdicts &V) {
+  return answerScore(S, C, V.Answer);
+};
+
+const RewardFn FlatReward = [](const Sample &, const Completion &,
+                               const RolloutVerdicts &) {
+  RolloutScore Sc;
+  Sc.Reward = 1.0;
+  return Sc;
+};
+
+RobustVerifyOptions trainLadder() {
+  RobustVerifyOptions O;
+  O.Base.FalsifyTrials = 8;
+  O.Base.SolverConflictBudget = 20000;
+  O.MaxTiers = 2;
+  return O;
+}
+
+GRPOOptions smallGRPO(unsigned Threads = 1, ThreadPool *Pool = nullptr) {
   GRPOOptions G;
   G.GroupSize = 6;
   G.PromptsPerStep = 3;
   G.Seed = 7;
-  RewardFn Reward = [V](const Sample &S, Completion &C) {
-    RewardBreakdown B = answerReward(S, C, V);
-    RolloutScore Sc;
-    Sc.Reward = B.Total;
-    Sc.Equivalent = B.Equivalent;
-    Sc.IsCopy = B.IsCopy;
-    return Sc;
-  };
-  GRPOTrainer Trainer(Model, Reward, G);
+  G.Threads = Threads;
+  G.Pool = Pool;
+  return G;
+}
+
+/// A verifier for the trainer: the given ladder, fanning out over \p Pool.
+BatchVerifier makeVerifier(const RobustVerifyOptions &O, VerifyCache *Cache,
+                           ThreadPool *Pool = nullptr, unsigned Threads = 1) {
+  BatchVerifier::Options BO;
+  BO.Robust = O;
+  BO.Pool = Pool;
+  BO.Threads = Threads;
+  return BatchVerifier(BO, Cache);
+}
+
+void expectSameTrajectory(const std::vector<TrainLogEntry> &A,
+                          const std::vector<TrainLogEntry> &B) {
+  ASSERT_EQ(A.size(), B.size());
+  for (size_t I = 0; I < A.size(); ++I) {
+    EXPECT_EQ(A[I].Step, B[I].Step);
+    EXPECT_EQ(A[I].MeanReward, B[I].MeanReward) << "step " << I;
+    EXPECT_EQ(A[I].EMAReward, B[I].EMAReward) << "step " << I;
+    EXPECT_EQ(A[I].EquivalentRate, B[I].EquivalentRate) << "step " << I;
+    EXPECT_EQ(A[I].CopyRate, B[I].CopyRate) << "step " << I;
+    EXPECT_EQ(A[I].GradNorm, B[I].GradNorm) << "step " << I;
+    EXPECT_EQ(A[I].SolverConflicts, B[I].SolverConflicts) << "step " << I;
+    EXPECT_EQ(A[I].RetryEscalations, B[I].RetryEscalations) << "step " << I;
+  }
+}
+
+TEST(Trainer, GRPOImprovesRewardAndKillsCorruption) {
+  const Dataset &DS = tinyDataset();
+  RewritePolicyModel Model(presetQwen3B());
+  RobustVerifyOptions O = trainLadder();
+  O.MaxTiers = 1;
+  BatchVerifier Verifier = makeVerifier(O, nullptr);
+  GRPOTrainer Trainer(Model, Verifier, AnswerReward, smallGRPO());
   auto Logs = Trainer.train(DS.Train, 40);
   ASSERT_EQ(Logs.size(), 40u);
   // Early vs late mean rewards (coarse but robust).
@@ -74,51 +133,33 @@ TEST(Trainer, GroupRelativeAdvantageNeedsVariation) {
   const Dataset &DS = tinyDataset();
   RewritePolicyModel Model(presetQwen3B());
   auto Before = Model.params();
+  BatchVerifier Verifier = makeVerifier(RobustVerifyOptions(), nullptr);
   GRPOOptions G;
   G.GroupSize = 4;
   G.PromptsPerStep = 2;
-  RewardFn Flat = [](const Sample &, Completion &) {
-    RolloutScore Sc;
-    Sc.Reward = 1.0;
-    return Sc;
-  };
-  GRPOTrainer Trainer(Model, Flat, G);
+  GRPOTrainer Trainer(Model, Verifier, FlatReward, G);
   Trainer.train(DS.Train, 5);
   EXPECT_EQ(Model.params(), Before);
 }
 
 TEST(Trainer, ParallelScoringIsBitIdenticalToSerial) {
-  // The determinism guarantee of the restructured step(): generation is
-  // sequential with per-rollout RNGs, scoring writes only per-rollout
+  // The determinism guarantee of step(): generation is sequential with
+  // per-rollout RNGs, verification and scoring write only per-rollout
   // slots, so every reward/equivalence value in the log — and the trained
   // parameters — must be bit-identical at any thread count, with or
   // without the verification memo.
   const Dataset &DS = tinyDataset();
-  VerifyOptions V;
-  V.FalsifyTrials = 8;
-  V.SolverConflictBudget = 20000;
+  RobustVerifyOptions O = trainLadder();
+  O.MaxTiers = 1;
 
   auto runConfig = [&](unsigned Threads, bool UseCache,
                        std::vector<double> &ParamsOut) {
     RewritePolicyModel Model(presetQwen3B());
     auto Cache = UseCache ? std::make_unique<VerifyCache>(512) : nullptr;
-    VerifyCache *C = Cache.get();
-    RewardFn Reward = [V, C](const Sample &S, Completion &Co) {
-      RewardBreakdown B = answerReward(S, Co, V, C);
-      RolloutScore Sc;
-      Sc.Reward = B.Total;
-      Sc.Equivalent = B.Equivalent;
-      Sc.IsCopy = B.IsCopy;
-      Sc.AnswerVerify = B.Verify;
-      return Sc;
-    };
-    GRPOOptions G;
-    G.GroupSize = 6;
-    G.PromptsPerStep = 3;
-    G.Seed = 7;
-    G.Threads = Threads;
-    G.Cache = C;
-    GRPOTrainer Trainer(Model, Reward, G);
+    ThreadPool Pool(Threads);
+    BatchVerifier Verifier = makeVerifier(O, Cache.get(), &Pool, Threads);
+    GRPOTrainer Trainer(Model, Verifier, AnswerReward,
+                        smallGRPO(Threads, &Pool));
     auto Logs = Trainer.train(DS.Train, 12);
     ParamsOut = Model.params();
     return Logs;
@@ -129,17 +170,8 @@ TEST(Trainer, ParallelScoringIsBitIdenticalToSerial) {
   auto Parallel = runConfig(4, /*UseCache=*/true, ParallelParams);
   auto CacheOnly = runConfig(1, /*UseCache=*/true, CachedParams);
 
-  ASSERT_EQ(Serial.size(), Parallel.size());
-  for (size_t I = 0; I < Serial.size(); ++I) {
-    EXPECT_EQ(Serial[I].Step, Parallel[I].Step);
-    EXPECT_EQ(Serial[I].MeanReward, Parallel[I].MeanReward) << "step " << I;
-    EXPECT_EQ(Serial[I].EMAReward, Parallel[I].EMAReward) << "step " << I;
-    EXPECT_EQ(Serial[I].EquivalentRate, Parallel[I].EquivalentRate);
-    EXPECT_EQ(Serial[I].CopyRate, Parallel[I].CopyRate);
-    EXPECT_EQ(Serial[I].GradNorm, Parallel[I].GradNorm) << "step " << I;
-    EXPECT_EQ(Serial[I].MeanReward, CacheOnly[I].MeanReward) << "step " << I;
-    EXPECT_EQ(Serial[I].GradNorm, CacheOnly[I].GradNorm) << "step " << I;
-  }
+  expectSameTrajectory(Serial, Parallel);
+  expectSameTrajectory(Serial, CacheOnly);
   EXPECT_EQ(SerialParams, ParallelParams);
   EXPECT_EQ(SerialParams, CachedParams);
   // The memo must actually have been exercised on GRPO's repetitive groups.
@@ -150,90 +182,160 @@ TEST(Trainer, ParallelScoringIsBitIdenticalToSerial) {
 }
 
 TEST(Trainer, BatchVerificationIsBitIdenticalToSequential) {
-  // The BatchVerify knob only changes *where* verification work happens
-  // (pre-scoring, through one shared solver context) — every logged value
-  // and the trained parameters must match the knob-off run exactly, at any
-  // thread count.
+  // Rewards from the verdicts the trainer batch-verifies (one verifyGroup
+  // per prompt group, deduped, through a shared solver context) must give
+  // exactly the trajectory of a reward that ignores them and runs the
+  // plain ladder on every rollout itself — at any thread count.
   const Dataset &DS = tinyDataset();
-  RobustVerifyOptions RVO;
-  RVO.Base.FalsifyTrials = 8;
-  RVO.Base.SolverConflictBudget = 20000;
-  RVO.MaxTiers = 2;
+  RobustVerifyOptions O = trainLadder();
+  const RewardFn Sequential = [O](const Sample &S, const Completion &C,
+                                  const RolloutVerdicts &) {
+    VerifyResult V;
+    if (C.FormatOk)
+      V = oracle::verifyLadder(S.SrcText, *S.source(), C.AnswerIR, O);
+    return answerScore(S, C, V);
+  };
 
-  auto runConfig = [&](bool UseBatch, unsigned Threads,
+  auto runConfig = [&](const RewardFn &Reward, unsigned Threads,
                        std::vector<double> &ParamsOut) {
     RewritePolicyModel Model(presetQwen3B());
-    auto Cache = std::make_unique<VerifyCache>(512);
-    auto RV = std::make_unique<RobustVerifier>(RVO, Cache.get());
-    const RobustVerifier *R = RV.get();
-    RewardFn Reward = [R](const Sample &S, Completion &Co) {
-      RewardBreakdown B = answerReward(S, Co, *R);
-      RolloutScore Sc;
-      Sc.Reward = B.Total;
-      Sc.Equivalent = B.Equivalent;
-      Sc.IsCopy = B.IsCopy;
-      Sc.AnswerVerify = B.Verify;
-      return Sc;
-    };
+    VerifyCache Cache(512);
     ThreadPool Pool(Threads);
-    BatchVerifier::Options BO;
-    BO.Robust = RVO;
-    BO.Pool = &Pool;
-    BO.Threads = Threads;
-    BatchVerifier BV(BO, Cache.get());
-    GRPOOptions G;
-    G.GroupSize = 6;
-    G.PromptsPerStep = 3;
-    G.Seed = 7;
-    G.Threads = Threads;
-    G.Pool = &Pool;
-    G.Cache = Cache.get();
-    G.Batch = UseBatch ? &BV : nullptr;
-    GRPOTrainer Trainer(Model, Reward, G);
+    BatchVerifier Verifier = makeVerifier(O, &Cache, &Pool, Threads);
+    GRPOTrainer Trainer(Model, Verifier, Reward, smallGRPO(Threads, &Pool));
     auto Logs = Trainer.train(DS.Train, 10);
     ParamsOut = Model.params();
     return Logs;
   };
 
-  std::vector<double> OffParams, OnParams, OnThreadedParams;
-  auto Off = runConfig(/*UseBatch=*/false, 1, OffParams);
-  auto On = runConfig(/*UseBatch=*/true, 1, OnParams);
-  auto OnThreaded = runConfig(/*UseBatch=*/true, 4, OnThreadedParams);
+  std::vector<double> SeqParams, OnParams, OnThreadedParams;
+  auto Seq = runConfig(Sequential, 1, SeqParams);
+  auto On = runConfig(AnswerReward, 1, OnParams);
+  auto OnThreaded = runConfig(AnswerReward, 4, OnThreadedParams);
 
-  ASSERT_EQ(Off.size(), On.size());
-  for (size_t I = 0; I < Off.size(); ++I) {
-    EXPECT_EQ(Off[I].MeanReward, On[I].MeanReward) << "step " << I;
-    EXPECT_EQ(Off[I].EMAReward, On[I].EMAReward) << "step " << I;
-    EXPECT_EQ(Off[I].EquivalentRate, On[I].EquivalentRate) << "step " << I;
-    EXPECT_EQ(Off[I].GradNorm, On[I].GradNorm) << "step " << I;
-    EXPECT_EQ(Off[I].SolverConflicts, On[I].SolverConflicts) << "step " << I;
-    EXPECT_EQ(Off[I].RetryEscalations, On[I].RetryEscalations);
-    EXPECT_EQ(Off[I].MeanReward, OnThreaded[I].MeanReward) << "step " << I;
-    EXPECT_EQ(Off[I].GradNorm, OnThreaded[I].GradNorm) << "step " << I;
+  expectSameTrajectory(Seq, On);
+  expectSameTrajectory(Seq, OnThreaded);
+  EXPECT_EQ(SeqParams, OnParams);
+  EXPECT_EQ(SeqParams, OnThreadedParams);
+}
+
+TEST(Trainer, VerdictsHandedToRewardMatchOracle) {
+  // Every verdict the reward receives — answer and think-attempt — is the
+  // plain ladder's verdict for that exact text, at 1 and 4 threads, with
+  // and without a cache.
+  const Dataset &DS = tinyDataset();
+  RobustVerifyOptions O = trainLadder();
+  std::map<std::string, VerifyResult> OracleMemo;
+  auto oracleFor = [&](const Sample &S, const std::string &Text) {
+    auto It = OracleMemo.find(S.SrcText + '\x1f' + Text);
+    if (It == OracleMemo.end())
+      It = OracleMemo
+               .emplace(S.SrcText + '\x1f' + Text,
+                        oracle::verifyLadder(S.SrcText, *S.source(), Text, O))
+               .first;
+    return It->second;
+  };
+
+  for (unsigned Threads : {1u, 4u}) {
+    for (bool UseCache : {false, true}) {
+      SCOPED_TRACE("threads " + std::to_string(Threads) +
+                   (UseCache ? ", cache" : ", no cache"));
+      struct Seen {
+        const Sample *S;
+        std::string Text;
+        VerifyResult Verdict;
+      };
+      std::mutex M;
+      std::vector<Seen> Handed;
+      RewardFn Record = [&](const Sample &S, const Completion &C,
+                            const RolloutVerdicts &V) {
+        std::lock_guard<std::mutex> L(M);
+        if (C.FormatOk)
+          Handed.push_back({&S, C.AnswerIR, V.Answer});
+        Handed.push_back({&S, C.ThinkAttemptIR, V.Attempt});
+        return answerScore(S, C, V.Answer);
+      };
+      RewritePolicyModel Model(presetQwen3B());
+      auto Cache = UseCache ? std::make_unique<VerifyCache>(512) : nullptr;
+      ThreadPool Pool(Threads);
+      BatchVerifier Verifier = makeVerifier(O, Cache.get(), &Pool, Threads);
+      GRPOOptions G = smallGRPO(Threads, &Pool);
+      G.Mode = PromptMode::Augmented;
+      GRPOTrainer Trainer(Model, Verifier, Record, G);
+      Trainer.train(DS.Train, 4);
+
+      ASSERT_FALSE(Handed.empty());
+      for (const Seen &H : Handed) {
+        VerifyResult Want = oracleFor(*H.S, H.Text);
+        EXPECT_EQ(H.Verdict.Status, Want.Status) << H.Text;
+        EXPECT_EQ(H.Verdict.Kind, Want.Kind) << H.Text;
+        EXPECT_EQ(H.Verdict.Diagnostic, Want.Diagnostic) << H.Text;
+        EXPECT_EQ(H.Verdict.SolverConflicts, Want.SolverConflicts) << H.Text;
+        EXPECT_EQ(H.Verdict.FuelSpent, Want.FuelSpent) << H.Text;
+        EXPECT_EQ(H.Verdict.RetryTier, Want.RetryTier) << H.Text;
+        EXPECT_EQ(H.Verdict.FoundByFalsification, Want.FoundByFalsification)
+            << H.Text;
+        EXPECT_EQ(H.Verdict.Counterexample.size(),
+                  Want.Counterexample.size())
+            << H.Text;
+      }
+    }
   }
-  EXPECT_EQ(OffParams, OnParams);
-  EXPECT_EQ(OffParams, OnThreadedParams);
+}
+
+TEST(Trainer, RetryQueriesCountUniqueCandidates) {
+  // The ladder runs once per canonically distinct candidate of a group:
+  // each step's verify.retry.queries delta equals its batch.unique delta.
+  const Dataset &DS = tinyDataset();
+  RewritePolicyModel Model(presetQwen3B());
+  VerifyCache Cache(512);
+  BatchVerifier Verifier = makeVerifier(trainLadder(), &Cache);
+  GRPOOptions G = smallGRPO();
+  G.Mode = PromptMode::Augmented;
+  GRPOTrainer Trainer(Model, Verifier, AnswerReward, G);
+
+  Counter &Queries = MetricsRegistry::global().counter("verify.retry.queries");
+  Counter &Unique = MetricsRegistry::global().counter("batch.unique");
+  uint64_t Q0 = Queries.value(), U0 = Unique.value();
+  unsigned Steps = 0;
+  Trainer.train(DS.Train, 6, [&](const TrainLogEntry &E) {
+    EXPECT_EQ(Queries.value() - Q0, Unique.value() - U0) << "step " << E.Step;
+    EXPECT_GT(Unique.value(), U0) << "step " << E.Step;
+    Q0 = Queries.value();
+    U0 = Unique.value();
+    ++Steps;
+    return true;
+  });
+  EXPECT_EQ(Steps, 6u);
+}
+
+TEST(Trainer, ColdCacheHitRateReflectsComputedRungs) {
+  // CacheHitRate counts the ladder rungs the cache served against those
+  // the step computed: a cold cache cannot serve the first step entirely.
+  const Dataset &DS = tinyDataset();
+  RewritePolicyModel Model(presetQwen3B());
+  VerifyCache Cache(512);
+  BatchVerifier Verifier = makeVerifier(trainLadder(), &Cache);
+  GRPOTrainer Trainer(Model, Verifier, AnswerReward, smallGRPO());
+  auto Logs = Trainer.train(DS.Train, 3);
+  ASSERT_EQ(Logs.size(), 3u);
+  EXPECT_LT(Logs[0].CacheHitRate, 1.0);
+  EXPECT_GT(Cache.counters().Misses, 0u);
 }
 
 TEST(Trainer, RolloutHookSeesEveryRolloutInOrder) {
   const Dataset &DS = tinyDataset();
-  RewritePolicyModel Model(presetQwen3B());
   GRPOOptions G;
   G.GroupSize = 4;
   G.PromptsPerStep = 2;
-  G.Threads = 4;
   std::vector<const Sample *> SerialOrder, ParallelOrder;
-  RewardFn Flat = [](const Sample &, Completion &) {
-    RolloutScore Sc;
-    Sc.Reward = 1.0;
-    return Sc;
-  };
+  BatchVerifier Verifier = makeVerifier(RobustVerifyOptions(), nullptr);
   for (auto *Order : {&SerialOrder, &ParallelOrder}) {
     G.Threads = Order == &SerialOrder ? 1 : 4;
     G.OnRollout = [Order](const Sample &S, const Completion &,
                           const RolloutScore &) { Order->push_back(&S); };
     RewritePolicyModel M(presetQwen3B());
-    GRPOTrainer Trainer(M, Flat, G);
+    GRPOTrainer Trainer(M, Verifier, FlatReward, G);
     Trainer.train(DS.Train, 3);
   }
   EXPECT_EQ(SerialOrder.size(), 3u * 2 * 4);

@@ -15,6 +15,7 @@
 #include "data/Dataset.h"
 #include "ir/Parser.h"
 #include "model/Policy.h"
+#include "oracle/Oracle.h"
 #include "pipeline/Evaluation.h"
 #include "support/FaultInjector.h"
 #include "support/IoEnv.h"
@@ -465,6 +466,16 @@ struct IrFixture {
   }
 };
 
+/// One verification through \p Cache, as evaluation runs it: a one-rung
+/// BatchVerifier at \p Opts.
+VerifyResult verifyVia(VerifyCache &Cache, const Function &Src,
+                       const char *Tgt, const VerifyOptions &Opts) {
+  BatchVerifier::Options BO;
+  BO.Robust.Base = Opts;
+  BO.Robust.MaxTiers = 1;
+  return BatchVerifier(BO, &Cache).verifyOne(SrcIR, Src, Tgt);
+}
+
 TEST(VerdictStore, CacheWritesBehindAndReadsThrough) {
   IrFixture Fx;
   VerifyOptions Opts;
@@ -477,8 +488,8 @@ TEST(VerdictStore, CacheWritesBehindAndReadsThrough) {
     ASSERT_TRUE(St);
     VerifyCache Cache;
     Cache.setBackingStore(St.get());
-    Cold = Cache.verify(SrcIR, *Fx.Src, GoodTgt, Opts);
-    Cache.verify(SrcIR, *Fx.Src, BadTgt, Opts);
+    Cold = verifyVia(Cache, *Fx.Src, GoodTgt, Opts);
+    verifyVia(Cache, *Fx.Src, BadTgt, Opts);
     EXPECT_EQ(St->stats().Writes, 2u);
     EXPECT_EQ(St->stats().Hits, 0u);
   }
@@ -490,12 +501,12 @@ TEST(VerdictStore, CacheWritesBehindAndReadsThrough) {
   EXPECT_EQ(St->stats().LiveAtOpen, 2u);
   VerifyCache Cache;
   Cache.setBackingStore(St.get());
-  VerifyResult Warm = Cache.verify(SrcIR, *Fx.Src, GoodTgt, Opts);
+  VerifyResult Warm = verifyVia(Cache, *Fx.Src, GoodTgt, Opts);
   expectSameResult(Cold, Warm);
   EXPECT_EQ(St->stats().Hits, 1u);
   EXPECT_EQ(St->stats().Writes, 0u); // replayed, nothing new to journal
-  // And the memo now holds it: a second verify is a pure memo hit.
-  Cache.verify(SrcIR, *Fx.Src, GoodTgt, Opts);
+  // And the memo now holds it: a second lookup is a pure memo hit.
+  verifyVia(Cache, *Fx.Src, GoodTgt, Opts);
   EXPECT_EQ(St->stats().Hits, 1u);
 }
 
@@ -508,7 +519,7 @@ TEST(VerdictStore, PeekReadsThroughForBatchPrewarm) {
     ASSERT_TRUE(St);
     VerifyCache Cache;
     Cache.setBackingStore(St.get());
-    Cache.verify(SrcIR, *Fx.Src, GoodTgt, Opts);
+    verifyVia(Cache, *Fx.Src, GoodTgt, Opts);
   }
   auto St = VerdictStore::open(F.Path);
   ASSERT_TRUE(St);
@@ -531,7 +542,7 @@ TEST(VerdictStore, FaultInjectorBypassesStoreEntirely) {
     ASSERT_TRUE(St);
     VerifyCache Cache;
     Cache.setBackingStore(St.get());
-    Cache.verify(SrcIR, *Fx.Src, GoodTgt, Opts);
+    verifyVia(Cache, *Fx.Src, GoodTgt, Opts);
   }
   auto St = VerdictStore::open(F.Path);
   ASSERT_TRUE(St);
@@ -539,8 +550,8 @@ TEST(VerdictStore, FaultInjectorBypassesStoreEntirely) {
   VerifyCache Cache;
   Cache.setBackingStore(St.get());
   Cache.setFaultInjector(&FI);
-  Cache.verify(SrcIR, *Fx.Src, GoodTgt, Opts);
-  Cache.verify(SrcIR, *Fx.Src, BadTgt, Opts);
+  verifyVia(Cache, *Fx.Src, GoodTgt, Opts);
+  verifyVia(Cache, *Fx.Src, BadTgt, Opts);
   EXPECT_EQ(St->stats().Hits, 0u);   // no reads while chaos is possible
   EXPECT_EQ(St->stats().Writes, 0u); // and nothing journaled
 }
@@ -556,7 +567,7 @@ TEST(VerdictStore, WarmColdAndNoStoreEvaluationsBitIdentical) {
   RewritePolicyModel Model(presetQwen3B());
 
   EvalResult Oracle =
-      evaluateModel(Model, DS.Valid, PromptMode::Generic);
+      oracle::evaluateSerially(Model, DS.Valid, PromptMode::Generic);
 
   ScratchFile F("eval");
   // Cold store pass (populates), then warm passes across shard/thread

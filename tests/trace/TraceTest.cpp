@@ -13,11 +13,13 @@
 #include "support/ThreadPool.h"
 #include "trace/Json.h"
 #include "trace/Metrics.h"
+#include "verify/BatchVerifier.h"
 #include "report/TraceData.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -83,16 +85,23 @@ std::vector<TraceEvent> tracedRun(unsigned Threads) {
   R.enable();
 
   RewritePolicyModel Model(presetQwen3B());
-  VerifyOptions V;
-  V.FalsifyTrials = 8;
+  ThreadPool Pool(Threads);
+  BatchVerifier::Options BO;
+  BO.Robust.Base.FalsifyTrials = 8;
+  BO.Robust.MaxTiers = 1;
+  BO.Pool = &Pool;
+  BO.Threads = Threads;
+  BatchVerifier Verifier(BO, nullptr);
   GRPOOptions G;
   G.GroupSize = 4;
   G.PromptsPerStep = 2;
   G.Seed = 17;
   G.Threads = Threads;
+  G.Pool = &Pool;
   G.TraceLabel = "stage1";
-  RewardFn Reward = [V](const Sample &S, Completion &C) {
-    RewardBreakdown B = answerReward(S, C, V);
+  RewardFn Reward = [](const Sample &S, const Completion &C,
+                       const RolloutVerdicts &V) {
+    RewardBreakdown B = answerReward(S, C, V.Answer);
     RolloutScore Sc;
     Sc.Reward = B.Total;
     Sc.Equivalent = B.Equivalent;
@@ -100,7 +109,7 @@ std::vector<TraceEvent> tracedRun(unsigned Threads) {
     Sc.AnswerVerify = B.Verify;
     return Sc;
   };
-  GRPOTrainer Trainer(Model, Reward, G);
+  GRPOTrainer Trainer(Model, Verifier, Reward, G);
   Trainer.train(DS.Train, 3);
 
   R.disable();
@@ -182,6 +191,35 @@ TEST(Trace, JsonlEscapingRoundTrips) {
   ASSERT_NE(Status, nullptr);
   EXPECT_EQ(Status->str(), Nasty);
   std::remove(Path.c_str());
+}
+
+TEST(Trace, BitHexCodecAndUnsignedReader) {
+  // The one codec shard results, checkpoints, the verdict store and
+  // BENCH_*.json share: 16 lowercase hex digits, bit-exact both ways.
+  EXPECT_EQ(hexU64(0x1F), "000000000000001f");
+  EXPECT_EQ(hexDouble(1.0), "3ff0000000000000");
+  uint64_t U = 0;
+  ASSERT_TRUE(parseHexU64(hexU64(UINT64_MAX), U));
+  EXPECT_EQ(U, UINT64_MAX);
+  double D = 0;
+  ASSERT_TRUE(parseHexDouble(hexDouble(-0.0), D));
+  EXPECT_TRUE(std::signbit(D));
+  for (const char *Bad : {"3FF0000000000000", "3ff000000000000",
+                          "3ff00000000000000", "3ff000000000000g", ""})
+    EXPECT_FALSE(parseHexU64(Bad, U)) << Bad;
+
+  auto readUnsigned = [&](const char *Text) {
+    JsonValue V;
+    std::string Err;
+    EXPECT_TRUE(parseJson(Text, V, &Err)) << Err;
+    return jsonUnsigned(&V, U);
+  };
+  EXPECT_TRUE(readUnsigned("42"));
+  EXPECT_EQ(U, 42u);
+  for (const char *Bad : {"-1", "1.5", "1e20", "18446744073709551616",
+                          "\"7\"", "null"})
+    EXPECT_FALSE(readUnsigned(Bad)) << Bad;
+  EXPECT_FALSE(jsonUnsigned(nullptr, U));
 }
 
 TEST(Trace, JsonlWriteFailureLeavesOldFileIntact) {

@@ -1,17 +1,23 @@
-//===- BatchVerifierTest.cpp - Batched vs sequential differential ---------===//
+//===- BatchVerifierTest.cpp - Group verification vs the plain ladder -----===//
 //
-// The batch path's contract is bit-identity with the sequential oracle:
-// for every candidate, verdict, diagnostic kind and text, counterexample,
-// summed solver conflicts, fuel spent, and retry tier must equal what a
-// fresh RobustVerifier::verify would have produced — at any thread count,
+// BatchVerifier is the one path that turns candidate text into a verdict.
+// Its contract is bit-identity with the plain ladder (oracle::verifyLadder:
+// verifyCandidateText at each rung's tierOptions): for every candidate,
+// verdict, diagnostic kind and text, counterexample, summed solver
+// conflicts, fuel spent, and retry tier must match — at any thread count,
 // under fault injection, and with arbitrary cache-hit interleavings.
+//
+// The RobustVerifier suite checks the retry ladder itself on groups of one.
 //
 //===----------------------------------------------------------------------===//
 
 #include "verify/BatchVerifier.h"
 
 #include "ir/Parser.h"
+#include "oracle/Oracle.h"
 #include "support/ThreadPool.h"
+#include "trace/Metrics.h"
+#include "trace/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -32,8 +38,13 @@ struct Parsed {
 
 const char *AddSrc = "define i32 @f(i32 %x) {\n  %y = add i32 %x, 1\n"
                      "  ret i32 %y\n}\n";
+const char *WrongAdd = "define i32 @f(i32 %x) {\n  %y = add i32 %x, 2\n"
+                       "  ret i32 %y\n}\n";
 const char *MulSrc = "define i32 @f(i32 %x, i32 %y) {\n"
                      "  %m = mul i32 %x, %y\n  ret i32 %m\n}\n";
+const char *MulTgt = "define i32 @f(i32 %x, i32 %y) {\n"
+                     "  %m = mul i32 %y, %x\n  ret i32 %m\n}\n";
+const char *PtrSrc = "define i32 @f(ptr %p) {\n  ret i32 0\n}\n";
 
 /// A representative GRPO group: correct rewrites, a renamed duplicate, a
 /// wrong candidate, a byte-identical repeat, unparseable text, and a
@@ -71,42 +82,41 @@ std::vector<std::string> mulGroup() {
   };
 }
 
-/// The oracle: a fresh cacheless RobustVerifier per candidate, exactly what
-/// the scoring path runs with batching off.
+/// The oracle: the plain ladder, one candidate at a time.
 std::vector<VerifyResult> sequentialOracle(const Parsed &Src,
                                            const std::vector<std::string> &Ts,
                                            const RobustVerifyOptions &O,
                                            FaultInjector *FI = nullptr) {
   std::vector<VerifyResult> Out;
-  for (const std::string &T : Ts) {
-    RobustVerifier RV(O, nullptr, FI);
-    Out.push_back(RV.verify(Src.Text, *Src.F, T).Result);
-  }
+  for (const std::string &T : Ts)
+    Out.push_back(oracle::verifyLadder(Src.Text, *Src.F, T, O, FI));
   return Out;
+}
+
+void expectSame(const VerifyResult &Got, const VerifyResult &Want,
+                size_t I = 0) {
+  EXPECT_EQ(Got.Status, Want.Status) << "candidate " << I;
+  EXPECT_EQ(Got.Kind, Want.Kind) << "candidate " << I;
+  EXPECT_EQ(Got.Diagnostic, Want.Diagnostic) << "candidate " << I;
+  EXPECT_EQ(Got.BoundedOnly, Want.BoundedOnly) << "candidate " << I;
+  EXPECT_EQ(Got.FoundByFalsification, Want.FoundByFalsification)
+      << "candidate " << I;
+  EXPECT_EQ(Got.SolverConflicts, Want.SolverConflicts) << "candidate " << I;
+  EXPECT_EQ(Got.FuelSpent, Want.FuelSpent) << "candidate " << I;
+  EXPECT_EQ(Got.RetryTier, Want.RetryTier) << "candidate " << I;
+  ASSERT_EQ(Got.Counterexample.size(), Want.Counterexample.size())
+      << "candidate " << I;
+  for (size_t J = 0; J < Got.Counterexample.size(); ++J) {
+    EXPECT_EQ(Got.Counterexample[J].Name, Want.Counterexample[J].Name);
+    EXPECT_EQ(Got.Counterexample[J].Value, Want.Counterexample[J].Value);
+  }
 }
 
 void expectIdentical(const std::vector<VerifyResult> &Got,
                      const std::vector<VerifyResult> &Want) {
   ASSERT_EQ(Got.size(), Want.size());
-  for (size_t I = 0; I < Got.size(); ++I) {
-    EXPECT_EQ(Got[I].Status, Want[I].Status) << "candidate " << I;
-    EXPECT_EQ(Got[I].Kind, Want[I].Kind) << "candidate " << I;
-    EXPECT_EQ(Got[I].Diagnostic, Want[I].Diagnostic) << "candidate " << I;
-    EXPECT_EQ(Got[I].BoundedOnly, Want[I].BoundedOnly) << "candidate " << I;
-    EXPECT_EQ(Got[I].FoundByFalsification, Want[I].FoundByFalsification)
-        << "candidate " << I;
-    EXPECT_EQ(Got[I].SolverConflicts, Want[I].SolverConflicts)
-        << "candidate " << I;
-    EXPECT_EQ(Got[I].FuelSpent, Want[I].FuelSpent) << "candidate " << I;
-    EXPECT_EQ(Got[I].RetryTier, Want[I].RetryTier) << "candidate " << I;
-    ASSERT_EQ(Got[I].Counterexample.size(), Want[I].Counterexample.size())
-        << "candidate " << I;
-    for (size_t J = 0; J < Got[I].Counterexample.size(); ++J) {
-      EXPECT_EQ(Got[I].Counterexample[J].Name, Want[I].Counterexample[J].Name);
-      EXPECT_EQ(Got[I].Counterexample[J].Value,
-                Want[I].Counterexample[J].Value);
-    }
-  }
+  for (size_t I = 0; I < Got.size(); ++I)
+    expectSame(Got[I], Want[I], I);
 }
 
 RobustVerifyOptions defaultLadder() {
@@ -116,15 +126,21 @@ RobustVerifyOptions defaultLadder() {
   return O;
 }
 
+BatchVerifier makeVerifier(const RobustVerifyOptions &O,
+                           VerifyCache *Cache = nullptr,
+                           FaultInjector *FI = nullptr) {
+  BatchVerifier::Options BO;
+  BO.Robust = O;
+  return BatchVerifier(BO, Cache, FI);
+}
+
 TEST(BatchVerifier, MatchesSequentialOracleBitForBit) {
   Parsed Src(AddSrc);
   RobustVerifyOptions O = defaultLadder();
   auto Want = sequentialOracle(Src, addGroup(), O);
 
   VerifyCache Cache(256);
-  BatchVerifier::Options BO;
-  BO.Robust = O;
-  BatchVerifier BV(BO, &Cache);
+  BatchVerifier BV = makeVerifier(O, &Cache);
   BatchVerifier::GroupStats GS;
   auto Got = BV.verifyGroup(Src.Text, *Src.F, addGroup(), &GS);
 
@@ -138,7 +154,7 @@ TEST(BatchVerifier, MatchesSequentialOracleBitForBit) {
 
 TEST(BatchVerifier, EscalatingLadderMatchesSequential) {
   // Starved tier 0 forces escalations; RetryTier and the summed conflict /
-  // fuel accounting must match the sequential ladder exactly.
+  // fuel accounting must match the plain ladder exactly.
   Parsed Src(MulSrc);
   RobustVerifyOptions O;
   O.Base.FalsifyTrials = 0;
@@ -152,10 +168,7 @@ TEST(BatchVerifier, EscalatingLadderMatchesSequential) {
   EXPECT_TRUE(SawEscalation) << "corpus no longer exercises the ladder";
 
   VerifyCache Cache(256);
-  BatchVerifier::Options BO;
-  BO.Robust = O;
-  BatchVerifier BV(BO, &Cache);
-  auto Got = BV.verifyGroup(Src.Text, *Src.F, mulGroup());
+  auto Got = makeVerifier(O, &Cache).verifyGroup(Src.Text, *Src.F, mulGroup());
   expectIdentical(Got, Want);
 }
 
@@ -164,10 +177,8 @@ TEST(BatchVerifier, ThreadCountInvariance) {
   RobustVerifyOptions O = defaultLadder();
 
   VerifyCache C1(256);
-  BatchVerifier::Options B1;
-  B1.Robust = O;
-  BatchVerifier BV1(B1, &C1);
-  auto Sequential = BV1.verifyGroup(Src.Text, *Src.F, addGroup());
+  auto Sequential =
+      makeVerifier(O, &C1).verifyGroup(Src.Text, *Src.F, addGroup());
 
   ThreadPool Pool(4);
   VerifyCache C4(256);
@@ -182,55 +193,48 @@ TEST(BatchVerifier, ThreadCountInvariance) {
 }
 
 TEST(BatchVerifier, SeedsCacheSoScoringReplaysWithoutComputing) {
+  // Every rung a group computes is seeded into the cache, so asking for any
+  // member again — here one at a time — replays the ladder from the cache:
+  // every rung hits, nothing is computed, and the outcome is unchanged.
   Parsed Src(AddSrc);
   RobustVerifyOptions O = defaultLadder();
   VerifyCache Cache(256);
-  BatchVerifier::Options BO;
-  BO.Robust = O;
-  BatchVerifier BV(BO, &Cache);
+  BatchVerifier BV = makeVerifier(O, &Cache);
   auto Batch = BV.verifyGroup(Src.Text, *Src.F, addGroup());
 
-  // The scoring pass replays the ladder through the same cache: every rung
-  // must hit, and the replayed outcome must equal the batch result.
   uint64_t MissesBefore = Cache.counters().Misses;
-  RobustVerifier RV(O, &Cache);
   std::vector<std::string> Group = addGroup();
   for (size_t I = 0; I < Group.size(); ++I) {
-    auto Out = RV.verify(Src.Text, *Src.F, Group[I]);
-    EXPECT_EQ(Out.Result.Status, Batch[I].Status) << "candidate " << I;
-    EXPECT_EQ(Out.Result.Diagnostic, Batch[I].Diagnostic) << "candidate " << I;
-    EXPECT_EQ(Out.Result.SolverConflicts, Batch[I].SolverConflicts);
-    EXPECT_EQ(Out.Result.FuelSpent, Batch[I].FuelSpent);
-    EXPECT_EQ(Out.Result.RetryTier, Batch[I].RetryTier);
+    BatchVerifier::GroupStats GS;
+    auto Again = BV.verifyGroup(Src.Text, *Src.F, {Group[I]}, &GS);
+    expectSame(Again[0], Batch[I], I);
+    EXPECT_EQ(GS.Computed, 0u) << "candidate " << I;
+    EXPECT_GT(GS.CacheHits, 0u) << "candidate " << I;
   }
   EXPECT_EQ(Cache.counters().Misses, MissesBefore)
-      << "scoring recomputed a rung the batch should have seeded";
-  EXPECT_GT(Cache.counters().Hits, 0u);
+      << "a replay recomputed a rung the group should have seeded";
 }
 
 TEST(BatchVerifier, CacheHitInterleavingsStayIdentical) {
-  // Pre-warm the cache with a *subset* of the group through the normal
-  // sequential path, then batch the full group: served-from-cache and
-  // computed-in-batch members must both match the oracle.
+  // Pre-warm the cache with a *subset* of the group, then verify the full
+  // group: served-from-cache and computed members must both match the
+  // oracle.
   Parsed Src(AddSrc);
   RobustVerifyOptions O = defaultLadder();
   auto Want = sequentialOracle(Src, addGroup(), O);
 
   VerifyCache Cache(256);
-  RobustVerifier Warm(O, &Cache);
+  BatchVerifier BV = makeVerifier(O, &Cache);
   std::vector<std::string> Group = addGroup();
-  Warm.verify(Src.Text, *Src.F, Group[2]);
-  Warm.verify(Src.Text, *Src.F, Group[3]);
+  BV.verifyOne(Src.Text, *Src.F, Group[2]);
+  BV.verifyOne(Src.Text, *Src.F, Group[3]);
 
-  BatchVerifier::Options BO;
-  BO.Robust = O;
-  BatchVerifier BV(BO, &Cache);
   BatchVerifier::GroupStats GS;
   auto Got = BV.verifyGroup(Src.Text, *Src.F, Group, &GS);
   expectIdentical(Got, Want);
   EXPECT_GT(GS.CacheHits, 0u);
 
-  // A second batch of the same group is served entirely from the cache.
+  // A second pass over the same group is served entirely from the cache.
   BatchVerifier::GroupStats GS2;
   auto Again = BV.verifyGroup(Src.Text, *Src.F, Group, &GS2);
   expectIdentical(Again, Want);
@@ -246,10 +250,8 @@ TEST(BatchVerifier, OracleBudgetFaultMirrorsSequential) {
   auto Want = sequentialOracle(Src, addGroup(), O, &FIa);
 
   VerifyCache Cache(256);
-  BatchVerifier::Options BO;
-  BO.Robust = O;
-  BatchVerifier BV(BO, &Cache, &FIb);
-  auto Got = BV.verifyGroup(Src.Text, *Src.F, addGroup());
+  auto Got =
+      makeVerifier(O, &Cache, &FIb).verifyGroup(Src.Text, *Src.F, addGroup());
   expectIdentical(Got, Want);
   // At 50% some queries must actually have been injected (seed-dependent
   // but deterministic; guards against the fault site silently not firing).
@@ -265,12 +267,34 @@ TEST(BatchVerifier, VerdictFlipFaultMirrorsSequential) {
   auto Want = sequentialOracle(Src, addGroup(), O, &FIa);
 
   VerifyCache Cache(256);
-  BatchVerifier::Options BO;
-  BO.Robust = O;
-  BatchVerifier BV(BO, &Cache, &FIb);
-  auto Got = BV.verifyGroup(Src.Text, *Src.F, addGroup());
+  auto Got =
+      makeVerifier(O, &Cache, &FIb).verifyGroup(Src.Text, *Src.F, addGroup());
   expectIdentical(Got, Want);
   EXPECT_GT(FIb.counters().injected(FaultSite::VerdictFlip), 0u);
+}
+
+TEST(BatchVerifier, FaultDecisionsIgnoreMemberOrder) {
+  // Two renamings of one candidate are one query: whichever comes first in
+  // the group, the fault sites must decide for both the same way.
+  Parsed Src(AddSrc);
+  const std::string Y =
+      "define i32 @f(i32 %x) {\n  %y = add i32 %x, 1\n  ret i32 %y\n}\n";
+  const std::string Z =
+      "define i32 @f(i32 %x) {\n  %z = add i32 %x, 1\n  ret i32 %z\n}\n";
+  RobustVerifyOptions O = defaultLadder();
+  for (FaultSite Site : {FaultSite::OracleBudget, FaultSite::VerdictFlip}) {
+    for (uint64_t Seed = 1; Seed <= 64; ++Seed) {
+      FaultInjector FI(Seed);
+      FI.enable(Site, 0.5);
+      BatchVerifier BV = makeVerifier(O, nullptr, &FI);
+      auto YZ = BV.verifyGroup(Src.Text, *Src.F, {Y, Z});
+      auto ZY = BV.verifyGroup(Src.Text, *Src.F, {Z, Y});
+      SCOPED_TRACE(std::string(faultSiteName(Site)) + " seed " +
+                   std::to_string(Seed));
+      expectSame(YZ[0], ZY[1]);
+      expectSame(YZ[1], ZY[0]);
+    }
+  }
 }
 
 TEST(BatchVerifier, InjectedCacheMissesDoNotChangeVerdicts) {
@@ -282,30 +306,24 @@ TEST(BatchVerifier, InjectedCacheMissesDoNotChangeVerdicts) {
   FI.enable(FaultSite::CacheMiss, 0.5);
   VerifyCache Cache(256);
   Cache.setFaultInjector(&FI);
-  BatchVerifier::Options BO;
-  BO.Robust = O;
-  BatchVerifier BV(BO, &Cache, &FI);
+  BatchVerifier BV = makeVerifier(O, &Cache, &FI);
   auto Got = BV.verifyGroup(Src.Text, *Src.F, addGroup());
   expectIdentical(Got, Want);
-  // And the poisoned cache still replays correct verdicts sequentially.
-  RobustVerifier RV(O, &Cache, &FI);
+  // And the poisoned cache still replays correct verdicts one by one.
   std::vector<std::string> Group = addGroup();
   for (size_t I = 0; I < Group.size(); ++I)
-    EXPECT_EQ(RV.verify(Src.Text, *Src.F, Group[I]).Result.Status,
-              Want[I].Status);
+    expectSame(BV.verifyOne(Src.Text, *Src.F, Group[I]), Want[I], I);
 }
 
 TEST(BatchVerifier, PointerSourceStaysInconclusive) {
   // Unsupported sources short-circuit before any encoding is shared; the
   // batch must not crash on a group whose source has no QueryPrefix.
-  Parsed Src("define i32 @f(ptr %p) {\n  ret i32 0\n}\n");
+  Parsed Src(PtrSrc);
   RobustVerifyOptions O = defaultLadder();
   auto Want = sequentialOracle(Src, {Src.Text, Src.Text}, O);
   VerifyCache Cache(64);
-  BatchVerifier::Options BO;
-  BO.Robust = O;
-  BatchVerifier BV(BO, &Cache);
-  auto Got = BV.verifyGroup(Src.Text, *Src.F, {Src.Text, Src.Text});
+  auto Got = makeVerifier(O, &Cache).verifyGroup(Src.Text, *Src.F,
+                                                 {Src.Text, Src.Text});
   expectIdentical(Got, Want);
   EXPECT_EQ(Got[0].Status, VerifyStatus::Inconclusive);
   EXPECT_EQ(Got[0].Kind, DiagKind::Unsupported);
@@ -322,11 +340,300 @@ TEST(BatchVerifier, FuelStarvedLaddersMatchSequential) {
   O.BudgetGrowth = 100000;
   auto Want = sequentialOracle(Src, addGroup(), O);
   VerifyCache Cache(256);
-  BatchVerifier::Options BO;
-  BO.Robust = O;
-  BatchVerifier BV(BO, &Cache);
-  auto Got = BV.verifyGroup(Src.Text, *Src.F, addGroup());
+  auto Got = makeVerifier(O, &Cache).verifyGroup(Src.Text, *Src.F, addGroup());
   expectIdentical(Got, Want);
+}
+
+//===--- The retry ladder, on groups of one ---------------------------------===//
+
+/// verify.retry.* counter deltas over one call.
+struct RetryDelta {
+  uint64_t Queries = 0, Escalations = 0, Rescued = 0, Terminal = 0;
+};
+
+template <typename Fn> RetryDelta retryDelta(Fn &&F) {
+  MetricsRegistry &Reg = MetricsRegistry::global();
+  Counter &Q = Reg.counter("verify.retry.queries");
+  Counter &E = Reg.counter("verify.retry.escalations");
+  Counter &R = Reg.counter("verify.retry.rescued");
+  Counter &T = Reg.counter("verify.retry.terminal_inconclusive");
+  RetryDelta Before{Q.value(), E.value(), R.value(), T.value()};
+  F();
+  return {Q.value() - Before.Queries, E.value() - Before.Escalations,
+          R.value() - Before.Rescued, T.value() - Before.Terminal};
+}
+
+/// The verify.tier instants (one per rung run) recorded during \p F.
+template <typename Fn> std::vector<TraceEvent> tierEvents(Fn &&F) {
+  TraceRecorder &Rec = TraceRecorder::instance();
+  Rec.clear();
+  Rec.enable();
+  F();
+  Rec.disable();
+  std::vector<TraceEvent> Out;
+  for (TraceEvent &E : Rec.snapshot())
+    if (E.Name == "verify.tier")
+      Out.push_back(std::move(E));
+  Rec.clear();
+  return Out;
+}
+
+int64_t intArg(const TraceEvent &E, const char *Key) {
+  for (const TraceArg &A : E.Args)
+    if (A.Key == Key)
+      return A.I;
+  ADD_FAILURE() << "verify.tier without '" << Key << "'";
+  return -1;
+}
+
+bool injectedArg(const TraceEvent &E) {
+  for (const TraceArg &A : E.Args)
+    if (A.Key == "injected")
+      return A.I != 0;
+  ADD_FAILURE() << "verify.tier without 'injected'";
+  return false;
+}
+
+TEST(RobustVerifier, TierOptionsScaleGeometrically) {
+  RobustVerifyOptions O;
+  O.Base.SolverConflictBudget = 10;
+  O.Base.FuelBudget = 100;
+  O.Base.FalsifyTrials = 7;
+  O.BudgetGrowth = 4;
+  O.MaxTiers = 3;
+  EXPECT_EQ(tierOptions(O, 0).SolverConflictBudget, 10u);
+  EXPECT_EQ(tierOptions(O, 1).SolverConflictBudget, 40u);
+  EXPECT_EQ(tierOptions(O, 2).SolverConflictBudget, 160u);
+  EXPECT_EQ(tierOptions(O, 0).FuelBudget, 100u);
+  EXPECT_EQ(tierOptions(O, 2).FuelBudget, 1600u);
+  // Only the budget knobs scale; semantics knobs stay fixed.
+  EXPECT_EQ(tierOptions(O, 2).FalsifyTrials, 7u);
+  EXPECT_EQ(tierOptions(O, 2).MaxPaths, O.Base.MaxPaths);
+}
+
+TEST(RobustVerifier, UnlimitedBudgetsStayUnlimited) {
+  RobustVerifyOptions O;
+  O.Base.SolverConflictBudget = 0;
+  O.Base.FuelBudget = 0;
+  O.BudgetGrowth = 16;
+  EXPECT_EQ(tierOptions(O, 2).SolverConflictBudget, 0u);
+  EXPECT_EQ(tierOptions(O, 2).FuelBudget, 0u);
+}
+
+TEST(RobustVerifier, ScalingSaturatesInsteadOfOverflowing) {
+  RobustVerifyOptions O;
+  O.Base.SolverConflictBudget = UINT64_MAX / 2;
+  O.BudgetGrowth = 1000;
+  EXPECT_EQ(tierOptions(O, 3).SolverConflictBudget, UINT64_MAX);
+}
+
+TEST(RobustVerifier, DefinitiveVerdictNeverEscalates) {
+  Parsed Src(AddSrc);
+  BatchVerifier BV = makeVerifier(RobustVerifyOptions());
+
+  VerifyResult Eq, Ne;
+  std::vector<TraceEvent> Tiers;
+  RetryDelta D = retryDelta([&] {
+    Tiers = tierEvents([&] {
+      Eq = BV.verifyOne(Src.Text, *Src.F, AddSrc);
+      Ne = BV.verifyOne(Src.Text, *Src.F, WrongAdd);
+    });
+  });
+  EXPECT_EQ(Eq.Status, VerifyStatus::Equivalent);
+  EXPECT_EQ(Eq.RetryTier, 0u);
+  EXPECT_EQ(Ne.Status, VerifyStatus::NotEquivalent);
+  EXPECT_EQ(Ne.RetryTier, 0u);
+  EXPECT_EQ(Tiers.size(), 2u); // one rung each
+  EXPECT_EQ(D.Queries, 2u);
+  EXPECT_EQ(D.Escalations, 0u);
+  EXPECT_EQ(D.Terminal, 0u);
+}
+
+TEST(RobustVerifier, NonBudgetInconclusiveNeverRetried) {
+  // Unsupported: a bigger budget cannot make pointer params verifiable.
+  Parsed Src(PtrSrc);
+  RobustVerifyOptions O;
+  O.MaxTiers = 3;
+  VerifyResult Out;
+  RetryDelta D = retryDelta(
+      [&] { Out = makeVerifier(O).verifyOne(Src.Text, *Src.F, Src.Text); });
+  EXPECT_EQ(Out.Status, VerifyStatus::Inconclusive);
+  EXPECT_EQ(Out.Kind, DiagKind::Unsupported);
+  EXPECT_EQ(Out.RetryTier, 0u);
+  EXPECT_EQ(D.Escalations, 0u);
+  EXPECT_EQ(D.Terminal, 0u);
+}
+
+TEST(RobustVerifier, EscalationRescuesFuelExhaustion) {
+  Parsed Src(AddSrc);
+  RobustVerifyOptions O;
+  O.Base.FuelBudget = 8; // too small even for the falsification pre-pass
+  O.BudgetGrowth = 100000;
+  O.MaxTiers = 3;
+  VerifyResult Out;
+  std::vector<TraceEvent> Tiers;
+  RetryDelta D = retryDelta([&] {
+    Tiers = tierEvents(
+        [&] { Out = makeVerifier(O).verifyOne(Src.Text, *Src.F, AddSrc); });
+  });
+  ASSERT_GE(Tiers.size(), 2u);
+  VerifyResult Tier0 = verifyCandidateText(*Src.F, AddSrc, tierOptions(O, 0));
+  EXPECT_EQ(Tier0.Status, VerifyStatus::Inconclusive);
+  EXPECT_EQ(Tier0.Kind, DiagKind::ResourceExhausted);
+  EXPECT_EQ(Out.Status, VerifyStatus::Equivalent) << Out.Diagnostic;
+  EXPECT_GE(Out.RetryTier, 1u);
+  EXPECT_EQ(Tiers.size(), Out.RetryTier + 1);
+  EXPECT_EQ(D.Queries, 1u);
+  EXPECT_EQ(D.Escalations, 1u);
+  EXPECT_EQ(D.Rescued, 1u);
+  EXPECT_EQ(D.Terminal, 0u);
+}
+
+TEST(RobustVerifier, TerminalInconclusiveWhenTopTierStillTooSmall) {
+  Parsed Src(MulSrc);
+  RobustVerifyOptions O;
+  O.Base.FalsifyTrials = 0;
+  O.Base.SolverConflictBudget = 2;
+  O.BudgetGrowth = 2; // 2, 4, 8 conflicts: all hopeless for a 32x32 mul
+  O.MaxTiers = 3;
+  VerifyResult Out;
+  std::vector<TraceEvent> Tiers;
+  RetryDelta D = retryDelta([&] {
+    Tiers = tierEvents(
+        [&] { Out = makeVerifier(O).verifyOne(Src.Text, *Src.F, MulTgt); });
+  });
+  EXPECT_EQ(Out.Status, VerifyStatus::Inconclusive);
+  EXPECT_EQ(Out.Kind, DiagKind::SolverTimeout);
+  EXPECT_EQ(Out.RetryTier, 2u);
+  ASSERT_EQ(Tiers.size(), 3u);
+
+  // Telemetry is summed over every rung actually run.
+  int64_t Sum = 0;
+  for (const TraceEvent &T : Tiers)
+    Sum += intArg(T, "conflicts");
+  EXPECT_EQ(Out.SolverConflicts, static_cast<uint64_t>(Sum));
+
+  EXPECT_EQ(D.Escalations, 1u);
+  EXPECT_EQ(D.Rescued, 0u);
+  EXPECT_EQ(D.Terminal, 1u);
+}
+
+TEST(RobustVerifier, SingleTierLadderMatchesPlainVerifier) {
+  Parsed Src(MulSrc);
+  RobustVerifyOptions O;
+  O.Base.FalsifyTrials = 0;
+  O.Base.SolverConflictBudget = 5;
+  O.MaxTiers = 1;
+  VerifyResult Out;
+  RetryDelta D = retryDelta(
+      [&] { Out = makeVerifier(O).verifyOne(Src.Text, *Src.F, MulTgt); });
+  expectSame(Out, verifyCandidateText(*Src.F, MulTgt, O.Base));
+  EXPECT_EQ(D.Escalations, 0u);
+  EXPECT_EQ(D.Terminal, 1u);
+}
+
+TEST(RobustVerifier, CacheHitReplaysIdenticalTelemetry) {
+  // A cached replay of the ladder must report the same per-tier outcomes
+  // and summed conflicts as the fresh run — each tier is its own cache key,
+  // so low-tier Inconclusives never mask high-tier work.
+  Parsed Src(AddSrc);
+  VerifyCache Cache(64);
+  RobustVerifyOptions O;
+  O.Base.FuelBudget = 8;
+  O.BudgetGrowth = 100000;
+  O.MaxTiers = 3;
+  BatchVerifier BV = makeVerifier(O, &Cache);
+
+  BatchVerifier::GroupStats FreshGS, ReplayGS;
+  VerifyResult Fresh, Replay;
+  auto FreshTiers = tierEvents([&] {
+    Fresh = BV.verifyGroup(Src.Text, *Src.F, {AddSrc}, &FreshGS)[0];
+  });
+  auto ReplayTiers = tierEvents([&] {
+    Replay = BV.verifyGroup(Src.Text, *Src.F, {AddSrc}, &ReplayGS)[0];
+  });
+  EXPECT_EQ(ReplayGS.Computed, 0u);
+  EXPECT_EQ(ReplayGS.CacheHits, FreshGS.Computed);
+  EXPECT_GT(Cache.counters().Hits, 0u);
+
+  ASSERT_EQ(ReplayTiers.size(), FreshTiers.size());
+  for (size_t I = 0; I < FreshTiers.size(); ++I)
+    EXPECT_EQ(ReplayTiers[I].Args, FreshTiers[I].Args) << "tier " << I;
+  expectSame(Replay, Fresh);
+}
+
+TEST(RobustVerifier, OracleBudgetFaultForcesEscalationAndRecovers) {
+  Parsed Src(AddSrc);
+  FaultInjector FI(5);
+  FI.enable(FaultSite::OracleBudget, 1.0);
+  RobustVerifyOptions O;
+  O.MaxTiers = 3;
+  VerifyResult Out;
+  std::vector<TraceEvent> Tiers;
+  RetryDelta D = retryDelta([&] {
+    Tiers = tierEvents([&] {
+      Out = makeVerifier(O, nullptr, &FI).verifyOne(Src.Text, *Src.F, AddSrc);
+    });
+  });
+  ASSERT_GE(Tiers.size(), 2u);
+  EXPECT_TRUE(injectedArg(Tiers[0]));
+  EXPECT_EQ(intArg(Tiers[0], "conflicts"), 0);
+  EXPECT_FALSE(injectedArg(Tiers[1]));
+  EXPECT_EQ(Out.Status, VerifyStatus::Equivalent);
+  EXPECT_EQ(Out.RetryTier, 1u);
+  EXPECT_EQ(FI.counters().injected(FaultSite::OracleBudget), 1u);
+  EXPECT_EQ(D.Rescued, 1u);
+}
+
+TEST(RobustVerifier, VerdictFlipFaultFlipsDefinitiveVerdicts) {
+  Parsed Src(AddSrc);
+  FaultInjector FI(5);
+  FI.enable(FaultSite::VerdictFlip, 1.0);
+  BatchVerifier BV = makeVerifier(RobustVerifyOptions(), nullptr, &FI);
+
+  VerifyResult Eq = BV.verifyOne(Src.Text, *Src.F, AddSrc);
+  EXPECT_EQ(Eq.Status, VerifyStatus::NotEquivalent);
+  EXPECT_NE(Eq.Diagnostic.find("injected verdict flip"), std::string::npos);
+
+  VerifyResult Ne = BV.verifyOne(Src.Text, *Src.F, WrongAdd);
+  EXPECT_EQ(Ne.Status, VerifyStatus::Equivalent);
+  EXPECT_TRUE(Ne.Counterexample.empty());
+  EXPECT_EQ(FI.counters().injected(FaultSite::VerdictFlip), 2u);
+}
+
+TEST(RobustVerifier, InconclusiveVerdictsAreNeverFlipped) {
+  Parsed Src(PtrSrc);
+  FaultInjector FI(5);
+  FI.enable(FaultSite::VerdictFlip, 1.0);
+  VerifyResult Out = makeVerifier(RobustVerifyOptions(), nullptr, &FI)
+                         .verifyOne(Src.Text, *Src.F, Src.Text);
+  EXPECT_EQ(Out.Status, VerifyStatus::Inconclusive);
+  EXPECT_EQ(FI.counters().injected(FaultSite::VerdictFlip), 0u);
+}
+
+TEST(RobustVerifier, DeterministicAcrossInstancesAndRepeats) {
+  Parsed Src(MulSrc);
+  RobustVerifyOptions O;
+  O.Base.FalsifyTrials = 0;
+  O.Base.SolverConflictBudget = 2;
+  O.BudgetGrowth = 2;
+  O.MaxTiers = 3;
+  BatchVerifier A = makeVerifier(O), B = makeVerifier(O);
+  VerifyResult OutA, OutB, OutA2;
+  auto TiersA =
+      tierEvents([&] { OutA = A.verifyOne(Src.Text, *Src.F, MulTgt); });
+  auto TiersB =
+      tierEvents([&] { OutB = B.verifyOne(Src.Text, *Src.F, MulTgt); });
+  auto TiersA2 =
+      tierEvents([&] { OutA2 = A.verifyOne(Src.Text, *Src.F, MulTgt); });
+  ASSERT_EQ(TiersA.size(), TiersB.size());
+  ASSERT_EQ(TiersA.size(), TiersA2.size());
+  for (size_t I = 0; I < TiersA.size(); ++I) {
+    EXPECT_EQ(TiersA[I].Args, TiersB[I].Args);
+    EXPECT_EQ(TiersA[I].Args, TiersA2[I].Args);
+  }
+  expectSame(OutA, OutB);
+  expectSame(OutA, OutA2);
 }
 
 } // namespace

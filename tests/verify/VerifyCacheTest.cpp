@@ -28,6 +28,19 @@ struct Fixture {
   }
 };
 
+/// The cache's one usage pattern (BatchVerifier's per-rung step): peek,
+/// and on a miss compute and seed.
+VerifyResult lookup(VerifyCache &Cache, const Function &Src,
+                    const std::string &Tgt, const VerifyOptions &Opts) {
+  std::string Key = VerifyCache::makeKey(SrcIR, Tgt, Opts);
+  VerifyResult R;
+  if (Cache.peek(Key, R))
+    return R;
+  R = verifyCandidateText(Src, Tgt, Opts);
+  Cache.seed(Key, R);
+  return R;
+}
+
 void expectSameResult(const VerifyResult &A, const VerifyResult &B) {
   EXPECT_EQ(A.Status, B.Status);
   EXPECT_EQ(A.Kind, B.Kind);
@@ -47,17 +60,17 @@ TEST(VerifyCache, HitMissSemantics) {
   VerifyCache Cache;
   VerifyOptions Opts;
 
-  auto R1 = Cache.verify(SrcIR, *F.Src, GoodTgt, Opts);
+  auto R1 = lookup(Cache, *F.Src, GoodTgt, Opts);
   EXPECT_EQ(Cache.counters().Misses, 1u);
   EXPECT_EQ(Cache.counters().Hits, 0u);
 
-  auto R2 = Cache.verify(SrcIR, *F.Src, GoodTgt, Opts);
+  auto R2 = lookup(Cache, *F.Src, GoodTgt, Opts);
   EXPECT_EQ(Cache.counters().Misses, 1u);
   EXPECT_EQ(Cache.counters().Hits, 1u);
   expectSameResult(R1, R2);
 
   // A different candidate is a fresh miss.
-  Cache.verify(SrcIR, *F.Src, BadTgt, Opts);
+  lookup(Cache, *F.Src, BadTgt, Opts);
   EXPECT_EQ(Cache.counters().Misses, 2u);
   EXPECT_EQ(Cache.size(), 2u);
 }
@@ -68,8 +81,8 @@ TEST(VerifyCache, MatchesUncachedResults) {
   VerifyOptions Opts;
   for (const char *Tgt : {GoodTgt, BadTgt, "syntactically broken"}) {
     VerifyResult Plain = verifyCandidateText(*F.Src, Tgt, Opts);
-    VerifyResult Miss = Cache.verify(SrcIR, *F.Src, Tgt, Opts);
-    VerifyResult Hit = Cache.verify(SrcIR, *F.Src, Tgt, Opts);
+    VerifyResult Miss = lookup(Cache, *F.Src, Tgt, Opts);
+    VerifyResult Hit = lookup(Cache, *F.Src, Tgt, Opts);
     expectSameResult(Plain, Miss);
     expectSameResult(Plain, Hit);
   }
@@ -79,11 +92,11 @@ TEST(VerifyCache, CanonicalKeyCollapsesCosmeticVariants) {
   Fixture F;
   VerifyCache Cache;
   VerifyOptions Opts;
-  Cache.verify(SrcIR, *F.Src, GoodTgt, Opts);
+  lookup(Cache, *F.Src, GoodTgt, Opts);
   // Same IR with different whitespace and value names: one entry.
   std::string Renamed = "define i32 @f(i32 %x)  {\n\n  %zz = shl i32 %x, 1\n"
                         "  ret i32   %zz\n}\n";
-  auto R = Cache.verify(SrcIR, *F.Src, Renamed, Opts);
+  auto R = lookup(Cache, *F.Src, Renamed, Opts);
   EXPECT_EQ(Cache.counters().Hits, 1u);
   EXPECT_EQ(Cache.counters().Misses, 1u);
   EXPECT_EQ(R.Status, VerifyStatus::Equivalent);
@@ -94,8 +107,8 @@ TEST(VerifyCache, OptionsArePartOfTheKey) {
   VerifyCache Cache;
   VerifyOptions A, B;
   B.FalsifyTrials = A.FalsifyTrials + 1;
-  Cache.verify(SrcIR, *F.Src, BadTgt, A);
-  Cache.verify(SrcIR, *F.Src, BadTgt, B);
+  lookup(Cache, *F.Src, BadTgt, A);
+  lookup(Cache, *F.Src, BadTgt, B);
   EXPECT_EQ(Cache.counters().Misses, 2u);
 }
 
@@ -105,19 +118,21 @@ TEST(VerifyCache, EvictsLeastRecentlyUsed) {
   VerifyOptions Opts;
   const char *Tgt3 = "define i32 @f(i32 %x) {\n  %y = add i32 %x, %x\n"
                      "  ret i32 %y\n}\n";
-  Cache.verify(SrcIR, *F.Src, GoodTgt, Opts); // miss
-  Cache.verify(SrcIR, *F.Src, BadTgt, Opts);  // miss
-  Cache.verify(SrcIR, *F.Src, GoodTgt, Opts); // hit: GoodTgt now MRU
-  Cache.verify(SrcIR, *F.Src, Tgt3, Opts);    // miss: evicts BadTgt
+  lookup(Cache, *F.Src, GoodTgt, Opts); // miss
+  lookup(Cache, *F.Src, BadTgt, Opts);  // miss
+  lookup(Cache, *F.Src, GoodTgt, Opts); // hit: GoodTgt now MRU
+  lookup(Cache, *F.Src, Tgt3, Opts);    // miss: evicts BadTgt
   EXPECT_EQ(Cache.counters().Evictions, 1u);
   EXPECT_EQ(Cache.size(), 2u);
-  Cache.verify(SrcIR, *F.Src, GoodTgt, Opts); // still resident
+  lookup(Cache, *F.Src, GoodTgt, Opts); // still resident
   EXPECT_EQ(Cache.counters().Hits, 2u);
-  Cache.verify(SrcIR, *F.Src, BadTgt, Opts); // evicted: a miss again
+  lookup(Cache, *F.Src, BadTgt, Opts); // evicted: a miss again
   EXPECT_EQ(Cache.counters().Misses, 4u);
 }
 
 TEST(VerifyCache, ConcurrentLookupsAgree) {
+  // Concurrent peek/seed of the same keys: every caller sees the right
+  // verdict, every lookup is counted once, and each key is resident once.
   Fixture F;
   VerifyCache Cache;
   VerifyOptions Opts;
@@ -129,18 +144,16 @@ TEST(VerifyCache, ConcurrentLookupsAgree) {
   ThreadPool Pool(4);
   Pool.parallelFor(N, [&](size_t I) {
     const char *Tgt = (I % 2) ? BadTgt : GoodTgt;
-    Results[I] = Cache.verify(SrcIR, *F.Src, Tgt, Opts);
+    Results[I] = lookup(Cache, *F.Src, Tgt, Opts);
   });
 
   for (size_t I = 0; I < N; ++I)
     expectSameResult(Results[I], Expected[I % 2]);
   auto C = Cache.counters();
   EXPECT_EQ(C.lookups(), N);
-  // Each distinct candidate is computed at most... exactly twice total:
-  // single-flight joins every concurrent duplicate onto one computation.
-  EXPECT_EQ(C.Misses, 2u);
-  EXPECT_EQ(C.Hits, N - 2);
-  EXPECT_DOUBLE_EQ(C.hitRate(), static_cast<double>(N - 2) / N);
+  EXPECT_GE(C.Misses, 2u);
+  EXPECT_DOUBLE_EQ(C.hitRate(), static_cast<double>(C.Hits) / N);
+  EXPECT_EQ(Cache.size(), 2u);
 }
 
 } // namespace

@@ -35,7 +35,7 @@
 // --verdict-store) over a scratch directory and exits nonzero unless every
 // gate holds:
 //   1. all-healthy run  => bit-identical to evaluateModelSharded() and the
-//      serial evaluateModel() oracle;
+//      serial evaluation oracle (oracle::evaluateSerially);
 //   2. chaos run (flaky shard 0, crash shard 1, hang shard 2, corrupt
 //      result shard 3) => completes, salvages shard 0 via retry
 //      (salvaged > 0), quarantines exactly shards {1,2,3}, and the
@@ -52,6 +52,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "oracle/Oracle.h"
 #include "pipeline/EvalDriver.h"
 #include "store/VerdictStore.h"
 #include "support/AtomicFile.h"
@@ -164,7 +165,8 @@ int chaosGate(DriveConfig C) {
   DOpts.Seed = C.DatasetSeed;
   Dataset DS = buildDataset(DOpts);
   RewritePolicyModel Model(presetQwen3B());
-  EvalResult Oracle = evaluateModel(Model, DS.Valid, PromptMode::Generic);
+  EvalResult Oracle =
+      oracle::evaluateSerially(Model, DS.Valid, PromptMode::Generic);
   auto Plan = planEvalShards(DS.Valid.size(), C.Shards, C.PlanSeed);
 
   unsigned Failures = 0;

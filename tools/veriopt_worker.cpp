@@ -250,9 +250,10 @@ int main(int argc, char **argv) {
   RewritePolicyModel Model(presetQwen3B());
 
   // With a verdict store, verify through a private cache backed by the
-  // shared journal — same construction as evaluateModelSharded's batch
-  // path, so the verdicts (and therefore the result file) stay
-  // bit-identical to the plain path below.
+  // shared journal — the construction evaluateModelSharded uses — so the
+  // verdicts (and therefore the result file) stay bit-identical to a
+  // store-less run, where evaluateEvalShard verifies through a local
+  // cacheless BatchVerifier.
   std::unique_ptr<VerdictStore> Store;
   std::unique_ptr<VerifyCache> Cache;
   std::unique_ptr<BatchVerifier> BV;
@@ -265,7 +266,7 @@ int main(int argc, char **argv) {
                    StorePath.c_str(), SErr.c_str());
       return 5;
     }
-    Cache = std::make_unique<VerifyCache>(4096);
+    Cache = std::make_unique<VerifyCache>();
     Cache->setBackingStore(Store.get());
     BatchVerifier::Options BO;
     BO.Robust.Base = VerifyOptions();
