@@ -7,8 +7,10 @@
 
 namespace veriopt {
 
-// Reason sentinel: -1 means "decision / no reason".
-static constexpr int NoReason = -1;
+// Reason sentinel: "decision / no reason". Never a valid arena offset.
+static constexpr uint32_t NoReason = UINT32_MAX;
+// HeapPos value of a variable that is not in the decision heap.
+static constexpr unsigned NotInHeap = UINT32_MAX;
 
 SatSolver::SatSolver() {
   // Var 0 is a dummy so variables are 1-based.
@@ -18,6 +20,7 @@ SatSolver::SatSolver() {
   ReasonOf.push_back(NoReason);
   Frozen.push_back(0);
   Activity.push_back(0);
+  HeapPos.push_back(NotInHeap);
   Seen.push_back(0);
   Watches.resize(2);
 }
@@ -30,45 +33,51 @@ unsigned SatSolver::newVar() {
   ReasonOf.push_back(NoReason);
   Frozen.push_back(0);
   Activity.push_back(0);
+  HeapPos.push_back(NotInHeap);
   Seen.push_back(0);
   Watches.resize(Watches.size() + 2);
+  heapInsert(V);
   return V;
 }
 
 void SatSolver::setFrozen(unsigned Var, bool B) {
   assert(Var < Frozen.size() && "freezing an unallocated variable");
   Frozen[Var] = B ? 1 : 0;
+  // Freezing leaves Var in the heap until it surfaces; thawing must put an
+  // unassigned variable back.
+  if (!B && Assign[Var] == LBool::Undef && HeapPos[Var] == NotInHeap)
+    heapInsert(Var);
 }
 
-bool SatSolver::addClause(std::vector<Lit> Ls) {
+bool SatSolver::addLits(Lit *Ls, size_t N) {
   if (Unsatisfiable)
     return false;
   assert(TrailLim.empty() && "clauses must be added at decision level 0");
 
-  // Normalize: drop duplicates and false literals; detect tautologies and
-  // already-satisfied clauses.
-  std::sort(Ls.begin(), Ls.end(),
-            [](Lit A, Lit B) { return A.Code < B.Code; });
-  std::vector<Lit> Out;
-  for (size_t I = 0; I < Ls.size(); ++I) {
-    if (I + 1 < Ls.size() && Ls[I] == Ls[I + 1])
+  // Normalize in place: drop duplicates and false literals; detect
+  // tautologies and already-satisfied clauses. Ls[0..Out) is the result;
+  // Out <= I, so no literal is overwritten before it is read.
+  std::sort(Ls, Ls + N, [](Lit A, Lit B) { return A.Code < B.Code; });
+  size_t Out = 0;
+  for (size_t I = 0; I < N; ++I) {
+    if (I + 1 < N && Ls[I] == Ls[I + 1])
       continue; // duplicate
-    if (I + 1 < Ls.size() && Ls[I].var() == Ls[I + 1].var())
+    if (I + 1 < N && Ls[I].var() == Ls[I + 1].var())
       return true; // l and ~l: tautology
     LBool V = value(Ls[I]);
     if (V == LBool::True)
       return true; // satisfied at level 0
     if (V == LBool::False)
       continue; // falsified at level 0: drop
-    Out.push_back(Ls[I]);
+    Ls[Out++] = Ls[I];
   }
 
-  if (Out.empty()) {
+  if (Out == 0) {
     Unsatisfiable = true;
     return false;
   }
-  if (Out.size() == 1) {
-    enqueue(Out[0], NoReason);
+  if (Out == 1) {
+    enqueue(Ls[0], NoReason);
     if (propagate() != NoReason) {
       Unsatisfiable = true;
       return false;
@@ -76,18 +85,22 @@ bool SatSolver::addClause(std::vector<Lit> Ls) {
     return true;
   }
 
-  Clause C;
-  C.Ls = std::move(Out);
-  Clauses.push_back(std::move(C));
-  attach(static_cast<ClauseRef>(Clauses.size() - 1));
+  attachClause({Ls, Out});
   return true;
 }
 
-void SatSolver::attach(ClauseRef CR) {
-  const Clause &C = Clauses[CR];
-  assert(C.Ls.size() >= 2 && "attaching a short clause");
-  Watches[(~C.Ls[0]).Code].push_back({CR, C.Ls[1]});
-  Watches[(~C.Ls[1]).Code].push_back({CR, C.Ls[0]});
+SatSolver::ClauseRef SatSolver::attachClause(std::span<const Lit> Ls) {
+  assert(Ls.size() >= 2 && "attaching a short clause");
+  assert(Arena.size() + 1 + Ls.size() < NoReason && "clause arena overflow");
+  ClauseRef CR = static_cast<ClauseRef>(Arena.size());
+  Lit Header;
+  Header.Code = static_cast<unsigned>(Ls.size());
+  Arena.push_back(Header);
+  Arena.insert(Arena.end(), Ls.begin(), Ls.end());
+  ++NumClauses;
+  Watches[(~Ls[0]).Code].push_back({CR, Ls[1]});
+  Watches[(~Ls[1]).Code].push_back({CR, Ls[0]});
+  return CR;
 }
 
 void SatSolver::enqueue(Lit L, ClauseRef Reason) {
@@ -103,33 +116,35 @@ SatSolver::ClauseRef SatSolver::propagate() {
     Lit P = Trail[QHead++]; // P is true; visit watchers of ~P... (see below)
     ++Propagations;
     // Watches[P.Code] holds clauses watching ~P (attached via (~lit).Code),
-    // i.e. clauses that may become unit now that P is true.
+    // i.e. clauses that may become unit now that P is true. Kept watches
+    // are compacted to the front of the list in their original order.
     std::vector<Watch> &WList = Watches[P.Code];
-    size_t Keep = 0;
-    for (size_t I = 0; I < WList.size(); ++I) {
-      Watch W = WList[I];
+    Watch *I = WList.data(), *Keep = I, *End = I + WList.size();
+    while (I != End) {
+      Watch W = *I++;
       // Blocker check: clause already satisfied.
       if (value(W.Blocker) == LBool::True) {
-        WList[Keep++] = W;
+        *Keep++ = W;
         continue;
       }
-      Clause &C = Clauses[W.CR];
+      std::span<Lit> C = clause(W.CR);
       // Ensure the falsified literal is at slot 1.
       Lit FalseLit = ~P;
-      if (C.Ls[0] == FalseLit)
-        std::swap(C.Ls[0], C.Ls[1]);
-      assert(C.Ls[1] == FalseLit && "watch list out of sync");
+      if (C[0] == FalseLit)
+        std::swap(C[0], C[1]);
+      assert(C[1] == FalseLit && "watch list out of sync");
       // First watch true? Keep with updated blocker.
-      if (value(C.Ls[0]) == LBool::True) {
-        WList[Keep++] = {W.CR, C.Ls[0]};
+      if (value(C[0]) == LBool::True) {
+        *Keep++ = {W.CR, C[0]};
         continue;
       }
-      // Find a new literal to watch.
+      // Find a new literal to watch. Its list is never WList: the clause
+      // holds no duplicate of the false literal ~P.
       bool Moved = false;
-      for (size_t K = 2; K < C.Ls.size(); ++K) {
-        if (value(C.Ls[K]) != LBool::False) {
-          std::swap(C.Ls[1], C.Ls[K]);
-          Watches[(~C.Ls[1]).Code].push_back({W.CR, C.Ls[0]});
+      for (size_t K = 2; K < C.size(); ++K) {
+        if (value(C[K]) != LBool::False) {
+          std::swap(C[1], C[K]);
+          Watches[(~C[1]).Code].push_back({W.CR, C[0]});
           Moved = true;
           break;
         }
@@ -137,20 +152,71 @@ SatSolver::ClauseRef SatSolver::propagate() {
       if (Moved)
         continue; // watch moved elsewhere; drop from this list
       // Clause is unit or conflicting.
-      WList[Keep++] = W;
-      if (value(C.Ls[0]) == LBool::False) {
+      *Keep++ = W;
+      if (value(C[0]) == LBool::False) {
         // Conflict: restore remaining watches and report.
-        for (size_t K = I + 1; K < WList.size(); ++K)
-          WList[Keep++] = WList[K];
-        WList.resize(Keep);
+        Keep = std::copy(I, End, Keep);
+        WList.resize(Keep - WList.data());
         QHead = Trail.size();
         return W.CR;
       }
-      enqueue(C.Ls[0], W.CR);
+      enqueue(C[0], W.CR);
     }
-    WList.resize(Keep);
+    WList.resize(Keep - WList.data());
   }
   return NoReason;
+}
+
+void SatSolver::heapInsert(unsigned V) {
+  HeapPos[V] = static_cast<unsigned>(Heap.size());
+  Heap.push_back(V);
+  heapSiftUp(Heap.size() - 1);
+}
+
+void SatSolver::heapSiftUp(size_t I) {
+  unsigned V = Heap[I];
+  while (I > 0) {
+    size_t Parent = (I - 1) / 2;
+    if (!before(V, Heap[Parent]))
+      break;
+    Heap[I] = Heap[Parent];
+    HeapPos[Heap[I]] = static_cast<unsigned>(I);
+    I = Parent;
+  }
+  Heap[I] = V;
+  HeapPos[V] = static_cast<unsigned>(I);
+}
+
+void SatSolver::heapSiftDown(size_t I) {
+  unsigned V = Heap[I];
+  size_t N = Heap.size();
+  while (2 * I + 1 < N) {
+    size_t Child = 2 * I + 1;
+    if (Child + 1 < N && before(Heap[Child + 1], Heap[Child]))
+      ++Child;
+    if (!before(Heap[Child], V))
+      break;
+    Heap[I] = Heap[Child];
+    HeapPos[Heap[I]] = static_cast<unsigned>(I);
+    I = Child;
+  }
+  Heap[I] = V;
+  HeapPos[V] = static_cast<unsigned>(I);
+}
+
+void SatSolver::heapPop() {
+  HeapPos[Heap[0]] = NotInHeap;
+  unsigned Last = Heap.back();
+  Heap.pop_back();
+  if (!Heap.empty()) {
+    Heap[0] = Last;
+    heapSiftDown(0);
+  }
+}
+
+void SatSolver::heapRebuild() {
+  for (size_t I = Heap.size() / 2; I-- > 0;)
+    heapSiftDown(I);
 }
 
 void SatSolver::bumpVar(unsigned V) {
@@ -159,13 +225,18 @@ void SatSolver::bumpVar(unsigned V) {
     for (double &A : Activity)
       A *= 1e-100;
     ActivityInc *= 1e-100;
+    // Scaling may round distinct activities into ties (small ones all the
+    // way to 0), which the index tie-break then orders differently than the
+    // heap does: re-heapify rather than trust the old shape.
+    heapRebuild();
+  } else if (HeapPos[V] != NotInHeap) {
+    heapSiftUp(HeapPos[V]);
   }
 }
 
 void SatSolver::decayActivities() { ActivityInc *= (1.0 / 0.95); }
 
-void SatSolver::analyze(ClauseRef Confl, std::vector<Lit> &Learnt,
-                        unsigned &BtLevel) {
+unsigned SatSolver::analyze(ClauseRef Confl) {
   Learnt.clear();
   Learnt.push_back(Lit()); // slot for the asserting literal
   unsigned CurLevel = static_cast<unsigned>(TrailLim.size());
@@ -177,10 +248,7 @@ void SatSolver::analyze(ClauseRef Confl, std::vector<Lit> &Learnt,
   ClauseRef Reason = Confl;
   while (true) {
     assert(Reason != NoReason && "conflict analysis lost its reason");
-    Clause &C = Clauses[Reason];
-    if (C.Learnt)
-      C.Activity += 1.0;
-    for (Lit Q : C.Ls) {
+    for (Lit Q : clause(Reason)) {
       if (PValid && Q == P)
         continue;
       unsigned V = Q.var();
@@ -207,7 +275,7 @@ void SatSolver::analyze(ClauseRef Confl, std::vector<Lit> &Learnt,
   Learnt[0] = ~P;
 
   // Compute backtrack level (second-highest level in the clause).
-  BtLevel = 0;
+  unsigned BtLevel = 0;
   if (Learnt.size() > 1) {
     size_t MaxI = 1;
     for (size_t I = 2; I < Learnt.size(); ++I)
@@ -218,6 +286,7 @@ void SatSolver::analyze(ClauseRef Confl, std::vector<Lit> &Learnt,
   }
   for (Lit L : Learnt)
     Seen[L.var()] = 0;
+  return BtLevel;
 }
 
 void SatSolver::analyzeFinal(Lit FailedAssump) {
@@ -238,7 +307,7 @@ void SatSolver::analyzeFinal(Lit FailedAssump) {
     if (ReasonOf[V] == NoReason) {
       Core.push_back(Trail[I - 1]);
     } else {
-      for (Lit L : Clauses[ReasonOf[V]].Ls)
+      for (Lit L : clause(ReasonOf[V]))
         if (L.var() != V && LevelOf[L.var()] > 0)
           Seen[L.var()] = 1;
     }
@@ -256,6 +325,8 @@ void SatSolver::backtrack(unsigned Level) {
     SavedPhase[V] = Assign[V];
     Assign[V] = LBool::Undef;
     ReasonOf[V] = NoReason;
+    if (HeapPos[V] == NotInHeap && !Frozen[V])
+      heapInsert(V);
   }
   Trail.resize(Bound);
   TrailLim.resize(Level);
@@ -263,18 +334,23 @@ void SatSolver::backtrack(unsigned Level) {
 }
 
 Lit SatSolver::pickBranchLit() {
-  // Highest-activity unassigned variable (linear scan is fine at our sizes;
-  // queries are thousands of vars, not millions).
+  // Every unassigned unfrozen variable is in the heap, so the first such
+  // variable to surface is the highest-activity one (lowest index on ties).
   unsigned Best = 0;
-  double BestAct = -1;
-  for (unsigned V = 1; V < Assign.size(); ++V)
-    if (Assign[V] == LBool::Undef && !Frozen[V] && Activity[V] > BestAct) {
+  while (!Heap.empty()) {
+    unsigned V = Heap[0];
+    if (Assign[V] == LBool::Undef && !Frozen[V]) {
       Best = V;
-      BestAct = Activity[V];
+      break;
     }
+    heapPop();
+  }
   if (Best == 0) {
     // Only frozen variables (dormant group selectors) remain: decide them
     // last, so saved phases — false by default — deactivate their groups.
+    // This scan runs once per frozen decision and once per complete
+    // assignment, not per decision.
+    double BestAct = -1;
     for (unsigned V = 1; V < Assign.size(); ++V)
       if (Assign[V] == LBool::Undef && Activity[V] > BestAct) {
         Best = V;
@@ -346,21 +422,11 @@ SatSolver::Result SatSolver::search(const std::vector<Lit> &Assumptions,
         return Result::Unknown;
       }
 
-      std::vector<Lit> Learnt;
-      unsigned BtLevel = 0;
-      analyze(Confl, Learnt, BtLevel);
-      backtrack(BtLevel);
-      if (Learnt.size() == 1) {
+      backtrack(analyze(Confl));
+      if (Learnt.size() == 1)
         enqueue(Learnt[0], NoReason);
-      } else {
-        Clause C;
-        C.Ls = std::move(Learnt);
-        C.Learnt = true;
-        Clauses.push_back(std::move(C));
-        ClauseRef CR = static_cast<ClauseRef>(Clauses.size() - 1);
-        attach(CR);
-        enqueue(Clauses[CR].Ls[0], CR);
-      }
+      else
+        enqueue(Learnt[0], attachClause(Learnt));
       decayActivities();
 
       if (ConflictsSinceRestart >= RestartLimit) {

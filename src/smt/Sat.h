@@ -26,6 +26,21 @@
 // A conflict budget bounds each query; exhausting it returns Unknown, which
 // the verifier surfaces as the paper's "Inconclusive" outcome.
 //
+// Data layout. Every clause lives in one literal arena: a header slot whose
+// Code holds the clause size, then the literals. A clause is named by the
+// arena offset of its header, so watches and reasons are plain integers and
+// copying a solver (QueryPrefix clones its master per query) copies one
+// array instead of one heap block per clause.
+//
+// Decision order. The next decision is the unassigned unfrozen variable with
+// the highest activity, the lowest index breaking ties; once every unfrozen
+// variable is assigned, the frozen ones follow in the same order. Unfrozen
+// variables sit in a binary heap under (activity desc, index asc). A
+// variable enters the heap when it is created, unfrozen, or unassigned by
+// backtracking; assigned and frozen ones are dropped lazily when they reach
+// the top. A bump sifts its variable up; the 1e-100 activity rescale can
+// round distinct activities into ties (or to 0), so it re-heapifies.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef VERIOPT_SMT_SAT_H
@@ -35,6 +50,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace veriopt {
@@ -73,7 +89,7 @@ public:
   unsigned numVars() const {
     return static_cast<unsigned>(Activity.size()) - 1; // var 0 is a dummy
   }
-  unsigned numClauses() const { return static_cast<unsigned>(Clauses.size()); }
+  unsigned numClauses() const { return NumClauses; }
   uint64_t conflicts() const { return Conflicts; }
   uint64_t propagations() const { return Propagations; }
   uint64_t decisions() const { return Decisions; }
@@ -96,11 +112,15 @@ public:
 
   /// Add a clause (disjunction of literals). Returns false if the formula
   /// became trivially unsatisfiable (empty clause / conflicting units).
-  bool addClause(std::vector<Lit> Ls);
-  bool addClause(Lit A) { return addClause(std::vector<Lit>{A}); }
-  bool addClause(Lit A, Lit B) { return addClause(std::vector<Lit>{A, B}); }
+  bool addClause(std::vector<Lit> Ls) { return addLits(Ls.data(), Ls.size()); }
+  bool addClause(Lit A) { return addLits(&A, 1); }
+  bool addClause(Lit A, Lit B) {
+    Lit Ls[] = {A, B};
+    return addLits(Ls, 2);
+  }
   bool addClause(Lit A, Lit B, Lit C) {
-    return addClause(std::vector<Lit>{A, B, C});
+    Lit Ls[] = {A, B, C};
+    return addLits(Ls, 3);
   }
 
   /// Solve with a conflict budget (0 = unlimited). A non-null \p F is
@@ -130,12 +150,8 @@ public:
   }
 
 private:
-  struct Clause {
-    std::vector<Lit> Ls;
-    bool Learnt = false;
-    double Activity = 0;
-  };
-  using ClauseRef = int;
+  /// Arena offset of a clause's header slot.
+  using ClauseRef = uint32_t;
 
   struct Watch {
     ClauseRef CR;
@@ -149,10 +165,18 @@ private:
     return (V == LBool::True) != L.negated() ? LBool::True : LBool::False;
   }
 
-  void attach(ClauseRef CR);
+  /// The literals of clause \p CR. Valid until the next clause is stored.
+  std::span<Lit> clause(ClauseRef CR) {
+    return {Arena.data() + CR + 1, Arena[CR].Code};
+  }
+
+  /// Normalize Ls[0..N) in place and add it (the addClause() contract).
+  bool addLits(Lit *Ls, size_t N);
+  /// Store a clause of two or more literals and watch its first two.
+  ClauseRef attachClause(std::span<const Lit> Ls);
   void enqueue(Lit L, ClauseRef Reason);
   ClauseRef propagate();
-  void analyze(ClauseRef Confl, std::vector<Lit> &Learnt, unsigned &BtLevel);
+  unsigned analyze(ClauseRef Confl);
   void analyzeFinal(Lit FailedAssump);
   void backtrack(unsigned Level);
   Lit pickBranchLit();
@@ -161,7 +185,18 @@ private:
   Result search(const std::vector<Lit> &Assumptions, uint64_t ConflictBudget,
                 Fuel *F);
 
-  std::vector<Clause> Clauses;
+  /// Decision heap: Heap[0] comes first under before().
+  bool before(unsigned A, unsigned B) const {
+    return Activity[A] > Activity[B] || (Activity[A] == Activity[B] && A < B);
+  }
+  void heapInsert(unsigned V);
+  void heapSiftUp(size_t I);
+  void heapSiftDown(size_t I);
+  void heapPop();
+  void heapRebuild();
+
+  std::vector<Lit> Arena; // clause headers and literals
+  unsigned NumClauses = 0;
   std::vector<std::vector<Watch>> Watches; // indexed by Lit code
   std::vector<LBool> Assign;               // per var
   std::vector<LBool> SavedPhase;           // per var
@@ -174,7 +209,10 @@ private:
 
   std::vector<double> Activity; // per var
   double ActivityInc = 1.0;
-  std::vector<uint8_t> Seen; // scratch for analyze()
+  std::vector<unsigned> Heap;    // all unassigned unfrozen vars (+ stale)
+  std::vector<unsigned> HeapPos; // per var: slot in Heap, or NotInHeap
+  std::vector<uint8_t> Seen;     // scratch for analyze()
+  std::vector<Lit> Learnt;       // analyze()'s output, reused per conflict
 
   std::vector<LBool> Model; // snapshot of the last Sat assignment
   std::vector<Lit> Core;    // failed assumptions of the last Unsat

@@ -101,8 +101,9 @@ TEST(Dataset, ReferencePassActuallyOptimizes) {
 TEST(Dataset, TracesNonEmptyForChangedSamples) {
   auto DS = buildDataset(smallOpts());
   for (const auto &S : DS.Train)
-    if (S.SrcText != S.RefText)
+    if (S.SrcText != S.RefText) {
       EXPECT_FALSE(S.RefTrace.empty());
+    }
 }
 
 TEST(Dataset, CSourceProvenanceAttached) {

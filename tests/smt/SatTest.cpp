@@ -6,8 +6,36 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <ostream>
+
 namespace veriopt {
 namespace {
+
+/// PHP(N,H): N pigeons into H holes, unsatisfiable whenever N > H. With a
+/// \p Guard, every clause only binds while the guard is true.
+void addPigeonhole(SatSolver &S, int N, int H,
+                   std::optional<Lit> Guard = std::nullopt) {
+  auto add = [&](std::vector<Lit> Cl) {
+    if (Guard)
+      Cl.push_back(~*Guard);
+    S.addClause(Cl);
+  };
+  std::vector<std::vector<unsigned>> P(N, std::vector<unsigned>(H));
+  for (auto &Row : P)
+    for (unsigned &V : Row)
+      V = S.newVar();
+  for (int I = 0; I < N; ++I) {
+    std::vector<Lit> Cl;
+    for (int K = 0; K < H; ++K)
+      Cl.push_back(Lit(P[I][K], false));
+    add(Cl);
+  }
+  for (int K = 0; K < H; ++K)
+    for (int I = 0; I < N; ++I)
+      for (int J = I + 1; J < N; ++J)
+        add({Lit(P[I][K], true), Lit(P[J][K], true)});
+}
 
 TEST(Sat, TrivialSat) {
   SatSolver S;
@@ -85,21 +113,7 @@ TEST(Sat, PigeonHole3Into2) {
 TEST(Sat, ConflictBudgetReportsUnknown) {
   // PHP(7,6) is hard enough that a budget of 1 conflict cannot finish.
   SatSolver S;
-  const int N = 7, H = 6;
-  std::vector<std::vector<unsigned>> P(N, std::vector<unsigned>(H));
-  for (auto &Row : P)
-    for (unsigned &V : Row)
-      V = S.newVar();
-  for (int I = 0; I < N; ++I) {
-    std::vector<Lit> Cl;
-    for (int K = 0; K < H; ++K)
-      Cl.push_back(Lit(P[I][K], false));
-    S.addClause(Cl);
-  }
-  for (int K = 0; K < H; ++K)
-    for (int I = 0; I < N; ++I)
-      for (int J = I + 1; J < N; ++J)
-        S.addClause(Lit(P[I][K], true), Lit(P[J][K], true));
+  addPigeonhole(S, 7, 6);
   EXPECT_EQ(S.solve(1), SatSolver::Result::Unknown);
   // And with no budget it proves unsatisfiability.
   EXPECT_EQ(S.solve(0), SatSolver::Result::Unsat);
@@ -341,28 +355,12 @@ TEST(SatIncremental, BackToBackSolvesMatchFreshSolvers) {
 TEST(SatIncremental, SolveAfterBudgetUnknownMatchesFresh) {
   // A budget-starved Unknown in between must not perturb later verdicts
   // (the historic stale-state failure mode).
-  auto buildPHP = [](SatSolver &S, int N, int H) {
-    std::vector<std::vector<unsigned>> P(N, std::vector<unsigned>(H));
-    for (auto &Row : P)
-      for (unsigned &V : Row)
-        V = S.newVar();
-    for (int I = 0; I < N; ++I) {
-      std::vector<Lit> Cl;
-      for (int K = 0; K < H; ++K)
-        Cl.push_back(Lit(P[I][K], false));
-      S.addClause(Cl);
-    }
-    for (int K = 0; K < H; ++K)
-      for (int I = 0; I < N; ++I)
-        for (int J = I + 1; J < N; ++J)
-          S.addClause(Lit(P[I][K], true), Lit(P[J][K], true));
-  };
   SatSolver Inc;
-  buildPHP(Inc, 6, 5);
+  addPigeonhole(Inc, 6, 5);
   EXPECT_EQ(Inc.solve(2), SatSolver::Result::Unknown);
   EXPECT_EQ(Inc.solve(3), SatSolver::Result::Unknown);
   SatSolver Fresh;
-  buildPHP(Fresh, 6, 5);
+  addPigeonhole(Fresh, 6, 5);
   EXPECT_EQ(Inc.solve(0), Fresh.solve(0));
   EXPECT_EQ(Inc.solve(0), SatSolver::Result::Unsat);
 }
@@ -389,6 +387,182 @@ TEST(SatIncremental, LearnedClausesRetainedAcrossCalls) {
   // A second solve on the latched instance is immediate: no new conflicts.
   ASSERT_EQ(S.solve(), SatSolver::Result::Unsat);
   EXPECT_EQ(S.lastConflicts(), 0u);
+}
+
+//===--- Search trajectory ---------------------------------------------------//
+//
+// These cases pin what the search does, not only what it answers: any change
+// to the branching order (activity ties included), to propagation order or to
+// clause learning moves a count, the core or the model. The expected values
+// were recorded from the solver that picked decisions by a linear scan over
+// the variables; the decision heap must reproduce them exactly.
+
+using Result = SatSolver::Result;
+
+struct Trajectory {
+  Result R = Result::Unknown;
+  uint64_t Decisions = 0;
+  uint64_t Propagations = 0;
+  uint64_t Conflicts = 0;
+  std::vector<unsigned> Core; // conflictCore() literal codes, in order
+  uint64_t Model = 0;         // FNV-1a digest of the model; 0 unless Sat
+  bool operator==(const Trajectory &) const = default;
+};
+
+std::ostream &operator<<(std::ostream &OS, const Trajectory &T) {
+  static const char *const Names[] = {"Sat", "Unsat", "Unknown"};
+  OS << "{Result::" << Names[static_cast<int>(T.R)] << ", " << T.Decisions
+     << ", " << T.Propagations << ", " << T.Conflicts << ", {";
+  for (size_t I = 0; I < T.Core.size(); ++I)
+    OS << (I ? ", " : "") << T.Core[I];
+  return OS << "}, 0x" << std::hex << T.Model << std::dec << "}";
+}
+
+/// Solve and record the trajectory. The counters are the solver's running
+/// totals, so a sequence of calls on one solver pins every call before it.
+Trajectory solveRecorded(SatSolver &S, const std::vector<Lit> &Assumps = {},
+                         uint64_t ConflictBudget = 0) {
+  Trajectory T;
+  T.R = S.solve(Assumps, ConflictBudget);
+  T.Decisions = S.decisions();
+  T.Propagations = S.propagations();
+  T.Conflicts = S.conflicts();
+  for (Lit L : S.conflictCore())
+    T.Core.push_back(L.Code);
+  if (T.R == Result::Sat) {
+    T.Model = 0xcbf29ce484222325ULL;
+    for (unsigned V = 1; V <= S.numVars(); ++V)
+      T.Model = (T.Model ^ (S.modelValue(V) ? 1 : 0)) * 0x100000001b3ULL;
+  }
+  return T;
+}
+
+/// A random 3-literal clause over three distinct variables of 1..NumVars.
+std::vector<Lit> random3Clause(RNG &R, unsigned NumVars) {
+  unsigned A = 1 + static_cast<unsigned>(R.below(NumVars)), B, C;
+  do
+    B = 1 + static_cast<unsigned>(R.below(NumVars));
+  while (B == A);
+  do
+    C = 1 + static_cast<unsigned>(R.below(NumVars));
+  while (C == A || C == B);
+  return {Lit(A, R.chance(0.5)), Lit(B, R.chance(0.5)), Lit(C, R.chance(0.5))};
+}
+
+/// Uniform random 3-SAT with NumClauses clauses over NumVars variables.
+void addRandom3Sat(SatSolver &S, unsigned NumVars, unsigned NumClauses,
+                   uint64_t Seed) {
+  RNG R(Seed);
+  while (S.numVars() < NumVars)
+    S.newVar();
+  for (unsigned I = 0; I < NumClauses; ++I)
+    S.addClause(random3Clause(R, NumVars));
+}
+
+TEST(SatTrajectory, Random3SatAtThreshold) {
+  // Clause/variable ratio 4.26, where random 3-SAT is hardest. The 200-var
+  // instance is solved (Sat after 13,988 conflicts, past three activity
+  // rescales); the larger ones stop at their conflict budget.
+  struct Case {
+    unsigned Vars;
+    uint64_t Seed;
+    uint64_t ConflictBudget;
+    Trajectory Want;
+  };
+  const Case Cases[] = {
+      {200, 4, 0, {Result::Sat, 16783, 551989, 13988, {}, 0xee6c6e390fe0189}},
+      {1000, 1, 3000, {Result::Unknown, 4442, 334557, 3000, {}, 0}},
+      {3000, 1, 1000, {Result::Unknown, 2679, 235266, 1000, {}, 0}},
+  };
+  for (const Case &C : Cases) {
+    SatSolver S;
+    addRandom3Sat(S, C.Vars, C.Vars * 426 / 100, C.Seed);
+    EXPECT_EQ(solveRecorded(S, {}, C.ConflictBudget), C.Want)
+        << C.Vars << " variables";
+  }
+}
+
+TEST(SatTrajectory, Pigeonhole7Into6) {
+  SatSolver S;
+  addPigeonhole(S, 7, 6);
+  EXPECT_EQ(solveRecorded(S),
+            (Trajectory{Result::Unsat, 1067, 11024, 886, {}, 0}));
+}
+
+TEST(SatTrajectory, AssumptionsOverFrozenSelectors) {
+  // A satisfiable base plus four groups of clauses, each guarded by a frozen
+  // selector, queried on one solver under growing selector sets. Without
+  // assumptions the selectors are decided last, at their saved phases.
+  const unsigned NumVars = 150;
+  SatSolver S;
+  addRandom3Sat(S, NumVars, 450, 11);
+  RNG R(12);
+  std::vector<Lit> Sel;
+  for (int G = 0; G < 4; ++G) {
+    Sel.push_back(Lit(S.newVar(), false));
+    S.setFrozen(Sel.back().var(), true);
+    for (int I = 0; I < 60; ++I) {
+      std::vector<Lit> Cl = random3Clause(R, NumVars);
+      Cl.push_back(~Sel.back());
+      S.addClause(Cl);
+    }
+  }
+  EXPECT_EQ(solveRecorded(S, {Sel[0]}),
+            (Trajectory{Result::Sat, 44, 197, 1, {}, 0xcb288804c8c8db91}));
+  EXPECT_EQ(solveRecorded(S, {Sel[0], Sel[1]}),
+            (Trajectory{Result::Sat, 91, 392, 2, {}, 0x8b0e7f7e6ab553b}));
+  EXPECT_EQ(solveRecorded(S, {Sel[1], Sel[2], Sel[3]}),
+            (Trajectory{Result::Sat, 939, 20847, 668, {},
+                        0x1a693c3933831e26}));
+  EXPECT_EQ(solveRecorded(S, Sel),
+            (Trajectory{Result::Unsat, 1923, 45197, 1490,
+                        {308, 306, 304, 302}, 0}));
+  EXPECT_EQ(solveRecorded(S),
+            (Trajectory{Result::Sat, 1978, 45351, 1490, {},
+                        0x39502f189a51fe75}));
+}
+
+TEST(SatTrajectory, ActivityRescales) {
+  // Plant rising activities on a chain x1 -> x2 -> ... -> x300: one guarded
+  // conflict per link, so later links are bumped harder. A pigeonhole
+  // instance behind a second selector then runs 20,000 conflicts without
+  // touching the chain; activities are rescaled by 1e-100 about every 4,500
+  // conflicts, and the fourth rescale underflows every planted activity to
+  // 0. With the pigeonhole switched off, the final Sat search reaches the
+  // chain last and, all links tied, must decide x1 first (lowest index),
+  // then each link on its own. A heap not rebuilt after the rescales still
+  // holds the planted order and decides a high link first, whose saved
+  // phase (false) implies every link below it.
+  const unsigned K = 300;
+  SatSolver S;
+  std::vector<unsigned> X, D;
+  for (unsigned I = 0; I < K; ++I)
+    X.push_back(S.newVar());
+  for (unsigned I = 0; I < K; ++I)
+    D.push_back(S.newVar());
+  Lit G(S.newVar(), false);
+  S.setFrozen(G.var(), true);
+  for (unsigned I = 0; I < K; ++I) {
+    // Under G, x_i forces both d_i and ~d_i.
+    S.addClause(~G, Lit(X[I], true), Lit(D[I], false));
+    S.addClause(~G, Lit(X[I], true), Lit(D[I], true));
+  }
+  for (unsigned I = 0; I < K; ++I)
+    ASSERT_EQ(S.solve({G, Lit(X[I], false)}), Result::Unsat);
+  ASSERT_EQ(S.conflicts(), K);
+  S.addClause(~G);
+  for (unsigned I = 0; I + 1 < K; ++I)
+    S.addClause(Lit(X[I], true), Lit(X[I + 1], false));
+
+  Lit H(S.newVar(), false);
+  S.setFrozen(H.var(), true);
+  addPigeonhole(S, 10, 9, H);
+  EXPECT_EQ(solveRecorded(S, {H}, 20000),
+            (Trajectory{Result::Unknown, 24669, 283806, 20300, {}, 0}));
+  S.addClause(~H);
+  EXPECT_EQ(solveRecorded(S),
+            (Trajectory{Result::Sat, 25359, 284497, 20300, {},
+                        0xc074c16196117e4b}));
 }
 
 } // namespace
