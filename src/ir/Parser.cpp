@@ -2,6 +2,8 @@
 
 #include "ir/Parser.h"
 
+#include "trace/Metrics.h"
+
 #include <map>
 #include <optional>
 #include <set>
@@ -1267,6 +1269,8 @@ private:
 } // namespace
 
 ErrorOr<std::unique_ptr<Module>> parseModule(const std::string &Text) {
+  static Counter &Parses = MetricsRegistry::global().counter("ir.parse");
+  Parses.inc();
   Parser P(Text);
   return P.run();
 }

@@ -3,47 +3,57 @@
 #include "ir/Printer.h"
 
 #include "ir/Function.h"
+#include "trace/Metrics.h"
 
-#include <sstream>
 #include <unordered_map>
 
 namespace veriopt {
 
 namespace {
 
-/// Per-function printing context: assigns stable names to values and blocks.
+/// Per-function printing context: assigns stable names to values and blocks
+/// and appends the text of one function to a caller's buffer.
 class FunctionPrinter {
 public:
-  explicit FunctionPrinter(const Function &F) : F(F) { number(); }
+  FunctionPrinter(const Function &F, std::string &Out) : F(F), Out(Out) {
+    number();
+  }
 
-  std::string print() {
-    std::ostringstream OS;
-    OS << (F.isDeclaration() ? "declare " : "define ")
-       << F.getReturnType()->getName() << " @" << F.getName() << "(";
+  void print() {
+    Out += F.isDeclaration() ? "declare " : "define ";
+    Out += F.getReturnType()->getName();
+    Out += " @";
+    Out += F.getName();
+    Out += '(';
     for (unsigned I = 0; I < F.getNumParams(); ++I) {
       if (I)
-        OS << ", ";
-      OS << F.getParamType(I)->getName();
-      if (!F.isDeclaration())
-        OS << " %" << valueName(F.getArg(I));
+        Out += ", ";
+      Out += F.getParamType(I)->getName();
+      if (!F.isDeclaration()) {
+        Out += " %";
+        Out += valueName(F.getArg(I));
+      }
     }
-    OS << ")";
+    Out += ')';
     if (F.isDeclaration()) {
-      OS << "\n";
-      return OS.str();
+      Out += '\n';
+      return;
     }
-    OS << " {\n";
+    Out += " {\n";
     bool First = true;
     for (const auto &BB : F) {
       if (!First)
-        OS << "\n";
-      OS << blockName(BB.get()) << ":\n";
-      for (const auto &I : *BB)
-        OS << "  " << renderInst(*I) << "\n";
+        Out += '\n';
+      Out += blockName(BB.get());
+      Out += ":\n";
+      for (const auto &I : *BB) {
+        Out += "  ";
+        renderInst(*I);
+        Out += '\n';
+      }
       First = false;
     }
-    OS << "}\n";
-    return OS.str();
+    Out += "}\n";
   }
 
 private:
@@ -70,164 +80,217 @@ private:
     }
   }
 
-  std::string valueName(const Value *V) const {
+  const std::string &valueName(const Value *V) const {
     auto It = Names.find(V);
     assert(It != Names.end() && "value was not numbered");
     return It->second;
   }
 
-  std::string blockName(const BasicBlock *BB) const {
+  const std::string &blockName(const BasicBlock *BB) const {
     auto It = BlockNames.find(BB);
     assert(It != BlockNames.end() && "block was not numbered");
     return It->second;
   }
 
   /// "i32 %x" or "i32 7" or "i1 true".
-  std::string typedOperand(const Value *V) const {
-    return V->getType()->getName() + " " + operand(V);
+  void typedOperand(const Value *V) {
+    Out += V->getType()->getName();
+    Out += ' ';
+    operand(V);
   }
 
-  std::string operand(const Value *V) const {
+  void operand(const Value *V) {
     if (const auto *C = dyn_cast<ConstantInt>(V)) {
       if (C->getType()->isBool())
-        return C->isZero() ? "false" : "true";
-      return C->getValue().toString(/*Signed=*/true);
+        Out += C->isZero() ? "false" : "true";
+      else
+        Out += C->getValue().toString(/*Signed=*/true);
+      return;
     }
-    return "%" + valueName(V);
+    Out += '%';
+    Out += valueName(V);
   }
 
-  std::string flags(const Instruction &I) const {
-    std::string Out;
-    if (I.hasNUW())
-      Out += " nuw";
-    if (I.hasNSW())
-      Out += " nsw";
-    if (I.isExact())
-      Out += " exact";
-    return Out;
+  void label(const BasicBlock *BB) {
+    Out += "label %";
+    Out += blockName(BB);
   }
 
-  std::string renderInst(const Instruction &I) const {
-    std::ostringstream OS;
-    if (!I.getType()->isVoid())
-      OS << "%" << valueName(&I) << " = ";
+  void renderInst(const Instruction &I) {
+    if (!I.getType()->isVoid()) {
+      Out += '%';
+      Out += valueName(&I);
+      Out += " = ";
+    }
     switch (I.getOpcode()) {
     case Opcode::ICmp: {
       const auto &C = *cast<ICmpInst>(&I);
-      OS << "icmp " << predName(C.getPredicate()) << " "
-         << typedOperand(C.getLHS()) << ", " << operand(C.getRHS());
+      Out += "icmp ";
+      Out += predName(C.getPredicate());
+      Out += ' ';
+      typedOperand(C.getLHS());
+      Out += ", ";
+      operand(C.getRHS());
       break;
     }
     case Opcode::Select: {
       const auto &S = *cast<SelectInst>(&I);
-      OS << "select " << typedOperand(S.getCondition()) << ", "
-         << typedOperand(S.getTrueValue()) << ", "
-         << typedOperand(S.getFalseValue());
+      Out += "select ";
+      typedOperand(S.getCondition());
+      Out += ", ";
+      typedOperand(S.getTrueValue());
+      Out += ", ";
+      typedOperand(S.getFalseValue());
       break;
     }
     case Opcode::ZExt:
     case Opcode::SExt:
     case Opcode::Trunc: {
       const auto &C = *cast<CastInst>(&I);
-      OS << I.getOpcodeName() << " " << typedOperand(C.getSrc()) << " to "
-         << I.getType()->getName();
+      Out += I.getOpcodeName();
+      Out += ' ';
+      typedOperand(C.getSrc());
+      Out += " to ";
+      Out += I.getType()->getName();
       break;
     }
     case Opcode::Alloca:
-      OS << "alloca " << cast<AllocaInst>(&I)->getAllocatedType()->getName();
+      Out += "alloca ";
+      Out += cast<AllocaInst>(&I)->getAllocatedType()->getName();
       break;
     case Opcode::Load: {
       const auto &L = *cast<LoadInst>(&I);
-      OS << "load " << I.getType()->getName() << ", "
-         << typedOperand(L.getPointer());
+      Out += "load ";
+      Out += I.getType()->getName();
+      Out += ", ";
+      typedOperand(L.getPointer());
       break;
     }
     case Opcode::Store: {
       const auto &S = *cast<StoreInst>(&I);
-      OS << "store " << typedOperand(S.getValueOperand()) << ", "
-         << typedOperand(S.getPointer());
+      Out += "store ";
+      typedOperand(S.getValueOperand());
+      Out += ", ";
+      typedOperand(S.getPointer());
       break;
     }
     case Opcode::GEP: {
       const auto &G = *cast<GEPInst>(&I);
-      OS << "getelementptr i8, " << typedOperand(G.getPointer()) << ", "
-         << typedOperand(G.getOffset());
+      Out += "getelementptr i8, ";
+      typedOperand(G.getPointer());
+      Out += ", ";
+      typedOperand(G.getOffset());
       break;
     }
     case Opcode::Phi: {
       const auto &P = *cast<PhiInst>(&I);
-      OS << "phi " << I.getType()->getName() << " ";
+      Out += "phi ";
+      Out += I.getType()->getName();
+      Out += ' ';
       for (unsigned J = 0; J < P.getNumIncoming(); ++J) {
         if (J)
-          OS << ", ";
-        OS << "[ " << operand(P.getIncomingValue(J)) << ", %"
-           << blockName(P.getIncomingBlock(J)) << " ]";
+          Out += ", ";
+        Out += "[ ";
+        operand(P.getIncomingValue(J));
+        Out += ", %";
+        Out += blockName(P.getIncomingBlock(J));
+        Out += " ]";
       }
       break;
     }
     case Opcode::Br: {
       const auto &B = *cast<BrInst>(&I);
-      if (B.isConditional())
-        OS << "br " << typedOperand(B.getCondition()) << ", label %"
-           << blockName(B.getTrueSuccessor()) << ", label %"
-           << blockName(B.getFalseSuccessor());
-      else
-        OS << "br label %" << blockName(B.getSuccessor(0));
+      Out += "br ";
+      if (B.isConditional()) {
+        typedOperand(B.getCondition());
+        Out += ", ";
+        label(B.getTrueSuccessor());
+        Out += ", ";
+        label(B.getFalseSuccessor());
+      } else {
+        label(B.getSuccessor(0));
+      }
       break;
     }
     case Opcode::Ret: {
       const auto &R = *cast<RetInst>(&I);
+      Out += "ret ";
       if (R.hasReturnValue())
-        OS << "ret " << typedOperand(R.getReturnValue());
+        typedOperand(R.getReturnValue());
       else
-        OS << "ret void";
+        Out += "void";
       break;
     }
     case Opcode::Call: {
       const auto &C = *cast<CallInst>(&I);
-      OS << "call " << I.getType()->getName() << " @"
-         << C.getCallee()->getName() << "(";
+      Out += "call ";
+      Out += I.getType()->getName();
+      Out += " @";
+      Out += C.getCallee()->getName();
+      Out += '(';
       for (unsigned A = 0; A < C.getNumArgs(); ++A) {
         if (A)
-          OS << ", ";
-        OS << typedOperand(C.getArg(A));
+          Out += ", ";
+        typedOperand(C.getArg(A));
       }
-      OS << ")";
+      Out += ')';
       break;
     }
     default: {
       assert(I.isBinaryOp() && "unhandled opcode in printer");
       const auto &B = *cast<BinaryInst>(&I);
-      OS << I.getOpcodeName() << flags(I) << " " << typedOperand(B.getLHS())
-         << ", " << operand(B.getRHS());
+      Out += I.getOpcodeName();
+      if (I.hasNUW())
+        Out += " nuw";
+      if (I.hasNSW())
+        Out += " nsw";
+      if (I.isExact())
+        Out += " exact";
+      Out += ' ';
+      typedOperand(B.getLHS());
+      Out += ", ";
+      operand(B.getRHS());
       break;
     }
     }
-    return OS.str();
   }
 
   const Function &F;
+  std::string &Out;
   std::unordered_map<const Value *, std::string> Names;
   std::unordered_map<const BasicBlock *, std::string> BlockNames;
 };
 
+/// Append \p F's text to \p Out; every function printed counts once in
+/// ir.print, whether alone or as part of a module.
+void appendFunction(const Function &F, std::string &Out) {
+  static Counter &Prints = MetricsRegistry::global().counter("ir.print");
+  Prints.inc();
+  FunctionPrinter(F, Out).print();
+}
+
 } // namespace
 
 std::string printFunction(const Function &F) {
-  return FunctionPrinter(F).print();
+  std::string Out;
+  appendFunction(F, Out);
+  // Callers keep prints (a sample's texts live as long as its dataset):
+  // return the text at its length, not with the capacity appending grew.
+  Out.shrink_to_fit();
+  return Out;
 }
 
 std::string printModule(const Module &M) {
   std::string Out;
   for (const auto &F : M.functions())
     if (F->isDeclaration())
-      Out += printFunction(*F);
+      appendFunction(*F, Out);
   for (const auto &F : M.functions()) {
     if (F->isDeclaration())
       continue;
     if (!Out.empty())
-      Out += "\n";
-    Out += printFunction(*F);
+      Out += '\n';
+    appendFunction(*F, Out);
   }
   return Out;
 }

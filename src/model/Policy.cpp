@@ -71,7 +71,21 @@ const char *actionName(Action A) {
 // Features
 //===----------------------------------------------------------------------===//
 
-std::array<double, NumFeatures> extractFeatures(const Function &F) {
+namespace {
+
+constexpr uint64_t FnvOffset = 0xcbf29ce484222325ULL;
+
+/// Fold \p Text into the FNV-1a state \p H.
+uint64_t fnv1a(uint64_t H, const std::string &Text) {
+  for (char C : Text)
+    H = (H ^ static_cast<uint64_t>(C)) * 0x100000001b3ULL;
+  return H;
+}
+
+/// extractFeatures with the printed function passed in: \p Text must be
+/// printFunction(F).
+std::array<double, NumFeatures> featuresOf(const Function &F,
+                                           const std::string &Text) {
   std::array<double, NumFeatures> Phi{};
   Phi[0] = 1.0; // bias
   bool HasAlloca = false, HasCall = false, HasMulDiv = false,
@@ -99,12 +113,16 @@ std::array<double, NumFeatures> extractFeatures(const Function &F) {
   Phi[8] = std::log(1.0 + F.instructionCount()) / 5.0;
   Phi[9] = MaxWidth > 32 ? 1.0 : 0.0;
   // Content-hash bits (FNV-1a over the printed text).
-  uint64_t H = 0xcbf29ce484222325ULL;
-  for (char C : printFunction(F))
-    H = (H ^ static_cast<uint64_t>(C)) * 0x100000001b3ULL;
+  uint64_t H = fnv1a(FnvOffset, Text);
   for (unsigned B = 0; B < 4; ++B)
     Phi[10 + B] = (H >> (11 + 13 * B)) & 1 ? 1.0 : 0.0;
   return Phi;
+}
+
+} // namespace
+
+std::array<double, NumFeatures> extractFeatures(const Function &F) {
+  return featuresOf(F, printFunction(F));
 }
 
 //===----------------------------------------------------------------------===//
@@ -332,16 +350,13 @@ RewritePolicyModel::RewritePolicyModel(const ModelConfig &Cfg) : Cfg(Cfg) {
   Theta[fixW()] = Cfg.FixSkillInit;
 }
 
-bool RewritePolicyModel::familyFires(const Function &Src, Action A) const {
+bool RewritePolicyModel::familyFires(uint64_t GateState, Action A) const {
   assert(isOptAction(A) && "capacity gate applies to rewrite families only");
   bool Emergent = A == Action::OptMem2Reg || A == Action::OptSimplifyCFG;
   unsigned Pct = Emergent ? Cfg.EmergentReliabilityPct
                           : Cfg.CoreReliabilityPct;
-  // FNV-1a over (function text, action, model identity).
-  uint64_t H = 0xcbf29ce484222325ULL ^ (Cfg.InitSeed * 0x9E3779B9ULL);
-  for (char C : printFunction(Src))
-    H = (H ^ static_cast<uint64_t>(C)) * 0x100000001b3ULL;
-  H = (H ^ (static_cast<uint64_t>(A) + 0x51ED2701)) * 0x100000001b3ULL;
+  uint64_t H =
+      (GateState ^ (static_cast<uint64_t>(A) + 0x51ED2701)) * 0x100000001b3ULL;
   H ^= H >> 33;
   return H % 100 < Pct;
 }
@@ -550,8 +565,10 @@ Completion RewritePolicyModel::generate(const Function &Src, PromptMode Mode,
                                         RNG &R, bool Greedy,
                                         double Temperature) const {
   Completion Out;
-  auto Phi = extractFeatures(Src);
-  std::vector<double> BaseLogits = actionLogits(Phi);
+  // The source is printed once per decode: the features, the capacity gate
+  // and the residual roll hash this text, and a copy answers with it.
+  const std::string SrcText = printFunction(Src);
+  std::vector<double> BaseLogits = actionLogits(featuresOf(Src, SrcText));
 
   std::vector<Action> SyntaxCorrupts, SemanticCorrupts;
   std::vector<Action> OptActions;
@@ -587,10 +604,14 @@ Completion RewritePolicyModel::generate(const Function &Src, PromptMode Mode,
   // instcombine, simplifycfg, dce), so action order cannot leave cascading
   // opportunities on the table. Families are filtered through the
   // capacity gate first: selecting a family does not guarantee the model
-  // can actually realize it on this prompt.
+  // can actually realize it on this prompt. The gate hashes (model
+  // identity, source text, family); the state after the text is shared by
+  // every family.
+  const uint64_t GateState =
+      fnv1a(FnvOffset ^ (Cfg.InitSeed * 0x9E3779B9ULL), SrcText);
   std::vector<Action> Firing;
   for (Action A : OptActions)
-    if (familyFires(Src, A))
+    if (familyFires(GateState, A))
       Firing.push_back(A);
   auto Clean = Src.clone(); // corruption-free transformed function
   if (!Copied && !Firing.empty())
@@ -617,7 +638,7 @@ Completion RewritePolicyModel::generate(const Function &Src, PromptMode Mode,
   std::string AttemptIR;
   bool AttemptFormatOk = true;
   if (Copied) {
-    AttemptIR = printFunction(Src);
+    AttemptIR = SrcText;
   } else {
     AttemptIR = printFunction(*Working);
     for (Action A : SyntaxCorrupts) {
@@ -643,7 +664,7 @@ Completion RewritePolicyModel::generate(const Function &Src, PromptMode Mode,
   if (Mode == PromptMode::Generic) {
     Out.AnswerIR = AttemptIR;
     Out.FormatOk = AttemptFormatOk;
-    applyResidualHallucination(Src, Out);
+    applyResidualHallucination(SrcText, Out);
     Out.Text = renderCompletion(Mode, Out.FormatOk, "", "", Out.AnswerIR);
     Out.TokenCount = static_cast<unsigned>(Out.Actions.size() +
                                            tokenizeIR(Out.AnswerIR).size());
@@ -669,13 +690,13 @@ Completion RewritePolicyModel::generate(const Function &Src, PromptMode Mode,
   Out.SelfCorrected = Fixed;
   if (Fixed) {
     // The corrected answer: the clean (uncorrupted) transformed function.
-    Out.AnswerIR = Copied ? printFunction(Src) : printFunction(*Clean);
+    Out.AnswerIR = Copied ? SrcText : printFunction(*Clean);
     Out.FormatOk = true;
   } else {
     Out.AnswerIR = AttemptIR;
     Out.FormatOk = AttemptFormatOk;
   }
-  applyResidualHallucination(Src, Out);
+  applyResidualHallucination(SrcText, Out);
   Out.Text = renderCompletion(Mode, Out.FormatOk, Out.ThinkAttemptIR,
                               Out.PredictedMessage, Out.AnswerIR);
   Out.TokenCount = static_cast<unsigned>(
@@ -684,11 +705,9 @@ Completion RewritePolicyModel::generate(const Function &Src, PromptMode Mode,
   return Out;
 }
 
-void RewritePolicyModel::applyResidualHallucination(const Function &Src,
-                                                    Completion &Out) const {
-  uint64_t H = 0xcbf29ce484222325ULL ^ (Cfg.InitSeed * 0x9E3779B9ULL + 7);
-  for (char C : printFunction(Src))
-    H = (H ^ static_cast<uint64_t>(C)) * 0x100000001b3ULL;
+void RewritePolicyModel::applyResidualHallucination(
+    const std::string &SrcText, Completion &Out) const {
+  uint64_t H = fnv1a(FnvOffset ^ (Cfg.InitSeed * 0x9E3779B9ULL + 7), SrcText);
   H ^= H >> 29;
   unsigned Roll = H % 100;
   if (Roll < Cfg.ResidualSyntaxPct) {

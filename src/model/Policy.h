@@ -163,10 +163,6 @@ public:
 
   bool actionAvailable(Action A) const;
 
-  /// Does family \p A actually fire on prompt \p Src? (Deterministic
-  /// content-hash gate implementing the capacity ceiling.)
-  bool familyFires(const Function &Src, Action A) const;
-
   /// Action distribution at the current (greedy-relevant) state; exposed
   /// for tests and the training-dynamics bench.
   std::vector<double> actionProbs(const Function &Src) const;
@@ -189,7 +185,13 @@ private:
 
   std::vector<double>
   actionLogits(const std::array<double, NumFeatures> &Phi) const;
-  void applyResidualHallucination(const Function &Src, Completion &Out) const;
+  /// Does family \p A actually fire on the prompt whose FNV-1a state after
+  /// (model identity, printed source) is \p GateState? The deterministic
+  /// content-hash gate implementing the capacity ceiling.
+  bool familyFires(uint64_t GateState, Action A) const;
+  /// \p SrcText is the printed prompt function.
+  void applyResidualHallucination(const std::string &SrcText,
+                                  Completion &Out) const;
   std::array<double, 10> diagFeatures(const std::vector<Action> &A) const;
   std::vector<double> diagLogits(const std::vector<Action> &A) const;
 

@@ -40,7 +40,7 @@ RewardFn makeCorrectnessReward() {
 
 RewardFn makeLatencyReward(const LatencyRewardParams &P) {
   return [P](const Sample &S, const Completion &C, const RolloutVerdicts &V) {
-    RewardBreakdown B = answerReward(S, C, V.Answer);
+    RewardBreakdown B = answerChecks(S, C, V.Answer);
     // Eq. (4): equivalence-gated shaped speedup. Alive2 stays in the loop
     // as the gate even though the instcombine labels are gone.
     return scoreFromBreakdown(B, latencyReward(S, C, B.Equivalent, P));

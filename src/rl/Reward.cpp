@@ -15,19 +15,19 @@ namespace veriopt {
 
 /// A copy that has been re-wrapped in whitespace or renumbered values must
 /// still count as a copy, or the copy penalty / CopyRate stat is evaded by
-/// cosmetic edits. Compare canonically re-printed IR; fall back to the raw
-/// byte compare when the answer does not parse.
+/// cosmetic edits. Compare canonically re-printed IR with the sample's
+/// printed source; fall back to the raw byte compare when the answer does
+/// not parse.
 static bool isCopyOfSource(const Sample &S, const std::string &AnswerIR) {
   if (AnswerIR == S.SrcText)
     return true;
   auto M = parseModule(AnswerIR);
   if (!M || !M.value()->getMainFunction())
     return false;
-  return printFunction(*M.value()->getMainFunction()) ==
-         printFunction(*S.source());
+  return printFunction(*M.value()->getMainFunction()) == S.SrcText;
 }
 
-RewardBreakdown answerReward(const Sample &S, const Completion &C,
+RewardBreakdown answerChecks(const Sample &S, const Completion &C,
                              const VerifyResult &Verdict) {
   RewardBreakdown Out;
   Out.FormatOk = C.FormatOk;
@@ -42,6 +42,12 @@ RewardBreakdown answerReward(const Sample &S, const Completion &C,
     Out.Verify.Diagnostic = "ERROR: completion violates the answer format";
   }
   Out.ExactMatch = Out.Equivalent && C.AnswerIR == S.RefText;
+  return Out;
+}
+
+RewardBreakdown answerReward(const Sample &S, const Completion &C,
+                             const VerifyResult &Verdict) {
+  RewardBreakdown Out = answerChecks(S, C, Verdict);
   Out.Bleu = bleuText(S.RefText, C.AnswerIR);
 
   double T = Out.FormatOk ? 1.0 : 0.0;

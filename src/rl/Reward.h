@@ -40,6 +40,13 @@ struct RewardBreakdown {
 RewardBreakdown answerReward(const Sample &S, const Completion &C,
                              const VerifyResult &Verdict);
 
+/// answerReward's format, equivalence, exact-match and copy checks without
+/// the BLEU term: every field but Bleu and Total (left 0) is what
+/// answerReward returns. For rewards that read only those checks (the
+/// latency stage), so they do not pay for BLEU.
+RewardBreakdown answerChecks(const Sample &S, const Completion &C,
+                             const VerifyResult &Verdict);
+
 /// Eq. (2): 1 when model and Alive agree the think-attempt verifies;
 /// 0.5 + 0.5*BLEU(model message, alive message) when both agree it fails;
 /// 0 on disagreement. \p AttemptVerify is Alive's verdict on the attempt.

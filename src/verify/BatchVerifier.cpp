@@ -7,6 +7,7 @@
 #include "verify/RefinementQuery.h"
 
 #include <mutex>
+#include <string_view>
 #include <unordered_map>
 
 namespace veriopt {
@@ -46,20 +47,28 @@ BatchVerifier::verifyGroup(const std::string &SrcText, const Function &Src,
   // Canonical dedupe: GRPO's small action space makes byte- or
   // renaming-identical candidates common within a group; they share every
   // per-tier cache key, so one ladder serves all of them. The tier-0 key
-  // also keys the fault sites and the tier-0 cache entry.
+  // also keys the fault sites and the tier-0 cache entry. Byte-identical
+  // texts are canonically equal, so a repeat takes its first occurrence's
+  // slot without paying makeKey's parse and canonical print.
   std::vector<size_t> UniqueOf(Texts.size());
   std::vector<size_t> UniqueIdx;     // positions of first occurrences
   std::vector<std::string> Tier0Key; // per unique candidate
   {
+    std::unordered_map<std::string_view, size_t> ByText; // views of Texts
     std::unordered_map<std::string, size_t> Seen;
     for (size_t I = 0; I < Texts.size(); ++I) {
+      auto [TextIt, NewText] = ByText.emplace(Texts[I], 0);
+      if (!NewText) {
+        UniqueOf[I] = TextIt->second;
+        continue;
+      }
       std::string Key = VerifyCache::makeKey(SrcText, Texts[I], Tier0);
       auto [It, Inserted] = Seen.emplace(Key, UniqueIdx.size());
       if (Inserted) {
         UniqueIdx.push_back(I);
         Tier0Key.push_back(std::move(Key));
       }
-      UniqueOf[I] = It->second;
+      UniqueOf[I] = TextIt->second = It->second;
     }
   }
 

@@ -6,8 +6,6 @@
 #include "ir/Printer.h"
 #include "trace/Metrics.h"
 
-#include <sstream>
-
 namespace veriopt {
 
 namespace {
@@ -57,13 +55,21 @@ std::string VerifyCache::makeKey(const std::string &SrcText,
   // Every budget knob is part of the key: a low-tier Inconclusive must never
   // be served for a higher-tier query (or vice versa) when the retry ladder
   // re-asks the same candidate under a bigger budget.
-  std::ostringstream OS;
-  OS << Opts.MaxPaths << '|' << Opts.MaxBlockVisitsPerPath << '|'
-     << Opts.MaxStepsPerPath << '|' << Opts.SolverConflictBudget << '|'
-     << Opts.StrictLoops << '|' << Opts.FalsifyTrials << '|'
-     << Opts.FuelBudget << '|' << Opts.MaxCandidateBytes << '|'
-     << Opts.MaxCandidateInsts;
-  std::string Key = OS.str();
+  const uint64_t Knobs[] = {Opts.MaxPaths,
+                            Opts.MaxBlockVisitsPerPath,
+                            Opts.MaxStepsPerPath,
+                            Opts.SolverConflictBudget,
+                            Opts.StrictLoops,
+                            Opts.FalsifyTrials,
+                            Opts.FuelBudget,
+                            Opts.MaxCandidateBytes,
+                            Opts.MaxCandidateInsts};
+  std::string Key;
+  for (uint64_t K : Knobs) {
+    if (!Key.empty())
+      Key.push_back('|');
+    Key += std::to_string(K);
+  }
   Key.push_back('\x1f');
   Key += SrcText;
   Key.push_back('\x1f');

@@ -3,6 +3,7 @@
 #include "data/Dataset.h"
 
 #include "cost/CostModel.h"
+#include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "support/Stats.h"
 #include "verify/AliveLite.h"
@@ -36,6 +37,18 @@ TEST(Dataset, Deterministic) {
   ASSERT_EQ(A.Train.size(), B.Train.size());
   for (size_t I = 0; I < A.Train.size(); ++I)
     EXPECT_EQ(A.Train[I].SrcText, B.Train[I].SrcText);
+}
+
+// The reward's copy check compares an answer's print with SrcText instead
+// of printing the source again, so the stored texts must be exactly what
+// the printer emits for the functions they describe.
+TEST(Dataset, StoredTextsArePrints) {
+  auto DS = buildDataset(smallOpts());
+  for (const auto *Split : {&DS.Train, &DS.Valid})
+    for (const auto &S : *Split) {
+      EXPECT_EQ(S.SrcText, printFunction(*S.source())) << S.Name;
+      EXPECT_EQ(S.RefText, printFunction(*S.Reference)) << S.Name;
+    }
 }
 
 TEST(Dataset, SplitsAreDisjoint) {

@@ -4,6 +4,7 @@
 
 #include "data/Dataset.h"
 #include "ir/Parser.h"
+#include "oracle/Pins.h"
 #include "verify/AliveLite.h"
 
 #include <gtest/gtest.h>
@@ -252,6 +253,40 @@ TEST(Policy, PresetOrderingMakesSense) {
   EXPECT_GT(presetQwen7B().SyntaxCorruptBias,
             presetQwen32B().SyntaxCorruptBias);
   EXPECT_LT(presetQwen15B().ParamsB, presetQwen3B().ParamsB);
+}
+
+/// Bit-identity pin over every field a decode yields: the features, the
+/// capacity gate and the residual roll all hash the printed source, so a
+/// change to what they hash moves the actions or the answers.
+TEST(Policy, DecodesArePinned) {
+  pins::Fnv1a D;
+  unsigned OptSelected = 0, Copies = 0, SelfCorrected = 0, Thinks = 0;
+  for (const pins::Decode &X : pins::decodes()) {
+    const Completion &C = X.C;
+    D.addU64(C.Actions.size());
+    for (Action A : C.Actions) {
+      D.addU64(static_cast<unsigned>(A));
+      OptSelected += isOptAction(A);
+      Copies += A == Action::Copy;
+    }
+    D.addStr(C.AnswerIR);
+    D.addStr(C.ThinkAttemptIR);
+    D.addStr(C.Text);
+    D.addU64(C.FormatOk);
+    D.addU64(C.TokenCount);
+    D.addDoubleBits(C.LogProb);
+    D.addU64(C.PredictedDiagClass);
+    D.addU64(C.SelfCorrected);
+    SelfCorrected += C.SelfCorrected;
+    Thinks += !C.ThinkAttemptIR.empty();
+  }
+  // The set reaches the capacity gate, the Copy answer and the augmented
+  // self-correction, the paths that reuse the printed source.
+  EXPECT_GT(OptSelected, 0u);
+  EXPECT_GT(Copies, 0u);
+  EXPECT_GT(SelfCorrected, 0u);
+  EXPECT_GT(Thinks, 0u);
+  EXPECT_EQ(D.H, 0x752f6a10fc99a34bULL);
 }
 
 TEST(Policy, DiagClassRoundTrip) {

@@ -167,6 +167,52 @@ TEST(Reward, CopyDetectionSeesThroughCosmeticEdits) {
   EXPECT_FALSE(scored(S, completionWithAnswer(S.RefText)).IsCopy);
 }
 
+TEST(Reward, ChecksAgreeWithAnswerReward) {
+  // The latency stage scores with answerChecks, which skips BLEU; every
+  // other field must be what answerReward computes.
+  const Sample &S = sample();
+  auto doubleSpaces = [](std::string T) {
+    for (size_t I = 0; I < T.size(); ++I)
+      if (T[I] == ' ')
+        T.insert(I++, " ");
+    return T;
+  };
+  std::vector<Completion> Cases = {
+      completionWithAnswer(S.SrcText),                    // copy
+      completionWithAnswer(doubleSpaces(S.SrcText)),      // whitespace copy
+      completionWithAnswer(S.RefText),                    // exact match
+      completionWithAnswer(doubleSpaces(S.RefText)),      // equivalent
+      completionWithAnswer(S.SrcText.substr(0, 40)),      // syntax error
+      completionWithAnswer("not ir at all"),              // syntax error
+      completionWithAnswer(S.RefText, /*FormatOk=*/false) // format failure
+  };
+  unsigned Copies = 0, Exact = 0, Unparsed = 0, Unformatted = 0;
+  for (const Completion &C : Cases) {
+    VerifyResult V = verifyCandidateText(*S.source(), C.AnswerIR);
+    RewardBreakdown Full = answerReward(S, C, V);
+    RewardBreakdown Checks = answerChecks(S, C, V);
+    EXPECT_EQ(Checks.FormatOk, Full.FormatOk) << C.AnswerIR;
+    EXPECT_EQ(Checks.Equivalent, Full.Equivalent) << C.AnswerIR;
+    EXPECT_EQ(Checks.ExactMatch, Full.ExactMatch) << C.AnswerIR;
+    EXPECT_EQ(Checks.IsCopy, Full.IsCopy) << C.AnswerIR;
+    EXPECT_EQ(Checks.Verify.Status, Full.Verify.Status) << C.AnswerIR;
+    EXPECT_EQ(Checks.Verify.Kind, Full.Verify.Kind) << C.AnswerIR;
+    EXPECT_EQ(Checks.Verify.Diagnostic, Full.Verify.Diagnostic) << C.AnswerIR;
+    EXPECT_EQ(Checks.Bleu, 0.0);
+    EXPECT_EQ(Checks.Total, 0.0);
+    Copies += Checks.IsCopy;
+    Exact += Checks.ExactMatch;
+    Unparsed += Checks.FormatOk &&
+                Checks.Verify.Status == VerifyStatus::SyntaxError;
+    Unformatted += !Checks.FormatOk;
+  }
+  // The cases reach every branch of the checks.
+  EXPECT_EQ(Copies, 2u);
+  EXPECT_EQ(Exact, 1u);
+  EXPECT_EQ(Unparsed, 2u);
+  EXPECT_EQ(Unformatted, 1u);
+}
+
 TEST(Reward, CachedAnswerRewardMatchesUncached) {
   // A verdict the verifier serves from its cache scores exactly like a
   // freshly computed one.

@@ -3,7 +3,9 @@
 #include "verify/VerifyCache.h"
 
 #include "ir/Parser.h"
+#include "oracle/Pins.h"
 #include "support/ThreadPool.h"
+#include "verify/BatchVerifier.h"
 
 #include <gtest/gtest.h>
 
@@ -110,6 +112,24 @@ TEST(VerifyCache, OptionsArePartOfTheKey) {
   lookup(Cache, *F.Src, BadTgt, A);
   lookup(Cache, *F.Src, BadTgt, B);
   EXPECT_EQ(Cache.counters().Misses, 2u);
+}
+
+/// Bit-identity pin over the cache keys of the pinned decodes (answers and
+/// think-attempts, parseable or not) at every rung of the default ladder.
+/// The key is also the verdict journal's record key, so these bytes must
+/// not move when the key is assembled differently.
+TEST(VerifyCache, KeysArePinned) {
+  const RobustVerifyOptions Ladder;
+  pins::Fnv1a D;
+  for (const pins::Decode &X : pins::decodes())
+    for (const std::string *Text : {&X.C.AnswerIR, &X.C.ThinkAttemptIR}) {
+      if (Text->empty())
+        continue;
+      for (unsigned Tier = 0; Tier < 3; ++Tier)
+        D.addStr(VerifyCache::makeKey(X.S->SrcText, *Text,
+                                      tierOptions(Ladder, Tier)));
+    }
+  EXPECT_EQ(D.H, 0xac9d2c57e5b0bc07ULL);
 }
 
 TEST(VerifyCache, EvictsLeastRecentlyUsed) {
