@@ -169,8 +169,7 @@ int main(int Argc, char **Argv) {
         VerifyCache Cache(1024); // cold per group, like the oracle
         BatchVerifier::Options BO;
         BO.Robust = RVO;
-        BO.Pool = Threads > 1 ? &Pool : nullptr;
-        BO.Threads = Threads;
+        BO.Pool = &Pool;
         BatchVerifier BV(BO, &Cache);
         for (const VerifyResult &R :
              BV.verifyGroup(S.SrcText, *S.source(), Groups[I]))

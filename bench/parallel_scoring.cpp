@@ -43,11 +43,9 @@ RunResult run(const Dataset &DS, unsigned Threads, bool UseCache,
   BO.Robust.Base = PipelineOptions::trainVerifyDefaults();
   BO.Robust.MaxTiers = 1;
   BO.Pool = &Pool;
-  BO.Threads = Threads;
   BatchVerifier Verifier(BO, Cache.get());
   GRPOOptions G;
   G.Seed = 7;
-  G.Threads = Threads;
   G.Pool = &Pool;
   GRPOTrainer Trainer(Model, Verifier, makeAnswerReward(), G);
   auto T0 = std::chrono::steady_clock::now();

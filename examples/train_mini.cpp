@@ -40,6 +40,7 @@
 #include "pipeline/Evaluation.h"
 #include "pipeline/Pipeline.h"
 #include "store/VerdictStore.h"
+#include "support/CommandLine.h"
 #include "support/FaultInjector.h"
 #include "support/IoEnv.h"
 #include "support/ThreadPool.h"
@@ -62,6 +63,17 @@ int main(int argc, char **argv) {
   long ChaosIoPct = 0;
   uint64_t ChaosIoSeed = 0xFA11;
   std::string TracePath, ChromePath, StorePath, CheckpointPath;
+  auto usage = [&] {
+    std::fprintf(stderr,
+                 "usage: %s [--tiny] [--trace out.jsonl] "
+                 "[--chrome-trace out.json] [--eval-shards n] "
+                 "[--eval-threads n] [--stream-trace n] "
+                 "[--verdict-store path] [--checkpoint path] "
+                 "[--checkpoint-every n] [--chaos-io rate%%] "
+                 "[--chaos-io-seed s]\n",
+                 argv[0]);
+    return 2;
+  };
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--tiny") == 0) {
       Tiny = true;
@@ -70,9 +82,12 @@ int main(int argc, char **argv) {
     } else if (std::strcmp(argv[I], "--chrome-trace") == 0 && I + 1 < argc) {
       ChromePath = argv[++I];
     } else if (std::strcmp(argv[I], "--eval-shards") == 0 && I + 1 < argc) {
-      EvalShards = static_cast<unsigned>(std::atoi(argv[++I]));
+      if (!parseUnsignedArg(argv[++I], EvalShards))
+        return usage();
     } else if (std::strcmp(argv[I], "--eval-threads") == 0 && I + 1 < argc) {
-      EvalThreads = std::max(1, std::atoi(argv[++I]));
+      if (!parseUnsignedArg(argv[++I], EvalThreads))
+        return usage();
+      EvalThreads = std::max(1u, EvalThreads);
     } else if (std::strcmp(argv[I], "--stream-trace") == 0 && I + 1 < argc) {
       StreamEvery = static_cast<size_t>(std::max(1, std::atoi(argv[++I])));
     } else if (std::strcmp(argv[I], "--verdict-store") == 0 && I + 1 < argc) {
@@ -91,15 +106,7 @@ int main(int argc, char **argv) {
     } else if (std::strcmp(argv[I], "--chaos-io-seed") == 0 && I + 1 < argc) {
       ChaosIoSeed = std::strtoull(argv[++I], nullptr, 0);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--tiny] [--trace out.jsonl] "
-                   "[--chrome-trace out.json] [--eval-shards n] "
-                   "[--eval-threads n] [--stream-trace n] "
-                   "[--verdict-store path] [--checkpoint path] "
-                   "[--checkpoint-every n] [--chaos-io rate%%] "
-                   "[--chaos-io-seed s]\n",
-                   argv[0]);
-      return 2;
+      return usage();
     }
   }
   if (StreamEvery && TracePath.empty()) {
@@ -198,11 +205,13 @@ int main(int argc, char **argv) {
               "samples\n\n",
               Art.CorrectionSamples, Art.FirstTimeSamples);
 
-  P.EvalShards = EvalShards;
   ThreadPool EvalPool(EvalThreads);
+  EvalOptions EO;
+  EO.Shards = EvalShards;
+  EO.Pool = &EvalPool;
+  EO.VerdictTier = Store.get();
   auto Eval = [&](const RewritePolicyModel &M, PromptMode Mode) {
-    return evaluateModelSharded(M, DS.Valid, Mode, VerifyOptions(),
-                                P.makeEvalOptions(&EvalPool));
+    return evaluateModelSharded(M, DS.Valid, Mode, VerifyOptions(), EO);
   };
   auto Row = [&](const char *Name, const RewritePolicyModel &M,
                  PromptMode Mode) {

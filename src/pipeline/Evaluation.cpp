@@ -4,7 +4,6 @@
 
 #include "cost/CostModel.h"
 #include "ir/Parser.h"
-#include "support/AtomicFile.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
 #include "trace/Json.h"
@@ -16,7 +15,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 namespace veriopt {
@@ -332,20 +330,10 @@ EvalResult evaluateModelSharded(const RewritePolicyModel &Model,
   unsigned Shards = EOpts.Shards;
   if (Shards == 0)
     Shards = EOpts.Pool ? EOpts.Pool->numThreads() : 1;
-  std::vector<EvalShard> Plan = planEvalShards(Valid.size(), Shards,
-                                               EOpts.Seed);
-  // Failed artifact writes are counted, not fatal: the in-process result
-  // does not depend on the disk, and a worker fleet pointed at a missing
-  // manifest/result file fails with its own typed errors.
-  unsigned IoErrors = 0;
-  static Counter &CWriteFailed =
-      MetricsRegistry::global().counter("io.eval.write_failures");
-  if (!EOpts.ShardManifestPath.empty() &&
-      !writeFileAtomic(EOpts.ShardManifestPath,
-                       shardManifestToJson(Plan, EOpts.Seed, Valid.size()))) {
-    ++IoErrors;
-    CWriteFailed.inc();
-  }
+  // Greedy decoding ignores the per-shard RNG streams, so one fixed plan
+  // seed serves every in-process evaluation.
+  constexpr uint64_t PlanSeed = 0xE7A1;
+  std::vector<EvalShard> Plan = planEvalShards(Valid.size(), Shards, PlanSeed);
 
   // One shared cache + BatchVerifier for the whole run: shards are
   // parallelized at shard granularity (the group-level fan-out stays off —
@@ -373,17 +361,7 @@ EvalResult evaluateModelSharded(const RewritePolicyModel &Model,
     for (size_t I = 0; I < Plan.size(); ++I)
       RunShard(I);
 
-  if (!EOpts.ShardResultDir.empty())
-    for (const ShardEvalResult &S : Results)
-      if (!writeFileAtomic(EOpts.ShardResultDir + "/shard_" +
-                               std::to_string(S.Shard.Index) + ".json",
-                           shardResultToJson(S))) {
-        ++IoErrors;
-        CWriteFailed.inc();
-      }
-
   EvalResult R = mergeShardResults(Model.config().Name, std::move(Results));
-  R.IoErrors = IoErrors;
   if (Span.active()) {
     Span.arg(TraceArg::ofInt("shards", static_cast<int64_t>(Plan.size())));
     Span.arg(TraceArg::ofInt("samples", R.Taxonomy.Total));

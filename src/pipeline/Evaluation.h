@@ -86,11 +86,6 @@ struct EvalResult {
   /// Fallback composition: min(model, reference) per sample, geomean
   /// improvement over reference alone (the paper's +17% result).
   double FallbackGainOverRef = 0;
-  /// Manifest / per-shard result files evaluateModelSharded failed to
-  /// write (durability plane only: the in-memory result is unaffected, so
-  /// this field is excluded from countResultDivergence and from the shard
-  /// JSON — it is telemetry about this process's disk, not the evaluation).
-  unsigned IoErrors = 0;
   std::vector<SampleEval> PerSample;
 };
 
@@ -159,18 +154,9 @@ struct EvalOptions {
   /// deterministic and the store admits only deterministic verdicts — see
   /// docs/PERSISTENCE.md). Caller owns; must outlive the evaluation.
   VerdictBackingTier *VerdictTier = nullptr;
-  /// Base seed for per-shard RNG derivation (API symmetry with training;
-  /// greedy decoding ignores the stream).
-  uint64_t Seed = 0xE7A1;
   /// Optional deterministic fault injection, honored by the verifier's
   /// oracle-budget / verdict-flip sites and the cache's cache-miss site.
   FaultInjector *Faults = nullptr;
-  /// When non-empty, write the shard plan as JSON (atomic write-then-
-  /// rename) so an external driver can later run shards out of process.
-  std::string ShardManifestPath;
-  /// When non-empty, write each shard's ShardEvalResult to
-  /// <dir>/shard_<index>.json (bit-exact doubles; see shardResultFromJson).
-  std::string ShardResultDir;
 };
 
 /// Derived per-shard seed: a SplitMix64-style mix of (Seed, ShardIdx),
@@ -201,7 +187,10 @@ EvalResult mergeShardResults(const std::string &ModelName,
 /// The evaluation front door: greedy decoding over \p Valid, one
 /// BatchVerifier at \p VOpts (one rung, no ladder) over one VerifyCache
 /// for the whole run. Bit-identical at any Shards/Pool configuration; the
-/// default EvalOptions evaluate one inline shard.
+/// default EvalOptions evaluate one inline shard. Shards are planned with
+/// a fixed seed (greedy decoding ignores the per-shard streams) and
+/// nothing is written to disk: the manifest and per-shard result files are
+/// veriopt-drive's and veriopt-worker's.
 EvalResult evaluateModelSharded(const RewritePolicyModel &Model,
                                 const std::vector<Sample> &Valid,
                                 PromptMode Mode, const VerifyOptions &VOpts,

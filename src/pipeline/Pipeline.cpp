@@ -7,7 +7,6 @@
 #include "trace/Trace.h"
 #include "verify/BatchVerifier.h"
 
-#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -50,9 +49,6 @@ RewardFn makeLatencyReward(const LatencyRewardParams &P) {
 static void foldStageLog(PipelineArtifacts &Art,
                          const std::vector<TrainLogEntry> &Log) {
   for (const TrainLogEntry &E : Log) {
-    Art.ScoreWallMs += E.ScoreWallMs;
-    Art.FalsifyWins += E.FalsifyWins;
-    Art.SolverConflicts += E.SolverConflicts;
     Art.RetryEscalations += E.RetryEscalations;
     Art.TerminalInconclusive += E.TerminalInconclusive;
   }
@@ -129,8 +125,8 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
   // One pool, one verification memo and one verifier serve all three GRPO
   // stages (the cache key carries the budget, so sharing across stages is
   // sound). All training verification goes through the verifier's
-  // escalating retry ladder; with one tier this is exactly the plain
-  // single-budget verifier.
+  // escalating retry ladder at RobustVerifyOptions' defaults: 3 tiers, 4x
+  // budget growth per tier.
   ThreadPool Pool(Opts.Threads);
   VerifyCache Cache;
   if (Opts.Faults)
@@ -143,10 +139,7 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
 
   BatchVerifier::Options BO;
   BO.Robust.Base = Opts.TrainVerify;
-  BO.Robust.MaxTiers = std::max(1u, Opts.VerifyRetryTiers);
-  BO.Robust.BudgetGrowth = Opts.VerifyRetryGrowth;
   BO.Pool = &Pool;
-  BO.Threads = Opts.Threads;
   BatchVerifier BV(BO, &Cache, Opts.Faults);
 
   auto oracleFaults = [&]() -> uint64_t {
@@ -159,7 +152,6 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
   const uint64_t OracleFaultsBefore = oracleFaults();
 
   GRPOOptions GBase = Opts.GRPO;
-  GBase.Threads = Opts.Threads;
   GBase.Pool = &Pool;
 
   //===--- Resume --------------------------------------------------------===//
@@ -231,16 +223,16 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
     // a checkpoint. A write that still fails after every attempt is
     // telemetry (the previous checkpoint stands) and training continues on
     // the identical trajectory.
+    constexpr unsigned MaxAttempts = 3;
+    constexpr uint64_t BackoffBaseMs = 10, BackoffCapMs = 100;
     static Counter &RetriesCounter =
         MetricsRegistry::global().counter("io.checkpoint.retries");
     bool Ok = false;
     unsigned Attempts = 0;
-    for (unsigned A = 1; A <= 1 + Opts.CheckpointWriteRetries && !Ok; ++A) {
+    for (unsigned A = 1; A <= MaxAttempts && !Ok; ++A) {
       if (A >= 2) {
-        uint64_t DelayMs =
-            driverBackoffMs(Opts.Seed, Snap.StageIdx, A,
-                            Opts.CheckpointRetryBaseMs,
-                            Opts.CheckpointRetryCapMs);
+        uint64_t DelayMs = driverBackoffMs(Opts.Seed, Snap.StageIdx, A,
+                                           BackoffBaseMs, BackoffCapMs);
         if (DelayMs)
           std::this_thread::sleep_for(std::chrono::milliseconds(DelayMs));
         ++Art.CheckpointRetries;
@@ -350,7 +342,7 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
 
       //===--- Stage 2 warm-up: SFT from the pretrained base (Fig. 3) ----===//
       Art.WarmUp = std::make_unique<RewritePolicyModel>(Opts.BaseModel);
-      SFTOptions SFT = Opts.SFT;
+      SFTOptions SFT;
       SFT.Epochs = Opts.Stage2SFTEpochs;
       SFT.LearningRate = Opts.Stage2SFTLearningRate;
       SFT.Seed = Opts.Seed * 5 + 2;
@@ -405,10 +397,6 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
   foldStageLog(Art, Art.Stage1Log);
   foldStageLog(Art, Art.Stage2Log);
   foldStageLog(Art, Art.Stage3Log);
-  VerifyCache::Counters CC = Cache.counters();
-  Art.VerifyCacheHits = CC.Hits;
-  Art.VerifyCacheMisses = CC.Misses;
-  Art.VerifyCacheEvictions = CC.Evictions;
   Art.InjectedFaults = oracleFaults() - OracleFaultsBefore;
 
   return Art;

@@ -19,12 +19,13 @@
 #define VERIOPT_PIPELINE_PIPELINE_H
 
 #include "pipeline/Checkpoint.h"
-#include "pipeline/Evaluation.h"
 #include "rl/Trainer.h"
 
 #include <memory>
 
 namespace veriopt {
+
+class VerdictBackingTier;
 
 struct PipelineOptions {
   DatasetOptions Data;
@@ -44,39 +45,31 @@ struct PipelineOptions {
   /// rare, so the clipped token-normalized gradients are small.
   double Stage3LearningRate = 0.5;
 
-  GRPOOptions GRPO; ///< shared defaults; Mode is set per stage
-  SFTOptions SFT;
-  /// Verification budget during training (cheaper than evaluation).
+  /// Shared defaults for the three GRPO stages. Every stage sets its own
+  /// Mode, Seed, Pool and TraceLabel; stage 1 sets OnRollout (the sample
+  /// harvest) and stage 3 sets Temperature and LearningRate from the
+  /// Stage3* fields above.
+  GRPOOptions GRPO;
+  /// Verification budget during training (cheaper than evaluation). Every
+  /// candidate runs RobustVerifyOptions' default retry ladder over it.
   VerifyOptions TrainVerify = trainVerifyDefaults();
   uint64_t Seed = 2026;
 
-  /// Verification and scoring worker threads, shared by all three GRPO
-  /// stages. Generation stays sequential, so results are bit-identical at
-  /// any setting (see GRPOOptions::Threads).
+  /// Size of the one pool that fans out verification and scoring in all
+  /// three GRPO stages. Generation stays sequential, so results are
+  /// bit-identical at any setting (see GRPOOptions::Pool).
   unsigned Threads = 1;
 
   //===--- Fault-tolerant runtime ---------------------------------------===//
 
-  /// BatchVerifier's escalating retry ladder: budget-bound Inconclusives
-  /// are re-asked at geometrically larger budgets. 1 tier reproduces the
-  /// plain single-budget behaviour exactly.
-  unsigned VerifyRetryTiers = 3;
-  uint64_t VerifyRetryGrowth = 4;
-
   /// Checkpoint file; empty disables checkpointing. Written every
   /// CheckpointEveryNSteps GRPO steps (0 = only at stage boundaries and on
-  /// halt) via atomic write-then-rename.
+  /// halt) via atomic write-then-rename. A failed write is retried twice
+  /// after the driver's deterministic capped backoff; one that still fails
+  /// is telemetry, never an abort: the previous checkpoint stands and
+  /// training continues on the identical trajectory.
   std::string CheckpointPath;
   unsigned CheckpointEveryNSteps = 0;
-  /// Extra save attempts after a failed checkpoint write, each preceded by
-  /// the driver's deterministic capped backoff (driverBackoffMs with
-  /// CheckpointRetryBaseMs/CapMs, keyed on seed + stage + attempt — no
-  /// clock, no randomness). A still-failing write after all retries is
-  /// telemetry, never an abort: the previous checkpoint stands and
-  /// training continues on the identical trajectory.
-  unsigned CheckpointWriteRetries = 2;
-  uint64_t CheckpointRetryBaseMs = 10;
-  uint64_t CheckpointRetryCapMs = 100;
   /// Resume from CheckpointPath when it holds a checkpoint for this Seed;
   /// the resumed run's deterministic artifacts (parameters, logs, harvested
   /// samples) are identical to an uninterrupted run.
@@ -92,36 +85,11 @@ struct PipelineOptions {
 
   /// Optional durable verdict tier (the persistent VerdictStore, opened by
   /// the caller from e.g. train_mini's --verdict-store flag) attached under
-  /// the run's shared VerifyCache and propagated to evaluation. Warm-store
-  /// runs are bit-identical to cold ones — only the verification work is
-  /// skipped. While Faults is set the cache bypasses the tier entirely, so
-  /// chaos runs neither read nor warm the store.
+  /// the run's shared VerifyCache. Warm-store runs are bit-identical to
+  /// cold ones — only the verification work is skipped. While Faults is set
+  /// the cache bypasses the tier entirely, so chaos runs neither read nor
+  /// warm the store.
   VerdictBackingTier *VerdictTier = nullptr;
-
-  //===--- Sharded evaluation -------------------------------------------===//
-
-  /// Shard count for evaluateModelSharded(); 0 = one shard per worker
-  /// thread. The result is bit-identical to the serial oracle at any
-  /// setting (see Evaluation.h).
-  unsigned EvalShards = 1;
-  /// When non-empty, the evaluation writes its shard plan / per-shard
-  /// result JSON here (the multi-process work-unit boundary).
-  std::string EvalShardManifestPath;
-  std::string EvalShardResultDir;
-
-  /// EvalOptions matching this pipeline configuration (shards, seed, fault
-  /// injection, verdict store). \p Pool may be null for inline evaluation.
-  EvalOptions makeEvalOptions(ThreadPool *Pool = nullptr) const {
-    EvalOptions EO;
-    EO.Shards = EvalShards;
-    EO.Pool = Pool;
-    EO.Seed = Seed;
-    EO.Faults = Faults;
-    EO.VerdictTier = VerdictTier;
-    EO.ShardManifestPath = EvalShardManifestPath;
-    EO.ShardResultDir = EvalShardResultDir;
-    return EO;
-  }
 
   static VerifyOptions trainVerifyDefaults() {
     VerifyOptions V;
@@ -148,14 +116,6 @@ struct PipelineArtifacts {
   unsigned CorrectionSamples = 0;
   unsigned FirstTimeSamples = 0;
   double UMax = 3.0;
-
-  // Verifier-cost instrumentation, aggregated over all GRPO stages.
-  double ScoreWallMs = 0;         ///< total rollout-scoring wall time
-  uint64_t VerifyCacheHits = 0;   ///< across the shared verify cache
-  uint64_t VerifyCacheMisses = 0;
-  uint64_t VerifyCacheEvictions = 0;
-  unsigned FalsifyWins = 0;       ///< counterexamples found pre-SMT
-  uint64_t SolverConflicts = 0;   ///< total CDCL conflicts spent scoring
 
   // Fault-tolerant-runtime instrumentation.
   bool Halted = false;            ///< stopped early via HaltAfterSteps

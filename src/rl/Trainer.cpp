@@ -35,12 +35,7 @@ GRPOTrainer::GRPOTrainer(RewritePolicyModel &Model,
                          const BatchVerifier &Verifier, RewardFn Reward,
                          const GRPOOptions &Opts)
     : Model(Model), Verifier(Verifier), Reward(std::move(Reward)), Opts(Opts),
-      R(Opts.Seed) {
-  if (this->Opts.Threads > 1 && !this->Opts.Pool) {
-    OwnedPool = std::make_unique<ThreadPool>(this->Opts.Threads);
-    this->Opts.Pool = OwnedPool.get();
-  }
-}
+      R(Opts.Seed) {}
 
 TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
   struct Rollout {
@@ -119,7 +114,7 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
       Rollout &Ro = Rollouts[I];
       Ro.Score = Reward(*Ro.S, Ro.C, Ro.Verdicts);
     };
-    if (Opts.Pool && Opts.Threads > 1)
+    if (Opts.Pool && Opts.Pool->numThreads() > 1)
       Opts.Pool->parallelFor(Rollouts.size(), ScoreOne);
     else
       for (size_t I = 0; I < Rollouts.size(); ++I)

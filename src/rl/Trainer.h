@@ -43,8 +43,8 @@ struct RolloutVerdicts {
 };
 
 /// Stage-specific reward: (sample, completion, verdicts) -> score. It never
-/// verifies. Scoring fans out over a thread pool when GRPOOptions::Threads
-/// > 1, so the function must be safe to call concurrently on distinct
+/// verifies. Scoring fans out when GRPOOptions::Pool has more than one
+/// thread, so the function must be safe to call concurrently on distinct
 /// completions (shared state needs its own synchronization — or better,
 /// use GRPOOptions::OnRollout, which runs sequentially).
 using RewardFn = std::function<RolloutScore(
@@ -66,12 +66,11 @@ struct GRPOOptions {
   PromptMode Mode = PromptMode::Generic;
   uint64_t Seed = 11;
 
-  /// Rollout-scoring parallelism. Generation stays sequential (each rollout
-  /// draws from an RNG derived from (Seed, Step, PromptIdx, G)), so the
-  /// trained model and the log's reward/equivalence values are bit-identical
-  /// at any thread count.
-  unsigned Threads = 1;
-  /// Shared scoring pool; when null and Threads > 1 the trainer owns one.
+  /// Rollout-scoring parallelism: scoring fans out over the pool when it has
+  /// more than one thread; null or a 1-thread pool runs the serial loop.
+  /// Generation stays sequential (each rollout draws from an RNG derived
+  /// from (Seed, Step, PromptIdx, G)), so the trained model and the log's
+  /// reward/equivalence values are bit-identical at any thread count.
   ThreadPool *Pool = nullptr;
   /// Optional sequential observer of every scored rollout.
   RolloutHook OnRollout;
@@ -151,7 +150,6 @@ private:
   RNG R;
   unsigned StepCount = 0;
   EMA Smoother{0.95};
-  std::unique_ptr<ThreadPool> OwnedPool; ///< when Threads > 1 and no Pool
 };
 
 //===--- SFT -----------------------------------------------------------------//

@@ -184,7 +184,7 @@ BatchVerifier::verifyGroup(const std::string &SrcText, const Function &Src,
     Finals[U] = std::move(Final);
   };
 
-  if (Opts.Pool && Opts.Threads > 1)
+  if (Opts.Pool && Opts.Pool->numThreads() > 1)
     Opts.Pool->parallelFor(UniqueIdx.size(), RunOne);
   else
     for (size_t U = 0; U < UniqueIdx.size(); ++U)

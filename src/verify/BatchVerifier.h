@@ -66,10 +66,10 @@ public:
   struct Options {
     /// The retry ladder every unique candidate runs.
     RobustVerifyOptions Robust;
-    /// Per-candidate parallelism (the group fans out over the pool; the
-    /// context-mutating build phase serializes internally).
+    /// Per-candidate parallelism: the group fans out over the pool when it
+    /// has more than one thread (the context-mutating build phase
+    /// serializes internally); null or a 1-thread pool runs serially.
     ThreadPool *Pool = nullptr;
-    unsigned Threads = 1;
   };
 
   /// Group-level reuse accounting, also mirrored into batch.* metrics.

@@ -186,7 +186,6 @@ TEST(FaultTolerance, CheckpointRetriesRecoverTransientWriteFaults) {
   P.Faults = &FI;
   P.CheckpointPath = Path;
   P.CheckpointEveryNSteps = 1;
-  P.CheckpointWriteRetries = 2;
   PipelineArtifacts Art = runTrainingPipeline(DS, P);
 
   EXPECT_FALSE(Art.Halted);

@@ -12,12 +12,12 @@
 #include "oracle/Oracle.h"
 #include "support/FaultInjector.h"
 #include "support/ThreadPool.h"
+#include "trace/Metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
-#include <fstream>
 
 namespace veriopt {
 namespace {
@@ -161,16 +161,12 @@ TEST(ShardedEval, ZeroShardsMeansOnePerPoolThread) {
   EvalOptions EO;
   EO.Shards = 0;
   EO.Pool = &Pool;
-  EO.ShardResultDir = testing::TempDir();
+  Counter &Shards = MetricsRegistry::global().counter("eval.shards");
+  const uint64_t Before = Shards.value();
   EvalResult R = evaluateModelSharded(Base, ds().Valid, PromptMode::Generic,
                                       VerifyOptions(), EO);
   EXPECT_EQ(R.Taxonomy.Total, ds().Valid.size());
-  // Shard files 0..numThreads-1 must exist.
-  for (unsigned I = 0; I < Pool.numThreads(); ++I) {
-    std::ifstream IS(EO.ShardResultDir + "/shard_" + std::to_string(I) +
-                     ".json");
-    EXPECT_TRUE(IS.good()) << "missing shard result " << I;
-  }
+  EXPECT_EQ(Shards.value() - Before, Pool.numThreads());
 }
 
 //===--- Fault tolerance of the merge ----------------------------------------===//

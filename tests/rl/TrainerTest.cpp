@@ -68,23 +68,21 @@ RobustVerifyOptions trainLadder() {
   return O;
 }
 
-GRPOOptions smallGRPO(unsigned Threads = 1, ThreadPool *Pool = nullptr) {
+GRPOOptions smallGRPO(ThreadPool *Pool = nullptr) {
   GRPOOptions G;
   G.GroupSize = 6;
   G.PromptsPerStep = 3;
   G.Seed = 7;
-  G.Threads = Threads;
   G.Pool = Pool;
   return G;
 }
 
 /// A verifier for the trainer: the given ladder, fanning out over \p Pool.
 BatchVerifier makeVerifier(const RobustVerifyOptions &O, VerifyCache *Cache,
-                           ThreadPool *Pool = nullptr, unsigned Threads = 1) {
+                           ThreadPool *Pool = nullptr) {
   BatchVerifier::Options BO;
   BO.Robust = O;
   BO.Pool = Pool;
-  BO.Threads = Threads;
   return BatchVerifier(BO, Cache);
 }
 
@@ -157,9 +155,9 @@ TEST(Trainer, ParallelScoringIsBitIdenticalToSerial) {
     RewritePolicyModel Model(presetQwen3B());
     auto Cache = UseCache ? std::make_unique<VerifyCache>(512) : nullptr;
     ThreadPool Pool(Threads);
-    BatchVerifier Verifier = makeVerifier(O, Cache.get(), &Pool, Threads);
+    BatchVerifier Verifier = makeVerifier(O, Cache.get(), &Pool);
     GRPOTrainer Trainer(Model, Verifier, AnswerReward,
-                        smallGRPO(Threads, &Pool));
+                        smallGRPO(&Pool));
     auto Logs = Trainer.train(DS.Train, 12);
     ParamsOut = Model.params();
     return Logs;
@@ -201,8 +199,8 @@ TEST(Trainer, BatchVerificationIsBitIdenticalToSequential) {
     RewritePolicyModel Model(presetQwen3B());
     VerifyCache Cache(512);
     ThreadPool Pool(Threads);
-    BatchVerifier Verifier = makeVerifier(O, &Cache, &Pool, Threads);
-    GRPOTrainer Trainer(Model, Verifier, Reward, smallGRPO(Threads, &Pool));
+    BatchVerifier Verifier = makeVerifier(O, &Cache, &Pool);
+    GRPOTrainer Trainer(Model, Verifier, Reward, smallGRPO(&Pool));
     auto Logs = Trainer.train(DS.Train, 10);
     ParamsOut = Model.params();
     return Logs;
@@ -258,8 +256,8 @@ TEST(Trainer, VerdictsHandedToRewardMatchOracle) {
       RewritePolicyModel Model(presetQwen3B());
       auto Cache = UseCache ? std::make_unique<VerifyCache>(512) : nullptr;
       ThreadPool Pool(Threads);
-      BatchVerifier Verifier = makeVerifier(O, Cache.get(), &Pool, Threads);
-      GRPOOptions G = smallGRPO(Threads, &Pool);
+      BatchVerifier Verifier = makeVerifier(O, Cache.get(), &Pool);
+      GRPOOptions G = smallGRPO(&Pool);
       G.Mode = PromptMode::Augmented;
       GRPOTrainer Trainer(Model, Verifier, Record, G);
       Trainer.train(DS.Train, 4);
@@ -329,11 +327,13 @@ TEST(Trainer, RolloutHookSeesEveryRolloutInOrder) {
   G.GroupSize = 4;
   G.PromptsPerStep = 2;
   std::vector<const Sample *> SerialOrder, ParallelOrder;
-  BatchVerifier Verifier = makeVerifier(RobustVerifyOptions(), nullptr);
+  ThreadPool Pool(4);
   for (auto *Order : {&SerialOrder, &ParallelOrder}) {
-    G.Threads = Order == &SerialOrder ? 1 : 4;
+    G.Pool = Order == &SerialOrder ? nullptr : &Pool;
     G.OnRollout = [Order](const Sample &S, const Completion &,
                           const RolloutScore &) { Order->push_back(&S); };
+    BatchVerifier Verifier =
+        makeVerifier(RobustVerifyOptions(), nullptr, G.Pool);
     RewritePolicyModel M(presetQwen3B());
     GRPOTrainer Trainer(M, Verifier, FlatReward, G);
     Trainer.train(DS.Train, 3);

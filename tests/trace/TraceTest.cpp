@@ -90,13 +90,11 @@ std::vector<TraceEvent> tracedRun(unsigned Threads) {
   BO.Robust.Base.FalsifyTrials = 8;
   BO.Robust.MaxTiers = 1;
   BO.Pool = &Pool;
-  BO.Threads = Threads;
   BatchVerifier Verifier(BO, nullptr);
   GRPOOptions G;
   G.GroupSize = 4;
   G.PromptsPerStep = 2;
   G.Seed = 17;
-  G.Threads = Threads;
   G.Pool = &Pool;
   G.TraceLabel = "stage1";
   RewardFn Reward = [](const Sample &S, const Completion &C,

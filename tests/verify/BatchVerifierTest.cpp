@@ -185,7 +185,6 @@ TEST(BatchVerifier, ThreadCountInvariance) {
   BatchVerifier::Options B4;
   B4.Robust = O;
   B4.Pool = &Pool;
-  B4.Threads = 4;
   BatchVerifier BV4(B4, &C4);
   auto Threaded = BV4.verifyGroup(Src.Text, *Src.F, addGroup());
 

@@ -28,8 +28,9 @@
 // disk. The CI chaos-io job drives this with --max-attempts raised and
 // gates a clean exit.
 //
-// Exit codes: 0 all shards healthy; 1 hard error; 4 degraded (some shards
-// quarantined — healthy subset still merged and reported).
+// Exit codes: 0 all shards healthy; 1 hard error; 2 usage error (an unknown
+// flag, or a count that is not a whole unsigned number); 4 degraded (some
+// shards quarantined — healthy subset still merged and reported).
 //
 // `--tiny` is the CI chaos gate. It runs three phases (four with
 // --verdict-store) over a scratch directory and exits nonzero unless every
@@ -56,6 +57,7 @@
 #include "pipeline/EvalDriver.h"
 #include "store/VerdictStore.h"
 #include "support/AtomicFile.h"
+#include "support/CommandLine.h"
 #include "trace/Metrics.h"
 #include "trace/Trace.h"
 
@@ -85,7 +87,7 @@ int usage(const char *Argv0) {
       "          [--inject-flaky-shard I] [--chaos-io RATE%%]\n"
       "          [--chaos-io-seed S]\n",
       Argv0);
-  return 1;
+  return 2;
 }
 
 /// Default worker: sibling binary of this executable.
@@ -298,6 +300,16 @@ int main(int argc, char **argv) {
     *Out = argv[++I];
     return true;
   };
+  // A count flag matches its name; a value that is not a whole unsigned
+  // number makes the command line a usage error.
+  bool BadCount = false;
+  auto countArg = [&](int &I, const char *Name, unsigned &Out) {
+    const char *V = nullptr;
+    if (!valArg(I, Name, &V))
+      return false;
+    BadCount |= !parseUnsignedArg(V, Out);
+    return true;
+  };
   for (int I = 1; I < argc; ++I) {
     const char *V = nullptr;
     if (std::strcmp(argv[I], "--tiny") == 0)
@@ -312,16 +324,13 @@ int main(int argc, char **argv) {
       C.TracePath = V;
     else if (valArg(I, "--verdict-store", &V))
       C.StorePath = V;
-    else if (valArg(I, "--valid-count", &V))
-      C.ValidCount = static_cast<unsigned>(std::atoi(V));
+    else if (countArg(I, "--valid-count", C.ValidCount) ||
+             countArg(I, "--shards", C.Shards) ||
+             countArg(I, "--workers", C.Workers) ||
+             countArg(I, "--max-attempts", C.MaxAttempts))
+      continue;
     else if (valArg(I, "--dataset-seed", &V))
       C.DatasetSeed = static_cast<uint64_t>(std::atoll(V));
-    else if (valArg(I, "--shards", &V))
-      C.Shards = static_cast<unsigned>(std::atoi(V));
-    else if (valArg(I, "--workers", &V))
-      C.Workers = static_cast<unsigned>(std::atoi(V));
-    else if (valArg(I, "--max-attempts", &V))
-      C.MaxAttempts = static_cast<unsigned>(std::atoi(V));
     else if (valArg(I, "--timeout-ms", &V))
       C.TimeoutMs = static_cast<uint64_t>(std::atoll(V));
     else if (valArg(I, "--backoff-ms", &V))
@@ -344,7 +353,7 @@ int main(int argc, char **argv) {
     else
       return usage(argv[0]);
   }
-  if (C.Dir.empty())
+  if (BadCount || C.Dir.empty())
     return usage(argv[0]);
   ::mkdir(C.Dir.c_str(), 0755); // fine if it already exists (resume)
 

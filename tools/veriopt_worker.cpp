@@ -52,6 +52,7 @@
 #include "pipeline/Evaluation.h"
 #include "store/VerdictStore.h"
 #include "support/AtomicFile.h"
+#include "support/CommandLine.h"
 #include "support/FaultInjector.h"
 #include "support/FileLock.h"
 #include "support/IoEnv.h"
@@ -121,10 +122,11 @@ int main(int argc, char **argv) {
       StorePath = argv[++I];
     else if (std::strcmp(argv[I], "--lock-probe") == 0 && I + 1 < argc)
       LockProbePath = argv[++I];
-    else if (intArg(I, "--shard", V))
+    else if (std::strcmp(argv[I], "--valid-count") == 0 && I + 1 < argc) {
+      if (!parseUnsignedArg(argv[++I], ValidCount))
+        return usage(argv[0]);
+    } else if (intArg(I, "--shard", V))
       ShardIdx = static_cast<int>(V);
-    else if (intArg(I, "--valid-count", V))
-      ValidCount = static_cast<unsigned>(V);
     else if (intArg(I, "--dataset-seed", V))
       DatasetSeed = static_cast<uint64_t>(V);
     else if (intArg(I, "--attempt", V))
