@@ -9,6 +9,11 @@
 
 namespace veriopt {
 
+const BleuReference &Sample::refBleu() const {
+  std::call_once(RefBleu->Once, [this] { RefBleu->Ref.emplace(RefText); });
+  return *RefBleu->Ref;
+}
+
 std::unique_ptr<Sample> buildSample(uint64_t Seed, const std::string &Name,
                                     const DatasetOptions &Opts,
                                     DatasetStats *Stats) {
@@ -27,7 +32,7 @@ std::unique_ptr<Sample> buildSample(uint64_t Seed, const std::string &Name,
   Function *Src = S->SrcModule->getMainFunction();
   assert(Src && isWellFormed(*Src) && "lowering produced invalid IR");
   S->SrcText = printFunction(*Src);
-  S->TokenCount = static_cast<unsigned>(tokenizeIR(S->SrcText).size());
+  S->TokenCount = static_cast<unsigned>(countIRTokens(S->SrcText));
   if (S->TokenCount > Opts.TokenLimit) {
     Stat(&DatasetStats::RejectedTokenLimit);
     return nullptr;

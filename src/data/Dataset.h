@@ -12,8 +12,11 @@
 
 #include "data/MiniC.h"
 #include "opt/Pass.h"
+#include "textgen/Bleu.h"
 
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,6 +36,18 @@ struct Sample {
   unsigned TokenCount = 0;
 
   Function *source() const { return SrcModule->getMainFunction(); }
+
+  /// RefText tokenized for BLEU. Built on the first call, once even when
+  /// scorers call concurrently, so only the samples a BLEU reward scores
+  /// hold the tokens.
+  const BleuReference &refBleu() const;
+
+private:
+  struct LazyBleu {
+    std::once_flag Once;
+    std::optional<BleuReference> Ref;
+  };
+  std::unique_ptr<LazyBleu> RefBleu = std::make_unique<LazyBleu>();
 };
 
 struct DatasetOptions {

@@ -15,8 +15,9 @@ namespace {
 /// and appends the text of one function to a caller's buffer.
 class FunctionPrinter {
 public:
-  FunctionPrinter(const Function &F, std::string &Out) : F(F), Out(Out) {
-    number();
+  FunctionPrinter(const Function &F, std::string &Out, PrintNames Mode)
+      : F(F), Out(Out) {
+    number(Mode == PrintNames::Kept);
   }
 
   void print() {
@@ -57,10 +58,10 @@ public:
   }
 
 private:
-  void number() {
+  void number(bool KeepNames) {
     unsigned Counter = 0;
     auto assign = [&](const Value *V) {
-      if (V->hasName())
+      if (KeepNames && V->hasName())
         Names[V] = V->getName();
       else
         Names[V] = std::to_string(Counter++);
@@ -70,7 +71,7 @@ private:
     if (F.isDeclaration())
       return;
     for (const auto &BB : F) {
-      if (BB->getName().empty())
+      if (!KeepNames || BB->getName().empty())
         BlockNames[BB.get()] = std::to_string(Counter++);
       else
         BlockNames[BB.get()] = BB->getName();
@@ -263,34 +264,34 @@ private:
 
 /// Append \p F's text to \p Out; every function printed counts once in
 /// ir.print, whether alone or as part of a module.
-void appendFunction(const Function &F, std::string &Out) {
+void appendFunction(const Function &F, std::string &Out, PrintNames Mode) {
   static Counter &Prints = MetricsRegistry::global().counter("ir.print");
   Prints.inc();
-  FunctionPrinter(F, Out).print();
+  FunctionPrinter(F, Out, Mode).print();
 }
 
 } // namespace
 
 std::string printFunction(const Function &F) {
   std::string Out;
-  appendFunction(F, Out);
+  appendFunction(F, Out, PrintNames::Kept);
   // Callers keep prints (a sample's texts live as long as its dataset):
   // return the text at its length, not with the capacity appending grew.
   Out.shrink_to_fit();
   return Out;
 }
 
-std::string printModule(const Module &M) {
+std::string printModule(const Module &M, PrintNames Names) {
   std::string Out;
   for (const auto &F : M.functions())
     if (F->isDeclaration())
-      appendFunction(*F, Out);
+      appendFunction(*F, Out, Names);
   for (const auto &F : M.functions()) {
     if (F->isDeclaration())
       continue;
     if (!Out.empty())
       Out += '\n';
-    appendFunction(*F, Out);
+    appendFunction(*F, Out, Names);
   }
   return Out;
 }

@@ -564,10 +564,16 @@ void applyOptActionSet(const std::vector<Action> &Actions, Function &F) {
 Completion RewritePolicyModel::generate(const Function &Src, PromptMode Mode,
                                         RNG &R, bool Greedy,
                                         double Temperature) const {
+  return generate(Src, printFunction(Src), Mode, R, Greedy, Temperature);
+}
+
+Completion RewritePolicyModel::generate(const Function &Src,
+                                        const std::string &SrcText,
+                                        PromptMode Mode, RNG &R, bool Greedy,
+                                        double Temperature) const {
   Completion Out;
-  // The source is printed once per decode: the features, the capacity gate
-  // and the residual roll hash this text, and a copy answers with it.
-  const std::string SrcText = printFunction(Src);
+  // The features, the capacity gate and the residual roll hash the printed
+  // source, and a copy answers with it.
   std::vector<double> BaseLogits = actionLogits(featuresOf(Src, SrcText));
 
   std::vector<Action> SyntaxCorrupts, SemanticCorrupts;
@@ -613,24 +619,31 @@ Completion RewritePolicyModel::generate(const Function &Src, PromptMode Mode,
   for (Action A : OptActions)
     if (familyFires(GateState, A))
       Firing.push_back(A);
-  auto Clean = Src.clone(); // corruption-free transformed function
-  if (!Copied && !Firing.empty())
-    applyOptActionSet(Firing, *Clean);
-  auto Working = Clean->clone(); // + semantic corruption
-  for (Action A : SemanticCorrupts) {
-    switch (A) {
-    case Action::CorruptConstant:
-      perturbConstant(*Working);
-      break;
-    case Action::CorruptSwapSub:
-      swapNonCommutative(*Working);
-      break;
-    case Action::CorruptFlipPred:
-      flipPredicate(*Working);
-      break;
-    default:
-      dropStore(*Working);
-      break;
+  // A copy answers with the source text, so only a rewrite clones the
+  // source: Clean is the corruption-free transformed function, and a
+  // second clone carries the semantic corruptions when any were selected.
+  std::unique_ptr<Function> Clean, Corrupted;
+  if (!Copied) {
+    Clean = Src.clone();
+    if (!Firing.empty())
+      applyOptActionSet(Firing, *Clean);
+    if (!SemanticCorrupts.empty())
+      Corrupted = Clean->clone();
+    for (Action A : SemanticCorrupts) {
+      switch (A) {
+      case Action::CorruptConstant:
+        perturbConstant(*Corrupted);
+        break;
+      case Action::CorruptSwapSub:
+        swapNonCommutative(*Corrupted);
+        break;
+      case Action::CorruptFlipPred:
+        flipPredicate(*Corrupted);
+        break;
+      default:
+        dropStore(*Corrupted);
+        break;
+      }
     }
   }
 
@@ -640,7 +653,7 @@ Completion RewritePolicyModel::generate(const Function &Src, PromptMode Mode,
   if (Copied) {
     AttemptIR = SrcText;
   } else {
-    AttemptIR = printFunction(*Working);
+    AttemptIR = printFunction(Corrupted ? *Corrupted : *Clean);
     for (Action A : SyntaxCorrupts) {
       switch (A) {
       case Action::CorruptUndefName:
@@ -667,7 +680,7 @@ Completion RewritePolicyModel::generate(const Function &Src, PromptMode Mode,
     applyResidualHallucination(SrcText, Out);
     Out.Text = renderCompletion(Mode, Out.FormatOk, "", "", Out.AnswerIR);
     Out.TokenCount = static_cast<unsigned>(Out.Actions.size() +
-                                           tokenizeIR(Out.AnswerIR).size());
+                                           countIRTokens(Out.AnswerIR));
     return Out;
   }
 
@@ -699,9 +712,9 @@ Completion RewritePolicyModel::generate(const Function &Src, PromptMode Mode,
   applyResidualHallucination(SrcText, Out);
   Out.Text = renderCompletion(Mode, Out.FormatOk, Out.ThinkAttemptIR,
                               Out.PredictedMessage, Out.AnswerIR);
-  Out.TokenCount = static_cast<unsigned>(
-      Out.Actions.size() + tokenizeIR(Out.ThinkAttemptIR).size() +
-      tokenizeIR(Out.AnswerIR).size());
+  Out.TokenCount = static_cast<unsigned>(Out.Actions.size() +
+                                         countIRTokens(Out.ThinkAttemptIR) +
+                                         countIRTokens(Out.AnswerIR));
   return Out;
 }
 
@@ -713,8 +726,9 @@ void RewritePolicyModel::applyResidualHallucination(
   if (Roll < Cfg.ResidualSyntaxPct) {
     Out.AnswerIR = corruptUndefName(std::move(Out.AnswerIR));
   } else if (Roll < Cfg.ResidualSyntaxPct + Cfg.ResidualSemanticPct) {
-    // Re-parse and perturb a constant; fall back to a text-level typo when
-    // the answer does not parse (it is already broken anyway).
+    // Re-parse and perturb a constant. An answer that does not parse (it is
+    // already broken anyway), or has no constant to perturb, stays as it
+    // is.
     auto M = parseModule(Out.AnswerIR);
     if (M && M.value()->getMainFunction()) {
       Function *F = M.value()->getMainFunction();
@@ -741,10 +755,11 @@ double RewritePolicyModel::sequenceLogProb(
 }
 
 void RewritePolicyModel::accumulateSequenceGrad(
-    const Function &Src, const std::vector<Action> &Seq, double Scale,
+    const Function &Src, const std::string &SrcText,
+    const std::vector<Action> &Seq, double Scale,
     std::vector<double> &Grad) const {
   assert(Grad.size() == Theta.size() && "gradient buffer layout mismatch");
-  auto Phi = extractFeatures(Src);
+  auto Phi = featuresOf(Src, SrcText);
   std::vector<double> BaseLogits = actionLogits(Phi);
   uint32_t Used = 0;
   // d log softmax_a / d logit_b = [a==b] - P_b, per step, under the same

@@ -129,8 +129,15 @@ public:
   std::vector<double> &params() { return Theta; }
   const std::vector<double> &params() const { return Theta; }
 
-  /// Decode a completion for \p Src. Greedy when \p Greedy (the evaluation
-  /// setting); otherwise temperature-\p Temperature sampling from \p R.
+  /// Decode a completion for \p Src, whose printed text is \p SrcText
+  /// (Sample::SrcText): the features, the capacity gate and the residual
+  /// roll hash it, and a copy answers with it. Greedy when \p Greedy (the
+  /// evaluation setting); otherwise temperature-\p Temperature sampling
+  /// from \p R.
+  Completion generate(const Function &Src, const std::string &SrcText,
+                      PromptMode Mode, RNG &R, bool Greedy,
+                      double Temperature = 1.0) const;
+  /// The same, printing \p Src first.
   Completion generate(const Function &Src, PromptMode Mode, RNG &R,
                       bool Greedy, double Temperature = 1.0) const;
 
@@ -145,8 +152,8 @@ public:
                          const std::vector<Action> &Seq) const;
 
   /// Accumulate d logProb(Seq)/d Theta * Scale into \p Grad (same layout as
-  /// params()).
-  void accumulateSequenceGrad(const Function &Src,
+  /// params()). \p SrcText must be printFunction(Src) (Sample::SrcText).
+  void accumulateSequenceGrad(const Function &Src, const std::string &SrcText,
                               const std::vector<Action> &Seq, double Scale,
                               std::vector<double> &Grad) const;
 

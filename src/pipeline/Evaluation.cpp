@@ -3,7 +3,6 @@
 #include "pipeline/Evaluation.h"
 
 #include "cost/CostModel.h"
-#include "ir/Parser.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
 #include "trace/Json.h"
@@ -109,12 +108,12 @@ void recomputeAggregates(EvalResult &R) {
 //===--- Per-sample core ------------------------------------------------------//
 
 SampleEval evaluateCandidate(const Sample &S, const Completion &C,
+                             const Candidate &Answer,
                              const VerifyResult &Verdict,
                              VerifyTaxonomy &Tax) {
   SampleEval E;
   ++Tax.Total;
 
-  std::unique_ptr<Module> OutM;
   const Function *OutF = nullptr;
   VerifyResult VR;
   if (!C.FormatOk) {
@@ -123,26 +122,22 @@ SampleEval evaluateCandidate(const Sample &S, const Completion &C,
   } else {
     VR = Verdict;
     if (VR.equivalent()) {
-      // An Equivalent verdict whose answer fails to reparse (a lying or
+      // An Equivalent verdict whose answer does not parse (a lying or
       // fault-injected verifier, or parser/verifier drift) must not be
       // trusted: classify as Inconclusive with a distinct diagnostic and
-      // keep the -O0 fallback. The old assert() compiled out under NDEBUG
-      // and ran takeValue() on the error state — UB.
-      auto Parsed = parseModule(C.AnswerIR);
-      if (!Parsed || !Parsed.value()->getMainFunction()) {
+      // keep the -O0 fallback.
+      OutF = Answer.function();
+      if (!OutF) {
         VR = VerifyResult();
         VR.Status = VerifyStatus::Inconclusive;
         VR.Kind = DiagKind::ParseError;
         VR.Diagnostic = "Inconclusive: verifier reported Equivalent but the "
                         "candidate did not reparse; keeping the -O0 output\n";
-      } else {
-        OutM = Parsed.takeValue();
-        OutF = OutM->getMainFunction();
       }
     }
   }
   E.Status = VR.Status;
-  E.IsCopy = C.FormatOk && C.AnswerIR == S.SrcText;
+  E.IsCopy = C.FormatOk && Answer.text() == S.SrcText;
 
   switch (VR.Status) {
   case VerifyStatus::Equivalent:
@@ -227,11 +222,16 @@ ShardEvalResult evaluateEvalShard(const RewritePolicyModel &Model,
   const size_t End = std::min(Shard.End, Valid.size());
   for (size_t I = Shard.Begin; I < End; ++I) {
     const Sample &S = Valid[I];
-    Completion C = Model.generate(*S.source(), Mode, Rng, /*Greedy=*/true);
+    Completion C =
+        Model.generate(*S.source(), S.SrcText, Mode, Rng, /*Greedy=*/true);
+    // One parse of the answer serves the cache key, the verdict and the
+    // cost of the kept output.
+    const Candidate Answer(C.AnswerIR);
     VerifyResult Verdict;
     if (C.FormatOk)
-      Verdict = Verifier.verifyOne(S.SrcText, *S.source(), C.AnswerIR);
-    R.PerSample.push_back(evaluateCandidate(S, C, Verdict, R.Taxonomy));
+      Verdict = Verifier.verifyOne(S.SrcText, *S.source(), Answer);
+    R.PerSample.push_back(
+        evaluateCandidate(S, C, Answer, Verdict, R.Taxonomy));
   }
 
   static Counter &ShardCount = MetricsRegistry::global().counter("eval.shards");
@@ -314,9 +314,11 @@ unsigned countResultDivergence(const EvalResult &A, const EvalResult &B) {
   for (size_t I = 0; I < A.PerSample.size(); ++I) {
     const SampleEval &X = A.PerSample[I], &Y = B.PerSample[I];
     D += X.Status != Y.Status || X.IsCopy != Y.IsCopy ||
-         X.UsedFallback != Y.UsedFallback || !bitEq(X.LatOut, Y.LatOut) ||
-         !bitEq(X.LatO0, Y.LatO0) || !bitEq(X.LatRef, Y.LatRef) ||
-         X.ICountOut != Y.ICountOut || X.SizeOut != Y.SizeOut;
+         X.UsedFallback != Y.UsedFallback || !bitEq(X.LatO0, Y.LatO0) ||
+         !bitEq(X.LatOut, Y.LatOut) || !bitEq(X.LatRef, Y.LatRef) ||
+         X.ICountO0 != Y.ICountO0 || X.ICountOut != Y.ICountOut ||
+         X.ICountRef != Y.ICountRef || X.SizeO0 != Y.SizeO0 ||
+         X.SizeOut != Y.SizeOut || X.SizeRef != Y.SizeRef;
   }
   return D;
 }

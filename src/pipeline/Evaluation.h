@@ -33,6 +33,7 @@
 namespace veriopt {
 
 class BatchVerifier;
+class Candidate;
 class FaultInjector;
 class ThreadPool;
 class VerdictBackingTier;
@@ -105,14 +106,16 @@ void recomputeAggregates(EvalResult &R);
 
 //===--- Per-sample core ----------------------------------------------------===//
 
-/// Classify one completion for \p S given the verifier's \p Verdict on its
-/// answer (ignored when the completion fails the format gate): the shared
-/// per-sample core of every evaluation path (identical logic is what makes
-/// the differential guarantee hold). Counts the outcome into \p Tax. A
-/// verdict of Equivalent whose answer fails to reparse is recorded as
-/// Inconclusive with a distinct diagnostic and keeps the -O0 fallback —
-/// never UB.
+/// Classify one completion for \p S given \p Answer, the Candidate of its
+/// answer text, and the verifier's \p Verdict on it (ignored when the
+/// completion fails the format gate): the shared per-sample core of every
+/// evaluation path (identical logic is what makes the differential
+/// guarantee hold). An Equivalent answer is costed on the Candidate's
+/// parse. Counts the outcome into \p Tax. A verdict of Equivalent whose
+/// answer does not parse is recorded as Inconclusive with a distinct
+/// diagnostic and keeps the -O0 fallback — never UB.
 SampleEval evaluateCandidate(const Sample &S, const Completion &C,
+                             const Candidate &Answer,
                              const VerifyResult &Verdict, VerifyTaxonomy &Tax);
 
 //===--- Sharded evaluation -------------------------------------------------===//
@@ -198,7 +201,8 @@ EvalResult evaluateModelSharded(const RewritePolicyModel &Model,
 
 /// Count bit-exact differences between two results: taxonomy counts, every
 /// aggregate (doubles compared by bit pattern, so -0.0 != 0.0 and NaN ==
-/// NaN), and every per-sample field. 0 means bit-identical. The
+/// NaN), and all twelve fields of every SampleEval (a sample counts once
+/// however many of its fields differ). 0 means bit-identical. The
 /// differential gates (bench/sharded_eval, bench/eval_driver,
 /// veriopt-drive --tiny) all key off this.
 unsigned countResultDivergence(const EvalResult &A, const EvalResult &B);

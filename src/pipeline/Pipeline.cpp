@@ -24,25 +24,28 @@ static RolloutScore scoreFromBreakdown(const RewardBreakdown &B,
 }
 
 RewardFn makeAnswerReward() {
-  return [](const Sample &S, const Completion &C, const RolloutVerdicts &V) {
-    RewardBreakdown B = answerReward(S, C, V.Answer);
+  return [](const Sample &S, const Completion &C, const Candidate &Answer,
+            const RolloutVerdicts &V) {
+    RewardBreakdown B = answerReward(S, C, Answer, V.Answer);
     return scoreFromBreakdown(B, B.Total);
   };
 }
 
 RewardFn makeCorrectnessReward() {
-  return [](const Sample &S, const Completion &C, const RolloutVerdicts &V) {
-    RewardBreakdown B = answerReward(S, C, V.Answer);
+  return [](const Sample &S, const Completion &C, const Candidate &Answer,
+            const RolloutVerdicts &V) {
+    RewardBreakdown B = answerReward(S, C, Answer, V.Answer);
     return scoreFromBreakdown(B, B.Total + cotReward(C, V.Attempt));
   };
 }
 
 RewardFn makeLatencyReward(const LatencyRewardParams &P) {
-  return [P](const Sample &S, const Completion &C, const RolloutVerdicts &V) {
-    RewardBreakdown B = answerChecks(S, C, V.Answer);
+  return [P](const Sample &S, const Completion &C, const Candidate &Answer,
+             const RolloutVerdicts &V) {
+    RewardBreakdown B = answerChecks(S, C, Answer, V.Answer);
     // Eq. (4): equivalence-gated shaped speedup. Alive2 stays in the loop
     // as the gate even though the instcombine labels are gone.
-    return scoreFromBreakdown(B, latencyReward(S, C, B.Equivalent, P));
+    return scoreFromBreakdown(B, latencyReward(S, Answer, B.Equivalent, P));
   };
 }
 

@@ -3,7 +3,6 @@
 #include "rl/Reward.h"
 
 #include "cost/CostModel.h"
-#include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "support/Stats.h"
 #include "textgen/Bleu.h"
@@ -15,23 +14,22 @@ namespace veriopt {
 
 /// A copy that has been re-wrapped in whitespace or renumbered values must
 /// still count as a copy, or the copy penalty / CopyRate stat is evaded by
-/// cosmetic edits. Compare canonically re-printed IR with the sample's
-/// printed source; fall back to the raw byte compare when the answer does
-/// not parse.
-static bool isCopyOfSource(const Sample &S, const std::string &AnswerIR) {
-  if (AnswerIR == S.SrcText)
+/// cosmetic edits. Compare the re-printed parse (names kept) with the
+/// sample's printed source; an answer that does not parse is a copy only
+/// byte for byte.
+static bool isCopyOfSource(const Sample &S, const Candidate &Answer) {
+  if (Answer.text() == S.SrcText)
     return true;
-  auto M = parseModule(AnswerIR);
-  if (!M || !M.value()->getMainFunction())
-    return false;
-  return printFunction(*M.value()->getMainFunction()) == S.SrcText;
+  const Function *F = Answer.function();
+  return F && printFunction(*F) == S.SrcText;
 }
 
 RewardBreakdown answerChecks(const Sample &S, const Completion &C,
+                             const Candidate &Answer,
                              const VerifyResult &Verdict) {
   RewardBreakdown Out;
   Out.FormatOk = C.FormatOk;
-  Out.IsCopy = isCopyOfSource(S, C.AnswerIR);
+  Out.IsCopy = isCopyOfSource(S, Answer);
 
   if (Out.FormatOk) {
     Out.Verify = Verdict;
@@ -41,14 +39,15 @@ RewardBreakdown answerChecks(const Sample &S, const Completion &C,
     Out.Verify.Kind = DiagKind::ParseError;
     Out.Verify.Diagnostic = "ERROR: completion violates the answer format";
   }
-  Out.ExactMatch = Out.Equivalent && C.AnswerIR == S.RefText;
+  Out.ExactMatch = Out.Equivalent && Answer.text() == S.RefText;
   return Out;
 }
 
 RewardBreakdown answerReward(const Sample &S, const Completion &C,
+                             const Candidate &Answer,
                              const VerifyResult &Verdict) {
-  RewardBreakdown Out = answerChecks(S, C, Verdict);
-  Out.Bleu = bleuText(S.RefText, C.AnswerIR);
+  RewardBreakdown Out = answerChecks(S, C, Answer, Verdict);
+  Out.Bleu = S.refBleu().score(Answer.text());
 
   double T = Out.FormatOk ? 1.0 : 0.0;
   double A = Out.Equivalent ? 1.0 : 0.0;
@@ -68,19 +67,19 @@ double cotReward(const Completion &C, const VerifyResult &AttemptVerify) {
   return 0.0; // disagreement
 }
 
-double latencyReward(const Sample &S, const Completion &C, bool Equivalent,
-                     const LatencyRewardParams &P) {
+double latencyReward(const Sample &S, const Candidate &Answer,
+                     bool Equivalent, const LatencyRewardParams &P) {
   if (!Equivalent)
     return 0.0; // S = 0
   if (P.UMax <= 1.0)
     return 0.0; // saturation band is empty: Eq. (4) would divide by zero
-  auto M = parseModule(C.AnswerIR);
-  if (!M || !M.value()->getMainFunction())
+  const Function *F = Answer.function();
+  if (!F)
     return 0.0;
   double T0 = estimateLatency(*S.source());
   if (T0 <= 0)
     return 0.0; // zero-latency source: no speedup is expressible
-  double T1 = estimateLatency(*M.value()->getMainFunction());
+  double T1 = estimateLatency(*F);
   if (T1 <= 0)
     T1 = 0.5; // fully-folded function: credit the maximum
   double U = T0 / T1;

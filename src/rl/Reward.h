@@ -18,6 +18,7 @@
 #include "data/Dataset.h"
 #include "model/Policy.h"
 #include "verify/AliveLite.h"
+#include "verify/Candidate.h"
 
 namespace veriopt {
 
@@ -34,10 +35,13 @@ struct RewardBreakdown {
 };
 
 /// Evaluate Eq. (1) for a completion's answer against the sample's source
-/// and reference, given the verifier's \p Verdict on the answer (the
-/// trainer computes it through BatchVerifier). A completion that fails the
-/// format gate scores as a syntax error and \p Verdict is ignored.
+/// and reference, given \p Answer, the Candidate of C.AnswerIR, and the
+/// verifier's \p Verdict on it (the trainer computes both: the Candidate
+/// once per distinct answer of a group, the verdict through BatchVerifier).
+/// A completion that fails the format gate scores as a syntax error and
+/// \p Verdict is ignored.
 RewardBreakdown answerReward(const Sample &S, const Completion &C,
+                             const Candidate &Answer,
                              const VerifyResult &Verdict);
 
 /// answerReward's format, equivalence, exact-match and copy checks without
@@ -45,6 +49,7 @@ RewardBreakdown answerReward(const Sample &S, const Completion &C,
 /// answerReward returns. For rewards that read only those checks (the
 /// latency stage), so they do not pay for BLEU.
 RewardBreakdown answerChecks(const Sample &S, const Completion &C,
+                             const Candidate &Answer,
                              const VerifyResult &Verdict);
 
 /// Eq. (2): 1 when model and Alive agree the think-attempt verifies;
@@ -58,11 +63,11 @@ struct LatencyRewardParams {
 };
 
 /// Eq. (3)/(4): 0 unless the answer is equivalent and strictly faster than
-/// the -O0 source; otherwise the shaped, saturated speedup. Degenerate
-/// parameterizations (UMax <= 1, a zero-latency source) score 0 instead of
-/// dividing by zero.
-double latencyReward(const Sample &S, const Completion &C, bool Equivalent,
-                     const LatencyRewardParams &P);
+/// the -O0 source; otherwise the shaped, saturated speedup of \p Answer's
+/// parse. Degenerate parameterizations (UMax <= 1, a zero-latency source)
+/// score 0 instead of dividing by zero.
+double latencyReward(const Sample &S, const Candidate &Answer,
+                     bool Equivalent, const LatencyRewardParams &P);
 
 /// Compute U_max from the reference pass's speedups over a training set
 /// (80th percentile, floored at 1.5 to keep the reward well-defined).

@@ -41,6 +41,7 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
   struct Rollout {
     const Sample *S;
     Completion C;
+    const Candidate *Answer = nullptr;
     RolloutVerdicts Verdicts;
     RolloutScore Score;
     double Advantage = 0;
@@ -63,38 +64,42 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
         Rollout Ro;
         Ro.S = S;
         RNG RoR(mixSeed(mixSeed(mixSeed(Opts.Seed, StepNo), PromptIdx), G));
-        Ro.C = Model.generate(*S->source(), Opts.Mode, RoR, /*Greedy=*/false,
-                              Opts.Temperature);
+        Ro.C = Model.generate(*S->source(), S->SrcText, Opts.Mode, RoR,
+                              /*Greedy=*/false, Opts.Temperature);
         Rollouts.push_back(std::move(Ro));
       }
     }
   }
 
-  // Phase 2: verification. One verifyGroup call per prompt group computes
-  // every verdict the reward needs — answers that pass the format gate, and
+  // Phase 2: verification. Every distinct answer and attempt text of the
+  // step becomes one Candidate, parsed once for the cache key, the verdict
+  // and the reward. One verifyGroup call per prompt group computes every
+  // verdict the reward needs — answers that pass the format gate, and
   // think-attempts in augmented mode — through one shared solver context,
   // once per canonically distinct candidate.
+  CandidateSet Candidates; // read by the scoring phase below
   unsigned RungHits = 0, RungsComputed = 0;
   for (unsigned PromptIdx = 0; PromptIdx < Batch.size(); ++PromptIdx) {
     const Sample *S = Batch[PromptIdx];
-    std::vector<std::string> Texts;
+    std::vector<const Candidate *> ToVerify;
     std::vector<VerifyResult *> Slots;
     for (unsigned G = 0; G < Opts.GroupSize; ++G) {
       Rollout &Ro = Rollouts[PromptIdx * Opts.GroupSize + G];
+      Ro.Answer = &Candidates.get(Ro.C.AnswerIR);
       if (Ro.C.FormatOk) {
-        Texts.push_back(Ro.C.AnswerIR);
+        ToVerify.push_back(Ro.Answer);
         Slots.push_back(&Ro.Verdicts.Answer);
       }
       if (Opts.Mode == PromptMode::Augmented) {
-        Texts.push_back(Ro.C.ThinkAttemptIR);
+        ToVerify.push_back(&Candidates.get(Ro.C.ThinkAttemptIR));
         Slots.push_back(&Ro.Verdicts.Attempt);
       }
     }
-    if (Texts.empty())
+    if (ToVerify.empty())
       continue;
     BatchVerifier::GroupStats GS;
     std::vector<VerifyResult> Verdicts =
-        Verifier.verifyGroup(S->SrcText, *S->source(), Texts, &GS);
+        Verifier.verifyGroup(S->SrcText, *S->source(), ToVerify, &GS);
     for (size_t I = 0; I < Slots.size(); ++I)
       *Slots[I] = std::move(Verdicts[I]);
     RungHits += GS.CacheHits;
@@ -112,7 +117,7 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
         TraceArg::ofInt("rollouts", static_cast<int64_t>(Rollouts.size())));
     auto ScoreOne = [&](size_t I) {
       Rollout &Ro = Rollouts[I];
-      Ro.Score = Reward(*Ro.S, Ro.C, Ro.Verdicts);
+      Ro.Score = Reward(*Ro.S, Ro.C, *Ro.Answer, Ro.Verdicts);
     };
     if (Opts.Pool && Opts.Pool->numThreads() > 1)
       Opts.Pool->parallelFor(Rollouts.size(), ScoreOne);
@@ -174,7 +179,8 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
     double Scale = Ro.Advantage * TokenScale *
                    static_cast<double>(Ro.C.TokenCount) /
                    std::max<size_t>(Ro.C.Actions.size(), 1);
-    Model.accumulateSequenceGrad(*Ro.S->source(), Ro.C.Actions, Scale, Grad);
+    Model.accumulateSequenceGrad(*Ro.S->source(), Ro.S->SrcText,
+                                 Ro.C.Actions, Scale, Grad);
     if (Opts.Mode == PromptMode::Augmented) {
       Model.accumulateDiagGrad(Ro.C.Actions, Ro.C.PredictedDiagClass, Scale,
                                Grad);
@@ -307,8 +313,8 @@ void sftTrain(RewritePolicyModel &Model, const std::vector<SFTExample> &Data,
       const SFTExample &Ex = Data[Idx];
       std::vector<double> Grad(Model.numParams(), 0.0);
       double Scale = 1.0 / std::max<size_t>(Ex.TargetActions.size(), 1);
-      Model.accumulateSequenceGrad(*Ex.S->source(), Ex.TargetActions, Scale,
-                                   Grad);
+      Model.accumulateSequenceGrad(*Ex.S->source(), Ex.S->SrcText,
+                                   Ex.TargetActions, Scale, Grad);
       Model.accumulateDiagGrad(Ex.AttemptActions, Ex.DiagClassTarget, 1.0,
                                Grad);
       if (Ex.IsCorrection)

@@ -33,7 +33,8 @@ struct RolloutScore {
 };
 
 /// The verifier's verdicts on one rollout. The trainer computes them with
-/// one BatchVerifier::verifyGroup call per prompt group, before scoring.
+/// one BatchVerifier::verifyGroup call per prompt group, before scoring,
+/// over one Candidate per distinct answer or attempt text of the step.
 struct RolloutVerdicts {
   /// Verdict on the answer; left default when the completion fails the
   /// format gate (the reward scores those without a verdict).
@@ -42,13 +43,17 @@ struct RolloutVerdicts {
   VerifyResult Attempt;
 };
 
-/// Stage-specific reward: (sample, completion, verdicts) -> score. It never
-/// verifies. Scoring fans out when GRPOOptions::Pool has more than one
-/// thread, so the function must be safe to call concurrently on distinct
-/// completions (shared state needs its own synchronization — or better,
-/// use GRPOOptions::OnRollout, which runs sequentially).
-using RewardFn = std::function<RolloutScore(
-    const Sample &, const Completion &, const RolloutVerdicts &)>;
+/// Stage-specific reward: (sample, completion, the Candidate of its answer,
+/// verdicts) -> score. It never verifies, and reads the answer's parse from
+/// the Candidate instead of parsing again. Scoring fans out when
+/// GRPOOptions::Pool has more than one thread, and rollouts with the same
+/// answer text share one Candidate, so the function must be safe to call
+/// concurrently on distinct completions (shared state needs its own
+/// synchronization — or better, use GRPOOptions::OnRollout, which runs
+/// sequentially).
+using RewardFn =
+    std::function<RolloutScore(const Sample &, const Completion &,
+                               const Candidate &, const RolloutVerdicts &)>;
 
 /// Sequential per-rollout observer, invoked after the (possibly parallel)
 /// scoring phase in deterministic rollout order. The place for stateful

@@ -51,21 +51,16 @@ const char *verifyStatusName(VerifyStatus S) {
 }
 
 /// The implementation lives in RefinementQuery.cpp: both public entry
-/// points are thin wrappers that build a fresh, exclusively-owned source
-/// encoding per call. BatchVerifier reuses the same machinery with one
-/// shared encoding per group; the results are bit-identical by
-/// construction (see RefinementQuery.h).
+/// points build a fresh, exclusively-owned source encoding per call
+/// (verifyCandidateText is defined there, beside the guard chain it shares
+/// with verifyCandidateOn). BatchVerifier reuses the same machinery with one
+/// shared encoding per group; the results are bit-identical by construction
+/// (see RefinementQuery.h).
 
 VerifyResult verifyRefinement(const Function &Src, const Function &Tgt,
                               const VerifyOptions &Opts) {
   auto SC = buildSourceEncoding(Src, Opts);
   return verifyAgainstEncoding(*SC, Tgt, Opts, /*Shared=*/false);
-}
-
-VerifyResult verifyCandidateText(const Function &Src,
-                                 const std::string &TgtText,
-                                 const VerifyOptions &Opts) {
-  return verifyCandidateTextOn(nullptr, Src, TgtText, Opts);
 }
 
 } // namespace veriopt

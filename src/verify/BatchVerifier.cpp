@@ -7,7 +7,6 @@
 #include "verify/RefinementQuery.h"
 
 #include <mutex>
-#include <string_view>
 #include <unordered_map>
 
 namespace veriopt {
@@ -39,7 +38,7 @@ VerifyOptions tierOptions(const RobustVerifyOptions &O, unsigned Tier) {
 
 std::vector<VerifyResult>
 BatchVerifier::verifyGroup(const std::string &SrcText, const Function &Src,
-                           const std::vector<std::string> &Texts,
+                           const std::vector<const Candidate *> &Cands,
                            GroupStats *Stats) const {
   TraceSpan Span("batch.verify");
   const VerifyOptions Tier0 = tierOptions(Opts.Robust, 0);
@@ -47,28 +46,28 @@ BatchVerifier::verifyGroup(const std::string &SrcText, const Function &Src,
   // Canonical dedupe: GRPO's small action space makes byte- or
   // renaming-identical candidates common within a group; they share every
   // per-tier cache key, so one ladder serves all of them. The tier-0 key
-  // also keys the fault sites and the tier-0 cache entry. Byte-identical
-  // texts are canonically equal, so a repeat takes its first occurrence's
-  // slot without paying makeKey's parse and canonical print.
-  std::vector<size_t> UniqueOf(Texts.size());
-  std::vector<size_t> UniqueIdx;     // positions of first occurrences
-  std::vector<std::string> Tier0Key; // per unique candidate
+  // also keys the fault sites and the tier-0 cache entry. A Candidate
+  // passed again (a byte-identical answer) takes its first occurrence's
+  // slot without building its key again.
+  std::vector<size_t> UniqueOf(Cands.size());
+  std::vector<const Candidate *> Unique; // first occurrences
+  std::vector<std::string> Tier0Key;     // per unique candidate
   {
-    std::unordered_map<std::string_view, size_t> ByText; // views of Texts
+    std::unordered_map<const Candidate *, size_t> ByCand;
     std::unordered_map<std::string, size_t> Seen;
-    for (size_t I = 0; I < Texts.size(); ++I) {
-      auto [TextIt, NewText] = ByText.emplace(Texts[I], 0);
-      if (!NewText) {
-        UniqueOf[I] = TextIt->second;
+    for (size_t I = 0; I < Cands.size(); ++I) {
+      auto [CandIt, NewCand] = ByCand.emplace(Cands[I], 0);
+      if (!NewCand) {
+        UniqueOf[I] = CandIt->second;
         continue;
       }
-      std::string Key = VerifyCache::makeKey(SrcText, Texts[I], Tier0);
-      auto [It, Inserted] = Seen.emplace(Key, UniqueIdx.size());
+      std::string Key = VerifyCache::makeKey(SrcText, *Cands[I], Tier0);
+      auto [It, Inserted] = Seen.emplace(Key, Unique.size());
       if (Inserted) {
-        UniqueIdx.push_back(I);
+        Unique.push_back(Cands[I]);
         Tier0Key.push_back(std::move(Key));
       }
-      UniqueOf[I] = TextIt->second = It->second;
+      UniqueOf[I] = CandIt->second = It->second;
     }
   }
 
@@ -89,13 +88,13 @@ BatchVerifier::verifyGroup(const std::string &SrcText, const Function &Src,
       Reg.counter("verify.retry.terminal_inconclusive");
 
   const unsigned MaxTiers = Opts.Robust.MaxTiers ? Opts.Robust.MaxTiers : 1;
-  std::vector<VerifyResult> Finals(UniqueIdx.size());
-  std::vector<unsigned> Hits(UniqueIdx.size(), 0), Comps(UniqueIdx.size(), 0);
+  std::vector<VerifyResult> Finals(Unique.size());
+  std::vector<unsigned> Hits(Unique.size(), 0), Comps(Unique.size(), 0);
 
   // One task per unique candidate: its full ladder runs on one thread, so
   // per-candidate trace spans stay contiguous.
   auto RunOne = [&](size_t U) {
-    const std::string &TgtText = Texts[UniqueIdx[U]];
+    const Candidate &Tgt = *Unique[U];
     const std::string &FaultKey = Tier0Key[U];
 
     uint64_t TotalConflicts = 0, TotalFuel = 0;
@@ -120,7 +119,7 @@ BatchVerifier::verifyGroup(const std::string &SrcText, const Function &Src,
         bool Served = false;
         if (Cache) {
           Key = Tier == 0 ? FaultKey
-                          : VerifyCache::makeKey(SrcText, TgtText, TierOpts);
+                          : VerifyCache::makeKey(SrcText, Tgt, TierOpts);
           Served = Cache->peek(Key, R);
         }
         if (Served) {
@@ -129,7 +128,7 @@ BatchVerifier::verifyGroup(const std::string &SrcText, const Function &Src,
           // Pass the provider, not the encoding: a candidate the guard
           // chain rejects (parse/size/structure) must not trigger the
           // shared source build.
-          R = verifyCandidateTextOn(sharedEncoding, Src, TgtText, TierOpts);
+          R = verifyCandidateOn(sharedEncoding, Src, Tgt, TierOpts);
           ++Comps[U];
           if (Cache)
             Cache->seed(Key, R);
@@ -185,15 +184,15 @@ BatchVerifier::verifyGroup(const std::string &SrcText, const Function &Src,
   };
 
   if (Opts.Pool && Opts.Pool->numThreads() > 1)
-    Opts.Pool->parallelFor(UniqueIdx.size(), RunOne);
+    Opts.Pool->parallelFor(Unique.size(), RunOne);
   else
-    for (size_t U = 0; U < UniqueIdx.size(); ++U)
+    for (size_t U = 0; U < Unique.size(); ++U)
       RunOne(U);
 
   GroupStats GS;
-  GS.Candidates = static_cast<unsigned>(Texts.size());
-  GS.Unique = static_cast<unsigned>(UniqueIdx.size());
-  for (size_t U = 0; U < UniqueIdx.size(); ++U) {
+  GS.Candidates = static_cast<unsigned>(Cands.size());
+  GS.Unique = static_cast<unsigned>(Unique.size());
+  for (size_t U = 0; U < Unique.size(); ++U) {
     GS.CacheHits += Hits[U];
     GS.Computed += Comps[U];
   }
@@ -201,12 +200,12 @@ BatchVerifier::verifyGroup(const std::string &SrcText, const Function &Src,
     *Stats = GS;
 
   static Counter &Groups = Reg.counter("batch.groups");
-  static Counter &Cands = Reg.counter("batch.candidates");
+  static Counter &Candidates = Reg.counter("batch.candidates");
   static Counter &Uniq = Reg.counter("batch.unique");
   static Counter &CacheHits = Reg.counter("batch.cache_hits");
   static Counter &Computed = Reg.counter("batch.computed");
   Groups.inc();
-  Cands.inc(GS.Candidates);
+  Candidates.inc(GS.Candidates);
   Uniq.inc(GS.Unique);
   CacheHits.inc(GS.CacheHits);
   Computed.inc(GS.Computed);
@@ -218,16 +217,34 @@ BatchVerifier::verifyGroup(const std::string &SrcText, const Function &Src,
     Span.arg(TraceArg::ofInt("computed", GS.Computed));
   }
 
-  std::vector<VerifyResult> Out(Texts.size());
-  for (size_t I = 0; I < Texts.size(); ++I)
+  std::vector<VerifyResult> Out(Cands.size());
+  for (size_t I = 0; I < Cands.size(); ++I)
     Out[I] = Finals[UniqueOf[I]];
   return Out;
+}
+
+std::vector<VerifyResult>
+BatchVerifier::verifyGroup(const std::string &SrcText, const Function &Src,
+                           const std::vector<std::string> &Texts,
+                           GroupStats *Stats) const {
+  CandidateSet Set;
+  std::vector<const Candidate *> Cands;
+  for (const std::string &Text : Texts)
+    Cands.push_back(&Set.get(Text));
+  return verifyGroup(SrcText, Src, Cands, Stats);
+}
+
+VerifyResult BatchVerifier::verifyOne(const std::string &SrcText,
+                                      const Function &Src,
+                                      const Candidate &Tgt) const {
+  return verifyGroup(SrcText, Src, std::vector<const Candidate *>{&Tgt})
+      .front();
 }
 
 VerifyResult BatchVerifier::verifyOne(const std::string &SrcText,
                                       const Function &Src,
                                       const std::string &Text) const {
-  return verifyGroup(SrcText, Src, {Text}).front();
+  return verifyOne(SrcText, Src, Candidate(Text));
 }
 
 } // namespace veriopt

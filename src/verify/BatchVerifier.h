@@ -1,12 +1,12 @@
 //===- BatchVerifier.h - Batched group verification --------------*- C++ -*-=//
 //
-// The one entry point that turns candidate text into a verdict. Verifies a
-// whole GRPO group — G candidate texts against one source — through a
-// single shared solver context. The source function's falsification runs,
-// symbolic encoding, and CNF are built once (SourceEncoding); each
-// candidate pays only for its own screen, encode, and an assumption-guarded
-// SAT activation on a clone of the retained prefix (QueryPrefix). A single
-// candidate is a group of one (verifyOne).
+// The one entry point that turns a candidate into a verdict. Verifies a
+// whole GRPO group — G Candidates (Candidate.h) against one source —
+// through a single shared solver context. The source function's
+// falsification runs, symbolic encoding, and CNF are built once
+// (SourceEncoding); each candidate pays only for its own screen, encode,
+// and an assumption-guarded SAT activation on a clone of the retained
+// prefix (QueryPrefix). A single candidate is a group of one (verifyOne).
 //
 // Every unique candidate runs an escalating retry ladder: an Inconclusive
 // verdict caused by budget exhaustion (SolverTimeout / ResourceExhausted)
@@ -33,6 +33,7 @@
 #include "support/FaultInjector.h"
 #include "support/ThreadPool.h"
 #include "verify/AliveLite.h"
+#include "verify/Candidate.h"
 #include "verify/VerifyCache.h"
 
 #include <string>
@@ -86,12 +87,19 @@ public:
                 FaultInjector *Faults = nullptr)
       : Opts(O), Cache(Cache), Faults(Faults) {}
 
-  /// Verify every candidate in \p Texts against \p Src, sharing the source
-  /// half across the group. Returns the final ladder result per candidate,
-  /// aligned with \p Texts: RetryTier is the rung that settled it, and
+  /// Verify every candidate in \p Cands against \p Src, sharing the source
+  /// half across the group. Returns the final ladder result per entry,
+  /// aligned with \p Cands: RetryTier is the rung that settled it, and
   /// SolverConflicts / FuelSpent are summed over every rung run. Each
   /// unique candidate emits one verify.tier instant per rung and counts
-  /// once in verify.retry.*. \p SrcText must be the printed form of \p Src.
+  /// once in verify.retry.*. The same Candidate may appear more than once
+  /// (every entry counts in GroupStats::Candidates). \p SrcText must be the
+  /// printed form of \p Src.
+  std::vector<VerifyResult>
+  verifyGroup(const std::string &SrcText, const Function &Src,
+              const std::vector<const Candidate *> &Cands,
+              GroupStats *Stats = nullptr) const;
+  /// The same over candidate texts, one Candidate built per distinct text.
   std::vector<VerifyResult> verifyGroup(const std::string &SrcText,
                                         const Function &Src,
                                         const std::vector<std::string> &Texts,
@@ -99,6 +107,8 @@ public:
 
   /// A group of one: evaluation's greedy decoding yields exactly one
   /// candidate per sample.
+  VerifyResult verifyOne(const std::string &SrcText, const Function &Src,
+                         const Candidate &Tgt) const;
   VerifyResult verifyOne(const std::string &SrcText, const Function &Src,
                          const std::string &Text) const;
 

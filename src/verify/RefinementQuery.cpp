@@ -549,30 +549,35 @@ VerifyResult verifyAgainstEncoding(SourceEncoding &SC, const Function &Tgt,
   return Out;
 }
 
+/// The guard chain's first rung, which needs only the text's size: refuse a
+/// pathologically large candidate before it is parsed.
+static bool rejectOversized(const Function &Src, size_t Bytes,
+                            const VerifyOptions &Opts, VerifyResult &Out) {
+  if (Opts.MaxCandidateBytes == 0 || Bytes <= Opts.MaxCandidateBytes)
+    return false;
+  Out.Status = VerifyStatus::SyntaxError;
+  Out.Kind = DiagKind::ParseError;
+  Out.Diagnostic = header(Src) + "ERROR: Candidate exceeds maximum size (" +
+                   std::to_string(Bytes) + " > " +
+                   std::to_string(Opts.MaxCandidateBytes) + " bytes)\n";
+  return true;
+}
+
+/// The rest of the guard chain over a parse (\p M null when the text did not
+/// parse, with \p ParseError rendered), then verification.
 static VerifyResult
-verifyCandidateTextOnImpl(const std::function<SourceEncoding *()> &GetSC,
-                          const Function &Src, const std::string &TgtText,
-                          const VerifyOptions &Opts) {
+verifyParsed(const std::function<SourceEncoding *()> &GetSC,
+             const Function &Src, const Module *M,
+             const std::string &ParseError, const VerifyOptions &Opts) {
   VerifyResult Out;
-  // Adversarial-emission guard: refuse pathologically large candidates
-  // before paying any parse cost.
-  if (Opts.MaxCandidateBytes > 0 && TgtText.size() > Opts.MaxCandidateBytes) {
-    Out.Status = VerifyStatus::SyntaxError;
-    Out.Kind = DiagKind::ParseError;
-    Out.Diagnostic = header(Src) + "ERROR: Candidate exceeds maximum size (" +
-                     std::to_string(TgtText.size()) + " > " +
-                     std::to_string(Opts.MaxCandidateBytes) + " bytes)\n";
-    return Out;
-  }
-  auto M = parseModule(TgtText);
   if (!M) {
     Out.Status = VerifyStatus::SyntaxError;
     Out.Kind = DiagKind::ParseError;
     Out.Diagnostic = header(Src) + "ERROR: Could not parse transformed IR (" +
-                     M.error().render() + ")\n";
+                     ParseError + ")\n";
     return Out;
   }
-  Function *Tgt = M.value()->getMainFunction();
+  const Function *Tgt = M->getMainFunction();
   if (!Tgt) {
     Out.Status = VerifyStatus::SyntaxError;
     Out.Kind = DiagKind::ParseError;
@@ -607,12 +612,11 @@ verifyCandidateTextOnImpl(const std::function<SourceEncoding *()> &GetSC,
   return verifyAgainstEncoding(*Fresh, *Tgt, Opts, /*Shared=*/false);
 }
 
-VerifyResult verifyCandidateTextOn(const std::function<SourceEncoding *()> &GetSC,
-                                   const Function &Src,
-                                   const std::string &TgtText,
-                                   const VerifyOptions &Opts) {
+/// The verify.candidate span and the verify.* metrics around \p Verify.
+template <typename VerifyFn>
+static VerifyResult recordCandidateVerdict(VerifyFn &&Verify) {
   TraceSpan Span("verify.candidate");
-  VerifyResult Out = verifyCandidateTextOnImpl(GetSC, Src, TgtText, Opts);
+  VerifyResult Out = Verify();
   if (Span.active()) {
     Span.arg(TraceArg::ofStr("status", verifyStatusName(Out.Status)));
     Span.arg(TraceArg::ofStr("diag", diagKindName(Out.Kind)));
@@ -640,6 +644,31 @@ VerifyResult verifyCandidateTextOn(const std::function<SourceEncoding *()> &GetS
     M.counter("verify.falsify_wins").inc();
 
   return Out;
+}
+
+VerifyResult verifyCandidateText(const Function &Src,
+                                 const std::string &TgtText,
+                                 const VerifyOptions &Opts) {
+  return recordCandidateVerdict([&] {
+    VerifyResult Out;
+    if (rejectOversized(Src, TgtText.size(), Opts, Out))
+      return Out;
+    auto M = parseModule(TgtText);
+    if (!M)
+      return verifyParsed(nullptr, Src, nullptr, M.error().render(), Opts);
+    return verifyParsed(nullptr, Src, M.value().get(), "", Opts);
+  });
+}
+
+VerifyResult verifyCandidateOn(const std::function<SourceEncoding *()> &GetSC,
+                               const Function &Src, const Candidate &Tgt,
+                               const VerifyOptions &Opts) {
+  return recordCandidateVerdict([&] {
+    VerifyResult Out;
+    if (rejectOversized(Src, Tgt.text().size(), Opts, Out))
+      return Out;
+    return verifyParsed(GetSC, Src, Tgt.module(), Tgt.parseError(), Opts);
+  });
 }
 
 } // namespace veriopt

@@ -30,6 +30,7 @@
 #include "interp/Interpreter.h"
 #include "smt/Solver.h"
 #include "verify/AliveLite.h"
+#include "verify/Candidate.h"
 #include "verify/Encoder.h"
 
 #include <functional>
@@ -92,16 +93,18 @@ std::unique_ptr<SourceEncoding> buildSourceEncoding(const Function &Src,
 VerifyResult verifyAgainstEncoding(SourceEncoding &SC, const Function &Tgt,
                                    const VerifyOptions &Opts, bool Shared);
 
-/// verifyCandidateText over a lazily provided encoding: identical guard
-/// chain, verify.candidate span, and verify.* metrics. \p GetSC is invoked
-/// only after the guard chain passes — candidates rejected at the
-/// parse/screen stage never pay source-side work, shared encoding or not.
-/// A null/empty provider (or one returning null) builds a fresh private
-/// encoding after the guards pass (the sequential path).
-VerifyResult
-verifyCandidateTextOn(const std::function<SourceEncoding *()> &GetSC,
-                      const Function &Src, const std::string &TgtText,
-                      const VerifyOptions &Opts);
+/// verifyCandidateText over a parsed Candidate and a lazily provided
+/// encoding: the same guard chain in the same order (size, parse, no
+/// function, instruction count, well-formedness) with the same diagnostic
+/// bytes, verify.candidate span, and verify.* metrics, run on the
+/// Candidate's parse instead of a fresh one. \p GetSC is invoked only after
+/// the guard chain passes — candidates rejected at the parse/screen stage
+/// never pay source-side work, shared encoding or not. A null/empty
+/// provider (or one returning null) builds a fresh private encoding after
+/// the guards pass.
+VerifyResult verifyCandidateOn(const std::function<SourceEncoding *()> &GetSC,
+                               const Function &Src, const Candidate &Tgt,
+                               const VerifyOptions &Opts);
 
 } // namespace veriopt
 

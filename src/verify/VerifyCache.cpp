@@ -2,8 +2,6 @@
 
 #include "verify/VerifyCache.h"
 
-#include "ir/Parser.h"
-#include "ir/Printer.h"
 #include "trace/Metrics.h"
 
 namespace veriopt {
@@ -31,27 +29,12 @@ Counter &evictionCounter() {
 std::string VerifyCache::makeKey(const std::string &SrcText,
                                  const std::string &TgtText,
                                  const VerifyOptions &Opts) {
-  // Canonical candidate text: parse, alpha-rename (drop all value/block
-  // names so the printer's sequential %N numbering takes over), and
-  // re-print — whitespace and naming variants of the same IR collapse to
-  // one entry. Parse failures key on the raw text (their result depends on
-  // it only through "unparseable").
-  std::string Canon;
-  if (auto M = parseModule(TgtText)) {
-    for (const auto &F : M.value()->functions()) {
-      for (unsigned I = 0; I < F->getNumParams(); ++I)
-        F->getArg(I)->setName("");
-      for (auto &BB : *F) {
-        BB->setName("");
-        for (auto &Inst : *BB)
-          Inst->setName("");
-      }
-    }
-    Canon = printModule(*M.value());
-  } else {
-    Canon = TgtText;
-  }
+  return makeKey(SrcText, Candidate(TgtText), Opts);
+}
 
+std::string VerifyCache::makeKey(const std::string &SrcText,
+                                 const Candidate &Tgt,
+                                 const VerifyOptions &Opts) {
   // Every budget knob is part of the key: a low-tier Inconclusive must never
   // be served for a higher-tier query (or vice versa) when the retry ladder
   // re-asks the same candidate under a bigger budget.
@@ -73,7 +56,7 @@ std::string VerifyCache::makeKey(const std::string &SrcText,
   Key.push_back('\x1f');
   Key += SrcText;
   Key.push_back('\x1f');
-  Key += Canon;
+  Key += Tgt.canonical();
   return Key;
 }
 

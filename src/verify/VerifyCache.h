@@ -7,12 +7,13 @@
 // over and over; one symbolic-encode + CDCL call can stand in for all of
 // them.
 //
-// Keys are the source text plus the *canonically re-printed* candidate
-// (parse + print), so whitespace or value-numbering variants of the same IR
-// share an entry; unparseable candidates key on their raw text. The full
-// VerifyOptions budget is part of the key: results under different budgets
-// are never conflated, and a cached result is bit-identical to what a fresh
-// verifyCandidateText call would return (verification is deterministic).
+// Keys are the source text plus the candidate's canonical text (its parse
+// printed with every value and block numbered, Candidate.h), so whitespace
+// or value-numbering variants of the same IR share an entry; unparseable
+// candidates key on their raw text. The full VerifyOptions budget is part
+// of the key: results under different budgets are never conflated, and a
+// cached result is bit-identical to what a fresh verifyCandidateText call
+// would return (verification is deterministic).
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +22,7 @@
 
 #include "support/FaultInjector.h"
 #include "verify/AliveLite.h"
+#include "verify/Candidate.h"
 
 #include <cstdint>
 #include <list>
@@ -51,8 +53,11 @@ public:
   explicit VerifyCache(size_t Capacity = 4096) : Capacity(Capacity) {}
 
   /// The cache key for a query: every budget knob, the source text, and the
-  /// canonically re-printed candidate. Public so the batch verifier can
+  /// candidate's canonical text. Public so the batch verifier can
   /// pre-compute group keys (and dedupe canonical-equal candidates).
+  static std::string makeKey(const std::string &SrcText, const Candidate &Tgt,
+                             const VerifyOptions &Opts);
+  /// The same key for candidate text, parsed afresh.
   static std::string makeKey(const std::string &SrcText,
                              const std::string &TgtText,
                              const VerifyOptions &Opts);

@@ -136,5 +136,53 @@ TEST(Printer, OutputBytesArePinned) {
   EXPECT_EQ(D.H, 0xbf8e373f41eb7b15ULL);
 }
 
+/// The canonical mode prints exactly what dropping every name and printing
+/// does (the cache key's canonical form before the mode existed), for the
+/// seeded corpus, its decodes and the round-trip corpus, plus declarations
+/// and unnamed or numbered blocks.
+TEST(Printer, CanonicalModeMatchesClearedNames) {
+  auto clearedPrint = [](const std::string &Text) {
+    auto M = parseModule(Text);
+    for (const auto &F : M.value()->functions()) {
+      for (unsigned I = 0; I < F->getNumParams(); ++I)
+        F->getArg(I)->setName("");
+      for (auto &BB : *F) {
+        BB->setName("");
+        for (auto &Inst : *BB)
+          Inst->setName("");
+      }
+    }
+    return printModule(*M.value());
+  };
+  std::vector<std::string> Texts(std::begin(RoundTripCorpus),
+                                 std::end(RoundTripCorpus));
+  Texts.push_back("declare i32 @ext(i32)\ndeclare void @sink(i64, i1)\n"
+                  "define i32 @k(i32 %a) {\n  %r = call i32 @ext(i32 %a)\n"
+                  "  ret i32 %r\n}\n");
+  Texts.push_back("define i32 @u(i32 %0) {\n  %2 = add i32 %0, 1\n"
+                  "  br label %3\n3:\n  ret i32 %2\n}\n");
+  for (const Sample &S : pins::corpus().Train) {
+    Texts.push_back(S.SrcText);
+    Texts.push_back(S.RefText);
+  }
+  for (const pins::Decode &X : pins::decodes())
+    for (const std::string *Text : {&X.C.AnswerIR, &X.C.ThinkAttemptIR})
+      Texts.push_back(*Text);
+  unsigned Parsed = 0, Declares = 0, Renamed = 0;
+  for (const std::string &Text : Texts) {
+    auto M = parseModule(Text);
+    if (!M)
+      continue;
+    ++Parsed;
+    std::string Canon = printModule(*M.value(), PrintNames::Canonical);
+    EXPECT_EQ(Canon, clearedPrint(Text)) << Text;
+    Declares += Canon.find("declare ") != std::string::npos;
+    Renamed += Canon != printModule(*M.value());
+  }
+  EXPECT_GT(Parsed, 100u);
+  EXPECT_GT(Declares, 0u);
+  EXPECT_GT(Renamed, 0u);
+}
+
 } // namespace
 } // namespace veriopt

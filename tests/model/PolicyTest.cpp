@@ -4,6 +4,7 @@
 
 #include "data/Dataset.h"
 #include "ir/Parser.h"
+#include "ir/Printer.h"
 #include "oracle/Pins.h"
 #include "verify/AliveLite.h"
 
@@ -170,7 +171,7 @@ TEST(Policy, GradChecksSequenceHead) {
   std::vector<Action> Seq = {Action::OptMemory, Action::OptAlgebraic,
                              Action::Stop};
   std::vector<double> Grad(Model.numParams(), 0.0);
-  Model.accumulateSequenceGrad(*F, Seq, 1.0, Grad);
+  Model.accumulateSequenceGrad(*F, printFunction(*F), Seq, 1.0, Grad);
   RNG R(8);
   for (int Trial = 0; Trial < 10; ++Trial) {
     unsigned K = static_cast<unsigned>(R.below(NumActions * NumFeatures));
@@ -257,36 +258,41 @@ TEST(Policy, PresetOrderingMakesSense) {
 
 /// Bit-identity pin over every field a decode yields: the features, the
 /// capacity gate and the residual roll all hash the printed source, so a
-/// change to what they hash moves the actions or the answers.
+/// change to what they hash moves the actions or the answers. Decoding with
+/// the prompt's text passed in (Sample::SrcText) must give the same digest
+/// as printing it.
 TEST(Policy, DecodesArePinned) {
-  pins::Fnv1a D;
-  unsigned OptSelected = 0, Copies = 0, SelfCorrected = 0, Thinks = 0;
-  for (const pins::Decode &X : pins::decodes()) {
-    const Completion &C = X.C;
-    D.addU64(C.Actions.size());
-    for (Action A : C.Actions) {
-      D.addU64(static_cast<unsigned>(A));
-      OptSelected += isOptAction(A);
-      Copies += A == Action::Copy;
+  for (bool GivenText : {false, true}) {
+    SCOPED_TRACE(GivenText ? "text passed in" : "text printed");
+    pins::Fnv1a D;
+    unsigned OptSelected = 0, Copies = 0, SelfCorrected = 0, Thinks = 0;
+    for (const pins::Decode &X : pins::decodes(GivenText)) {
+      const Completion &C = X.C;
+      D.addU64(C.Actions.size());
+      for (Action A : C.Actions) {
+        D.addU64(static_cast<unsigned>(A));
+        OptSelected += isOptAction(A);
+        Copies += A == Action::Copy;
+      }
+      D.addStr(C.AnswerIR);
+      D.addStr(C.ThinkAttemptIR);
+      D.addStr(C.Text);
+      D.addU64(C.FormatOk);
+      D.addU64(C.TokenCount);
+      D.addDoubleBits(C.LogProb);
+      D.addU64(C.PredictedDiagClass);
+      D.addU64(C.SelfCorrected);
+      SelfCorrected += C.SelfCorrected;
+      Thinks += !C.ThinkAttemptIR.empty();
     }
-    D.addStr(C.AnswerIR);
-    D.addStr(C.ThinkAttemptIR);
-    D.addStr(C.Text);
-    D.addU64(C.FormatOk);
-    D.addU64(C.TokenCount);
-    D.addDoubleBits(C.LogProb);
-    D.addU64(C.PredictedDiagClass);
-    D.addU64(C.SelfCorrected);
-    SelfCorrected += C.SelfCorrected;
-    Thinks += !C.ThinkAttemptIR.empty();
+    // The set reaches the capacity gate, the Copy answer and the augmented
+    // self-correction, the paths that reuse the printed source.
+    EXPECT_GT(OptSelected, 0u);
+    EXPECT_GT(Copies, 0u);
+    EXPECT_GT(SelfCorrected, 0u);
+    EXPECT_GT(Thinks, 0u);
+    EXPECT_EQ(D.H, 0x752f6a10fc99a34bULL);
   }
-  // The set reaches the capacity gate, the Copy answer and the augmented
-  // self-correction, the paths that reuse the printed source.
-  EXPECT_GT(OptSelected, 0u);
-  EXPECT_GT(Copies, 0u);
-  EXPECT_GT(SelfCorrected, 0u);
-  EXPECT_GT(Thinks, 0u);
-  EXPECT_EQ(D.H, 0x752f6a10fc99a34bULL);
 }
 
 TEST(Policy, DiagClassRoundTrip) {

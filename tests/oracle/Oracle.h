@@ -81,7 +81,8 @@ evaluateSerially(const RewritePolicyModel &Model,
     VerifyResult Verdict;
     if (C.FormatOk)
       Verdict = verifyCandidateText(*S.source(), C.AnswerIR, VOpts);
-    R.PerSample.push_back(evaluateCandidate(S, C, Verdict, R.Taxonomy));
+    R.PerSample.push_back(
+        evaluateCandidate(S, C, Candidate(C.AnswerIR), Verdict, R.Taxonomy));
   }
   recomputeAggregates(R);
   return R;

@@ -66,19 +66,23 @@ struct Decode {
 /// Every corpus sample decoded by two presets with different InitSeed and
 /// capacity-gate percentages (presetQwen7B's emergent families fire at
 /// 40 %), in both prompt modes, once greedily and three times sampled from
-/// a seeded stream.
-inline std::vector<Decode> decodes() {
+/// a seeded stream. \p GivenText decodes through the generate overload that
+/// takes the prompt's text (Sample::SrcText) instead of printing it.
+inline std::vector<Decode> decodes(bool GivenText = false) {
   std::vector<Decode> Out;
   for (const ModelConfig &Cfg : {presetQwen3B(), presetQwen7B()}) {
     RewritePolicyModel Model(Cfg);
     for (PromptMode Mode : {PromptMode::Generic, PromptMode::Augmented}) {
       RNG R(Cfg.InitSeed * 1000 + static_cast<unsigned>(Mode));
+      auto decode = [&](const Sample &S, bool Greedy) {
+        return GivenText
+                   ? Model.generate(*S.source(), S.SrcText, Mode, R, Greedy)
+                   : Model.generate(*S.source(), Mode, R, Greedy);
+      };
       for (const Sample &S : corpus().Train) {
-        Out.push_back({&S, Model.generate(*S.source(), Mode, R,
-                                          /*Greedy=*/true)});
+        Out.push_back({&S, decode(S, /*Greedy=*/true)});
         for (int Draw = 0; Draw < 3; ++Draw)
-          Out.push_back({&S, Model.generate(*S.source(), Mode, R,
-                                            /*Greedy=*/false)});
+          Out.push_back({&S, decode(S, /*Greedy=*/false)});
       }
     }
   }

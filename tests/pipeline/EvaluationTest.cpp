@@ -104,12 +104,41 @@ TEST(Evaluation, LyingVerifierVerdictIsDowngradedToInconclusive) {
   VerifyResult Lying;
   Lying.Status = VerifyStatus::Equivalent; // claims correctness, lies
   VerifyTaxonomy Tax;
-  SampleEval E = evaluateCandidate(S, C, Lying, Tax);
+  SampleEval E = evaluateCandidate(S, C, Candidate(C.AnswerIR), Lying, Tax);
   EXPECT_EQ(E.Status, VerifyStatus::Inconclusive);
   EXPECT_TRUE(E.UsedFallback);
   EXPECT_DOUBLE_EQ(E.LatOut, E.LatO0);
   EXPECT_EQ(Tax.Inconclusive, 1u);
   EXPECT_EQ(Tax.Correct, 0u);
+}
+
+TEST(Evaluation, DivergenceSeesEveryPerSampleField) {
+  // A wrong value in any one field of one sample is one divergence, also
+  // in the fields no aggregate reads (ICountRef, SizeRef): the differential
+  // gates compare results through this count.
+  const EvalResult Base = evaluateReferencePass(ds().Valid);
+  ASSERT_FALSE(Base.PerSample.empty());
+  const std::vector<std::pair<const char *, void (*)(SampleEval &)>> Edits = {
+      {"Status", [](SampleEval &E) { E.Status = VerifyStatus::SyntaxError; }},
+      {"IsCopy", [](SampleEval &E) { E.IsCopy = !E.IsCopy; }},
+      {"UsedFallback", [](SampleEval &E) { E.UsedFallback = !E.UsedFallback; }},
+      {"LatO0", [](SampleEval &E) { E.LatO0 += 1; }},
+      {"LatOut", [](SampleEval &E) { E.LatOut += 1; }},
+      {"LatRef", [](SampleEval &E) { E.LatRef += 1; }},
+      {"ICountO0", [](SampleEval &E) { ++E.ICountO0; }},
+      {"ICountOut", [](SampleEval &E) { ++E.ICountOut; }},
+      {"ICountRef", [](SampleEval &E) { ++E.ICountRef; }},
+      {"SizeO0", [](SampleEval &E) { ++E.SizeO0; }},
+      {"SizeOut", [](SampleEval &E) { ++E.SizeOut; }},
+      {"SizeRef", [](SampleEval &E) { ++E.SizeRef; }},
+  };
+  EXPECT_EQ(countResultDivergence(Base, Base), 0u);
+  for (const auto &[Field, Edit] : Edits) {
+    EvalResult Changed = Base;
+    Edit(Changed.PerSample.front());
+    EXPECT_EQ(countResultDivergence(Base, Changed), 1u) << Field;
+    EXPECT_EQ(countResultDivergence(Changed, Base), 1u) << Field;
+  }
 }
 
 TEST(Evaluation, EmptyCorpusAggregatesFollowConventions) {

@@ -2,9 +2,15 @@
 
 #include "rl/Reward.h"
 
+#include "cost/CostModel.h"
+#include "ir/Parser.h"
+#include "ir/Printer.h"
 #include "verify/BatchVerifier.h"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstring>
 
 namespace veriopt {
 namespace {
@@ -32,7 +38,8 @@ Completion completionWithAnswer(std::string IR, bool FormatOk = true) {
 
 /// Eq. (1) given the plain verifier's verdict on the answer.
 RewardBreakdown scored(const Sample &S, const Completion &C) {
-  return answerReward(S, C, verifyCandidateText(*S.source(), C.AnswerIR));
+  return answerReward(S, C, Candidate(C.AnswerIR),
+                      verifyCandidateText(*S.source(), C.AnswerIR));
 }
 
 TEST(Reward, ExactReferenceMatchScoresHighest) {
@@ -123,11 +130,11 @@ TEST(Reward, LatencyRewardGatesOnEquivalence) {
   const Sample &S = sample();
   LatencyRewardParams P;
   P.UMax = 3.0;
-  auto Fast = completionWithAnswer(S.RefText);
+  const Candidate Fast(S.RefText);
   EXPECT_GT(latencyReward(S, Fast, /*Equivalent=*/true, P), 0.0);
   EXPECT_DOUBLE_EQ(latencyReward(S, Fast, /*Equivalent=*/false, P), 0.0);
   // A copy has u == 1: no reward even though it is equivalent.
-  auto Copy = completionWithAnswer(S.SrcText);
+  const Candidate Copy(S.SrcText);
   EXPECT_DOUBLE_EQ(latencyReward(S, Copy, true, P), 0.0);
 }
 
@@ -136,7 +143,7 @@ TEST(Reward, LatencyRewardSaturatesAndShapes) {
   LatencyRewardParams P;
   P.UMax = 2.0;
   P.Gamma = 2.0;
-  auto Fast = completionWithAnswer(S.RefText);
+  const Candidate Fast(S.RefText);
   double R1 = latencyReward(S, Fast, true, P);
   P.UMax = 10.0; // same speedup, further from saturation
   double R2 = latencyReward(S, Fast, true, P);
@@ -189,8 +196,9 @@ TEST(Reward, ChecksAgreeWithAnswerReward) {
   unsigned Copies = 0, Exact = 0, Unparsed = 0, Unformatted = 0;
   for (const Completion &C : Cases) {
     VerifyResult V = verifyCandidateText(*S.source(), C.AnswerIR);
-    RewardBreakdown Full = answerReward(S, C, V);
-    RewardBreakdown Checks = answerChecks(S, C, V);
+    const Candidate Answer(C.AnswerIR);
+    RewardBreakdown Full = answerReward(S, C, Answer, V);
+    RewardBreakdown Checks = answerChecks(S, C, Answer, V);
     EXPECT_EQ(Checks.FormatOk, Full.FormatOk) << C.AnswerIR;
     EXPECT_EQ(Checks.Equivalent, Full.Equivalent) << C.AnswerIR;
     EXPECT_EQ(Checks.ExactMatch, Full.ExactMatch) << C.AnswerIR;
@@ -224,9 +232,12 @@ TEST(Reward, CachedAnswerRewardMatchesUncached) {
   for (const std::string &IR :
        {S.RefText, S.SrcText, S.RefText.substr(0, S.RefText.size() / 2)}) {
     Completion C = completionWithAnswer(IR);
+    const Candidate Answer(IR);
     auto Plain = scored(S, C);
-    auto Cached = answerReward(S, C, BV.verifyOne(S.SrcText, *S.source(), IR));
-    auto Hit = answerReward(S, C, BV.verifyOne(S.SrcText, *S.source(), IR));
+    auto Cached =
+        answerReward(S, C, Answer, BV.verifyOne(S.SrcText, *S.source(), IR));
+    auto Hit = answerReward(S, C, Answer,
+                            BV.verifyOne(S.SrcText, *S.source(), Answer));
     for (const auto *B : {&Cached, &Hit}) {
       EXPECT_EQ(Plain.Total, B->Total);
       EXPECT_EQ(Plain.Equivalent, B->Equivalent);
@@ -243,7 +254,7 @@ TEST(Reward, LatencyRewardDegenerateParamsScoreZero) {
   // Regression: UMax <= 1.0 used to divide by zero in the Eq. (4)
   // normalizer (UMax - 1.0); a degenerate saturation band must gate to 0.
   const Sample &S = sample();
-  auto Fast = completionWithAnswer(S.RefText);
+  const Candidate Fast(S.RefText);
   LatencyRewardParams P;
   P.UMax = 1.0;
   EXPECT_DOUBLE_EQ(latencyReward(S, Fast, /*Equivalent=*/true, P), 0.0);
@@ -259,8 +270,174 @@ TEST(Reward, LatencyRewardUnparseableAnswerScoresZero) {
   // stale flags) must not crash or reward anything.
   const Sample &S = sample();
   LatencyRewardParams P;
-  auto C = completionWithAnswer("definitely not ir");
-  EXPECT_DOUBLE_EQ(latencyReward(S, C, /*Equivalent=*/true, P), 0.0);
+  const Candidate Answer("definitely not ir");
+  EXPECT_DOUBLE_EQ(latencyReward(S, Answer, /*Equivalent=*/true, P), 0.0);
+}
+
+//===--- The Candidate path against the text path --------------------------===//
+
+/// The reward as it is computed from the answer text alone: the copy check
+/// and the latency reward parse the answer afresh, and BLEU tokenizes the
+/// reference on every call.
+namespace textpath {
+
+bool isCopy(const Sample &S, const std::string &IR) {
+  if (IR == S.SrcText)
+    return true;
+  auto M = parseModule(IR);
+  return M && M.value()->getMainFunction() &&
+         printFunction(*M.value()->getMainFunction()) == S.SrcText;
+}
+
+RewardBreakdown answerChecks(const Sample &S, const Completion &C,
+                             const VerifyResult &Verdict) {
+  RewardBreakdown Out;
+  Out.FormatOk = C.FormatOk;
+  Out.IsCopy = isCopy(S, C.AnswerIR);
+  if (Out.FormatOk) {
+    Out.Verify = Verdict;
+    Out.Equivalent = Verdict.equivalent();
+  } else {
+    Out.Verify.Status = VerifyStatus::SyntaxError;
+    Out.Verify.Kind = DiagKind::ParseError;
+    Out.Verify.Diagnostic = "ERROR: completion violates the answer format";
+  }
+  Out.ExactMatch = Out.Equivalent && C.AnswerIR == S.RefText;
+  return Out;
+}
+
+RewardBreakdown answerReward(const Sample &S, const Completion &C,
+                             const VerifyResult &Verdict) {
+  RewardBreakdown Out = answerChecks(S, C, Verdict);
+  Out.Bleu = bleuText(S.RefText, C.AnswerIR);
+  Out.Total = (Out.FormatOk ? 1.0 : 0.0) *
+                  (1.0 + (Out.Equivalent ? 1.0 : 0.0) *
+                             (1.0 + (Out.ExactMatch ? 1.0 : 0.0))) +
+              Out.Bleu;
+  return Out;
+}
+
+double latencyReward(const Sample &S, const std::string &IR, bool Equivalent,
+                     const LatencyRewardParams &P) {
+  if (!Equivalent || P.UMax <= 1.0)
+    return 0.0;
+  auto M = parseModule(IR);
+  if (!M || !M.value()->getMainFunction())
+    return 0.0;
+  double T0 = estimateLatency(*S.source());
+  if (T0 <= 0)
+    return 0.0;
+  double T1 = estimateLatency(*M.value()->getMainFunction());
+  if (T1 <= 0)
+    T1 = 0.5;
+  double U = T0 / T1;
+  if (U <= 1.0)
+    return 0.0;
+  return std::pow(std::min(1.0, (U - 1.0) / (P.UMax - 1.0)), P.Gamma);
+}
+
+} // namespace textpath
+
+uint64_t bitsOf(double D) {
+  uint64_t B;
+  std::memcpy(&B, &D, sizeof B);
+  return B;
+}
+
+void expectSameBreakdown(const RewardBreakdown &A, const RewardBreakdown &B,
+                         const std::string &What) {
+  SCOPED_TRACE(What);
+  EXPECT_EQ(A.FormatOk, B.FormatOk);
+  EXPECT_EQ(A.Equivalent, B.Equivalent);
+  EXPECT_EQ(A.ExactMatch, B.ExactMatch);
+  EXPECT_EQ(A.IsCopy, B.IsCopy);
+  EXPECT_EQ(bitsOf(A.Bleu), bitsOf(B.Bleu));
+  EXPECT_EQ(bitsOf(A.Total), bitsOf(B.Total));
+  EXPECT_EQ(A.Verify.Status, B.Verify.Status);
+  EXPECT_EQ(A.Verify.Kind, B.Verify.Kind);
+  EXPECT_EQ(A.Verify.Diagnostic, B.Verify.Diagnostic);
+}
+
+TEST(Reward, CandidatePathMatchesTextPath) {
+  // answerReward, answerChecks and latencyReward over a Candidate (its
+  // parse, the sample's cached BLEU reference, the batch verifier's
+  // verdict) give bit-identical results to the same rewards computed from
+  // the answer text (fresh parses, plain BLEU, verifyCandidateText).
+  const Sample &S = sample();
+  auto doubleSpaces = [](std::string T) {
+    for (size_t I = 0; I < T.size(); ++I)
+      if (T[I] == ' ')
+        T.insert(I++, " ");
+    return T;
+  };
+  // Every value and block of the source renamed: same IR, other names.
+  std::string Renamed = [&] {
+    auto M = parseModule(S.SrcText);
+    EXPECT_TRUE(M.hasValue());
+    Function *F = M.value()->getMainFunction();
+    unsigned N = 0;
+    for (unsigned I = 0; I < F->getNumParams(); ++I)
+      F->getArg(I)->setName("arg" + std::to_string(N++));
+    for (auto &BB : *F) {
+      BB->setName("bb" + std::to_string(N++));
+      for (auto &Inst : *BB)
+        if (!Inst->getType()->isVoid())
+          Inst->setName("v" + std::to_string(N++));
+    }
+    return printFunction(*F);
+  }();
+  ASSERT_NE(Renamed, S.SrcText);
+  const VerifyOptions VOpts;
+  // Past the size guard: a whitespace copy and a reference padded beyond
+  // MaxCandidateBytes, which verify as SyntaxError without being parsed.
+  const std::string Padding(VOpts.MaxCandidateBytes, ' ');
+  struct Case {
+    const char *What;
+    Completion C;
+  };
+  std::vector<Case> Cases = {
+      {"copy", completionWithAnswer(S.SrcText)},
+      {"whitespace copy", completionWithAnswer(doubleSpaces(S.SrcText))},
+      {"renamed copy", completionWithAnswer(Renamed)},
+      {"exact match", completionWithAnswer(S.RefText)},
+      {"whitespace reference", completionWithAnswer(doubleSpaces(S.RefText))},
+      {"truncated", completionWithAnswer(S.SrcText.substr(0, 40))},
+      {"unparseable", completionWithAnswer("not ir at all")},
+      {"empty", completionWithAnswer("")},
+      {"format failure", completionWithAnswer(S.RefText, false)},
+      {"unformatted copy", completionWithAnswer(S.SrcText, false)},
+      {"oversized copy", completionWithAnswer(S.SrcText + Padding)},
+      {"oversized reference", completionWithAnswer(S.RefText + Padding)},
+  };
+  BatchVerifier::Options BO;
+  BO.Robust.Base = VOpts;
+  BO.Robust.MaxTiers = 1;
+  const BatchVerifier BV(BO, nullptr);
+  LatencyRewardParams P;
+  P.UMax = 2.5;
+  unsigned Copies = 0, Equivalent = 0, Oversized = 0;
+  for (const Case &K : Cases) {
+    const Candidate Answer(K.C.AnswerIR);
+    VerifyResult ByCandidate = BV.verifyOne(S.SrcText, *S.source(), Answer);
+    VerifyResult ByText = verifyCandidateText(*S.source(), K.C.AnswerIR, VOpts);
+    expectSameBreakdown(answerReward(S, K.C, Answer, ByCandidate),
+                        textpath::answerReward(S, K.C, ByText), K.What);
+    expectSameBreakdown(answerChecks(S, K.C, Answer, ByCandidate),
+                        textpath::answerChecks(S, K.C, ByText), K.What);
+    for (bool Eq : {false, true})
+      EXPECT_EQ(bitsOf(latencyReward(S, Answer, Eq, P)),
+                bitsOf(textpath::latencyReward(S, K.C.AnswerIR, Eq, P)))
+          << K.What;
+    Copies += textpath::isCopy(S, K.C.AnswerIR);
+    Equivalent += ByText.equivalent();
+    Oversized += ByText.Diagnostic.find("exceeds maximum size") !=
+                 std::string::npos;
+  }
+  // The cases reach copies of every kind, equivalent answers and the size
+  // guard.
+  EXPECT_GE(Copies, 4u);
+  EXPECT_GE(Equivalent, 4u);
+  EXPECT_EQ(Oversized, 2u);
 }
 
 TEST(Reward, UMaxFromTrainingSet) {

@@ -38,8 +38,8 @@ TEST(Trainer, ClipGradientScalesDown) {
 
 /// The stage-1 reward: Eq. (1) on the verdict the trainer hands over.
 RolloutScore answerScore(const Sample &S, const Completion &C,
-                         const VerifyResult &Answer) {
-  RewardBreakdown B = answerReward(S, C, Answer);
+                         const Candidate &Answer, const VerifyResult &V) {
+  RewardBreakdown B = answerReward(S, C, Answer, V);
   RolloutScore Sc;
   Sc.Reward = B.Total;
   Sc.Equivalent = B.Equivalent;
@@ -49,12 +49,13 @@ RolloutScore answerScore(const Sample &S, const Completion &C,
 }
 
 const RewardFn AnswerReward = [](const Sample &S, const Completion &C,
+                                 const Candidate &Answer,
                                  const RolloutVerdicts &V) {
-  return answerScore(S, C, V.Answer);
+  return answerScore(S, C, Answer, V.Answer);
 };
 
 const RewardFn FlatReward = [](const Sample &, const Completion &,
-                               const RolloutVerdicts &) {
+                               const Candidate &, const RolloutVerdicts &) {
   RolloutScore Sc;
   Sc.Reward = 1.0;
   return Sc;
@@ -187,11 +188,11 @@ TEST(Trainer, BatchVerificationIsBitIdenticalToSequential) {
   const Dataset &DS = tinyDataset();
   RobustVerifyOptions O = trainLadder();
   const RewardFn Sequential = [O](const Sample &S, const Completion &C,
-                                  const RolloutVerdicts &) {
+                                  const Candidate &, const RolloutVerdicts &) {
     VerifyResult V;
     if (C.FormatOk)
       V = oracle::verifyLadder(S.SrcText, *S.source(), C.AnswerIR, O);
-    return answerScore(S, C, V);
+    return answerScore(S, C, Candidate(C.AnswerIR), V);
   };
 
   auto runConfig = [&](const RewardFn &Reward, unsigned Threads,
@@ -246,12 +247,13 @@ TEST(Trainer, VerdictsHandedToRewardMatchOracle) {
       std::mutex M;
       std::vector<Seen> Handed;
       RewardFn Record = [&](const Sample &S, const Completion &C,
+                            const Candidate &Answer,
                             const RolloutVerdicts &V) {
         std::lock_guard<std::mutex> L(M);
         if (C.FormatOk)
           Handed.push_back({&S, C.AnswerIR, V.Answer});
         Handed.push_back({&S, C.ThinkAttemptIR, V.Attempt});
-        return answerScore(S, C, V.Answer);
+        return answerScore(S, C, Answer, V.Answer);
       };
       RewritePolicyModel Model(presetQwen3B());
       auto Cache = UseCache ? std::make_unique<VerifyCache>(512) : nullptr;

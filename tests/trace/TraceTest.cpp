@@ -98,8 +98,8 @@ std::vector<TraceEvent> tracedRun(unsigned Threads) {
   G.Pool = &Pool;
   G.TraceLabel = "stage1";
   RewardFn Reward = [](const Sample &S, const Completion &C,
-                       const RolloutVerdicts &V) {
-    RewardBreakdown B = answerReward(S, C, V.Answer);
+                       const Candidate &Answer, const RolloutVerdicts &V) {
+    RewardBreakdown B = answerReward(S, C, Answer, V.Answer);
     RolloutScore Sc;
     Sc.Reward = B.Total;
     Sc.Equivalent = B.Equivalent;
