@@ -54,13 +54,14 @@ bool loadTraceJsonl(const std::string &Path, TraceLog &Out,
 
 const std::vector<std::string> &knownTraceEventNames() {
   static const std::vector<std::string> Names = {
-      "pipeline.run",     "pipeline.stage", "pipeline.checkpoint",
-      "grpo.step",        "grpo.generate",  "grpo.score",
-      "verify.candidate", "verify.falsify", "verify.encode",
-      "verify.sat",       "verify.tier",    "batch.verify",
-      "eval.run",         "eval.shard",     "eval.driver",
-      "eval.worker",      "store.load",     "store.compact",
-      "opt.rule_fire",    "metric",         "metric.hist",
+      "pipeline.run",     "pipeline.stage",  "pipeline.checkpoint",
+      "grpo.step",        "grpo.generate",   "grpo.candidates",
+      "grpo.score",       "verify.candidate", "verify.source",
+      "verify.falsify",   "verify.encode",   "verify.prefix",
+      "verify.sat",       "verify.tier",     "batch.verify",
+      "eval.run",         "eval.shard",      "eval.driver",
+      "eval.worker",      "store.load",      "store.compact",
+      "opt.rule_fire",    "metric",          "metric.hist",
   };
   return Names;
 }
@@ -84,6 +85,7 @@ const std::map<std::string, std::vector<ArgRule>> &requiredArgs() {
         {"ema_reward", JsonValue::Kind::Number},
         {"equivalent_rate", JsonValue::Kind::Number}}},
       {"grpo.generate", {{"step", JsonValue::Kind::Number}}},
+      {"grpo.candidates", {{"step", JsonValue::Kind::Number}}},
       {"grpo.score",
        {{"step", JsonValue::Kind::Number},
         {"rollouts", JsonValue::Kind::Number}}},

@@ -5,6 +5,7 @@
 #include "trace/Metrics.h"
 #include "trace/Trace.h"
 #include "verify/BatchVerifier.h"
+#include "verify/RefinementQuery.h"
 
 #include <algorithm>
 #include <chrono>
@@ -37,11 +38,14 @@ GRPOTrainer::GRPOTrainer(RewritePolicyModel &Model,
     : Model(Model), Verifier(Verifier), Reward(std::move(Reward)), Opts(Opts),
       R(Opts.Seed) {}
 
+GRPOTrainer::~GRPOTrainer() = default;
+
 TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
   struct Rollout {
     const Sample *S;
     Completion C;
     const Candidate *Answer = nullptr;
+    const Candidate *Attempt = nullptr; ///< augmented mode only
     RolloutVerdicts Verdicts;
     RolloutScore Score;
     double Advantage = 0;
@@ -71,13 +75,25 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
     }
   }
 
-  // Phase 2: verification. Every distinct answer and attempt text of the
+  // Phase 2: candidates. Every distinct answer and attempt text of the
   // step becomes one Candidate, parsed once for the cache key, the verdict
-  // and the reward. One verifyGroup call per prompt group computes every
-  // verdict the reward needs — answers that pass the format gate, and
+  // and the reward.
+  CandidateSet Candidates; // read by the verification and scoring phases
+  {
+    TraceSpan CandSpan("grpo.candidates");
+    CandSpan.arg(TraceArg::ofInt("step", StepNo));
+    for (Rollout &Ro : Rollouts) {
+      Ro.Answer = &Candidates.get(Ro.C.AnswerIR);
+      if (Opts.Mode == PromptMode::Augmented)
+        Ro.Attempt = &Candidates.get(Ro.C.ThinkAttemptIR);
+    }
+  }
+
+  // Phase 3: verification. One verifyGroup call per prompt group computes
+  // every verdict the reward needs — answers that pass the format gate, and
   // think-attempts in augmented mode — through one shared solver context,
-  // once per canonically distinct candidate.
-  CandidateSet Candidates; // read by the scoring phase below
+  // once per canonically distinct candidate, against the prompt's kept
+  // source half.
   unsigned RungHits = 0, RungsComputed = 0;
   for (unsigned PromptIdx = 0; PromptIdx < Batch.size(); ++PromptIdx) {
     const Sample *S = Batch[PromptIdx];
@@ -85,28 +101,27 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
     std::vector<VerifyResult *> Slots;
     for (unsigned G = 0; G < Opts.GroupSize; ++G) {
       Rollout &Ro = Rollouts[PromptIdx * Opts.GroupSize + G];
-      Ro.Answer = &Candidates.get(Ro.C.AnswerIR);
       if (Ro.C.FormatOk) {
         ToVerify.push_back(Ro.Answer);
         Slots.push_back(&Ro.Verdicts.Answer);
       }
-      if (Opts.Mode == PromptMode::Augmented) {
-        ToVerify.push_back(&Candidates.get(Ro.C.ThinkAttemptIR));
+      if (Ro.Attempt) {
+        ToVerify.push_back(Ro.Attempt);
         Slots.push_back(&Ro.Verdicts.Attempt);
       }
     }
     if (ToVerify.empty())
       continue;
     BatchVerifier::GroupStats GS;
-    std::vector<VerifyResult> Verdicts =
-        Verifier.verifyGroup(S->SrcText, *S->source(), ToVerify, &GS);
+    std::vector<VerifyResult> Verdicts = Verifier.verifyGroup(
+        S->SrcText, *S->source(), ToVerify, &GS, &KeptSources[S]);
     for (size_t I = 0; I < Slots.size(); ++I)
       *Slots[I] = std::move(Verdicts[I]);
     RungHits += GS.CacheHits;
     RungsComputed += GS.Computed;
   }
 
-  // Phase 3: scoring (cost model, BLEU) fans out over the pool. Each task
+  // Phase 4: scoring (cost model, BLEU) fans out over the pool. Each task
   // writes only its own rollout's Score slot, so the result is identical to
   // the serial loop.
   auto ScoreStart = std::chrono::steady_clock::now();

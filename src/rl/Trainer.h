@@ -18,10 +18,13 @@
 #include "support/ThreadPool.h"
 
 #include <functional>
+#include <memory>
+#include <unordered_map>
 
 namespace veriopt {
 
 class BatchVerifier;
+struct SourceEncoding;
 
 /// What a stage-specific reward evaluation returns for one completion.
 struct RolloutScore {
@@ -125,11 +128,14 @@ struct GRPOTrainerState {
 class GRPOTrainer {
 public:
   /// \p Verifier computes every verdict the reward sees; it must outlive
-  /// the trainer.
+  /// the trainer, and so must every prompt passed to train() or step(): the
+  /// trainer keeps each prompt's source half (SourceEncoding) for its
+  /// lifetime and lends it to every group verified against that prompt.
   GRPOTrainer(RewritePolicyModel &Model, const BatchVerifier &Verifier,
               RewardFn Reward, const GRPOOptions &Opts);
   GRPOTrainer(RewritePolicyModel &Model, const BatchVerifier &&Verifier,
               RewardFn Reward, const GRPOOptions &Opts) = delete;
+  ~GRPOTrainer();
 
   /// Run \p Steps updates over \p Prompts (cycled, shuffled by seed).
   /// Returns the per-step log. \p OnStep, when set, observes each step's
@@ -155,6 +161,10 @@ private:
   RNG R;
   unsigned StepCount = 0;
   EMA Smoother{0.95};
+  /// One source half per prompt, built by its first group that reaches
+  /// the verifier.
+  std::unordered_map<const Sample *, std::unique_ptr<SourceEncoding>>
+      KeptSources;
 };
 
 //===--- SFT -----------------------------------------------------------------//

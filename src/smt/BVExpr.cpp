@@ -25,21 +25,39 @@ APInt64 foldURem(const APInt64 &A, const APInt64 &B) {
 
 } // namespace
 
-const BVExpr *BVContext::intern(BVExpr E) {
-  // Structural key: op|width|payload|operand pointers.
-  std::string Key;
-  Key.reserve(16 + E.Ops.size() * 8);
-  auto put = [&Key](uint64_t V) {
-    Key.append(reinterpret_cast<const char *>(&V), sizeof(V));
+size_t BVKeyHash::operator()(const BVKey &K) const {
+  auto mix = [](uint64_t H, uint64_t V) {
+    H = (H ^ V) * 0x9E3779B97F4A7C15ULL;
+    return H ^ (H >> 29);
   };
-  put(static_cast<uint64_t>(E.Op));
-  put(E.Width);
-  put(E.ConstVal.zext());
-  put(E.VarId);
-  put(E.Lo);
-  for (const BVExpr *Op : E.Ops)
-    put(reinterpret_cast<uint64_t>(Op));
+  uint64_t H = mix(0, static_cast<uint64_t>(K.Op) |
+                          static_cast<uint64_t>(K.Width) << 8 |
+                          static_cast<uint64_t>(K.Lo) << 16 |
+                          static_cast<uint64_t>(K.VarId) << 32);
+  H = mix(H, K.Bits);
+  for (const BVExpr *Op : K.Ops)
+    H = mix(H, reinterpret_cast<uintptr_t>(Op));
+  return static_cast<size_t>(H);
+}
 
+namespace {
+
+/// The key a node was interned under.
+BVKey keyOf(const BVExpr &E) {
+  BVKey K;
+  K.Op = E.Op;
+  K.Width = E.Width;
+  K.Bits = E.ConstVal.zext();
+  K.VarId = E.VarId;
+  K.Lo = E.Lo;
+  for (size_t I = 0; I < E.Ops.size(); ++I)
+    K.Ops[I] = E.Ops[I];
+  return K;
+}
+
+} // namespace
+
+const BVExpr *BVContext::intern(const BVKey &K) {
   // CSE accounting: a hit means a structurally identical term already
   // exists in this context, so its circuit is shared instead of re-emitted.
   // Totals are schedule-independent: hits = interning requests - distinct
@@ -48,44 +66,73 @@ const BVExpr *BVContext::intern(BVExpr E) {
   static Counter &Misses =
       MetricsRegistry::global().counter("encode.cse_misses");
 
-  auto It = Interned.find(Key);
-  if (It != Interned.end()) {
+  auto [It, Inserted] = Interned.try_emplace(K, nullptr);
+  if (!Inserted) {
     ++CseHits;
     Hits.inc();
     return It->second;
   }
-  Pool.push_back(std::move(E));
-  const BVExpr *Out = &Pool.back();
-  Interned.emplace(std::move(Key), Out);
+  BVExpr &E = Pool.emplace_back();
+  E.Op = K.Op;
+  E.Width = K.Width;
+  if (K.Op == BVOp::Const)
+    E.ConstVal = APInt64(K.Width, K.Bits);
+  E.VarId = K.VarId;
+  E.Lo = K.Lo;
+  size_t NumOps = 0;
+  while (NumOps < 3 && K.Ops[NumOps])
+    ++NumOps;
+  E.Ops.assign(K.Ops, K.Ops + NumOps);
+  It->second = &E;
   ++CseMisses;
   Misses.inc();
-  return Out;
+  return &E;
+}
+
+void BVContext::rollback(Mark M) {
+  assert(M.Nodes <= Pool.size() && M.Vars <= VarNames.size() &&
+         "rollback past the context's current state");
+  while (Pool.size() > M.Nodes) {
+    Interned.erase(keyOf(Pool.back()));
+    Pool.pop_back();
+  }
+  VarNames.resize(M.Vars);
 }
 
 const BVExpr *BVContext::constant(APInt64 V) {
-  BVExpr E;
-  E.Op = BVOp::Const;
-  E.Width = V.width();
-  E.ConstVal = V;
-  return intern(std::move(E));
+  BVKey K;
+  K.Width = V.width();
+  K.Bits = V.zext();
+  return intern(K);
 }
 
 const BVExpr *BVContext::var(unsigned Width, const std::string &Name) {
-  BVExpr E;
-  E.Op = BVOp::Var;
-  E.Width = Width;
-  E.VarId = static_cast<unsigned>(VarNames.size());
+  BVKey K;
+  K.Op = BVOp::Var;
+  K.Width = Width;
+  K.VarId = static_cast<unsigned>(VarNames.size());
   VarNames.push_back(Name);
-  return intern(std::move(E));
+  return intern(K);
+}
+
+const BVExpr *BVContext::unary(BVOp Op, const BVExpr *A, unsigned Width,
+                               unsigned Lo) {
+  BVKey K;
+  K.Op = Op;
+  K.Width = Width;
+  K.Lo = Lo;
+  K.Ops[0] = A;
+  return intern(K);
 }
 
 const BVExpr *BVContext::binary(BVOp Op, const BVExpr *A, const BVExpr *B,
                                 unsigned Width) {
-  BVExpr E;
-  E.Op = Op;
-  E.Width = Width;
-  E.Ops = {A, B};
-  return intern(std::move(E));
+  BVKey K;
+  K.Op = Op;
+  K.Width = Width;
+  K.Ops[0] = A;
+  K.Ops[1] = B;
+  return intern(K);
 }
 
 const BVExpr *BVContext::add(const BVExpr *A, const BVExpr *B) {
@@ -299,11 +346,7 @@ const BVExpr *BVContext::bvnot(const BVExpr *A) {
     return constant(A->ConstVal.notOp());
   if (A->Op == BVOp::Not)
     return A->Ops[0];
-  BVExpr E;
-  E.Op = BVOp::Not;
-  E.Width = A->Width;
-  E.Ops = {A};
-  return intern(std::move(E));
+  return unary(BVOp::Not, A, A->Width);
 }
 
 const BVExpr *BVContext::neg(const BVExpr *A) {
@@ -311,11 +354,7 @@ const BVExpr *BVContext::neg(const BVExpr *A) {
     return constant(A->ConstVal.neg());
   if (A->Op == BVOp::Neg)
     return A->Ops[0];
-  BVExpr E;
-  E.Op = BVOp::Neg;
-  E.Width = A->Width;
-  E.Ops = {A};
-  return intern(std::move(E));
+  return unary(BVOp::Neg, A, A->Width);
 }
 
 const BVExpr *BVContext::zext(const BVExpr *A, unsigned NewWidth) {
@@ -324,11 +363,7 @@ const BVExpr *BVContext::zext(const BVExpr *A, unsigned NewWidth) {
     return A;
   if (A->isConst())
     return constant(A->ConstVal.zextTo(NewWidth));
-  BVExpr E;
-  E.Op = BVOp::ZExt;
-  E.Width = NewWidth;
-  E.Ops = {A};
-  return intern(std::move(E));
+  return unary(BVOp::ZExt, A, NewWidth);
 }
 
 const BVExpr *BVContext::sext(const BVExpr *A, unsigned NewWidth) {
@@ -337,11 +372,7 @@ const BVExpr *BVContext::sext(const BVExpr *A, unsigned NewWidth) {
     return A;
   if (A->isConst())
     return constant(A->ConstVal.sextTo(NewWidth));
-  BVExpr E;
-  E.Op = BVOp::SExt;
-  E.Width = NewWidth;
-  E.Ops = {A};
-  return intern(std::move(E));
+  return unary(BVOp::SExt, A, NewWidth);
 }
 
 const BVExpr *BVContext::extract(const BVExpr *A, unsigned Lo,
@@ -366,12 +397,7 @@ const BVExpr *BVContext::extract(const BVExpr *A, unsigned Lo,
   if ((A->Op == BVOp::ZExt || A->Op == BVOp::SExt) &&
       Lo + Width <= A->Ops[0]->Width)
     return extract(A->Ops[0], Lo, Width);
-  BVExpr E;
-  E.Op = BVOp::Extract;
-  E.Width = Width;
-  E.Lo = Lo;
-  E.Ops = {A};
-  return intern(std::move(E));
+  return unary(BVOp::Extract, A, Width, Lo);
 }
 
 const BVExpr *BVContext::concat(const BVExpr *Hi, const BVExpr *Lo) {
@@ -387,11 +413,7 @@ const BVExpr *BVContext::concat(const BVExpr *Hi, const BVExpr *Lo) {
   // Zero high part of an extract-from-bit-0 is a zext of the extract.
   if (Hi->isConst(0))
     return zext(Lo, Hi->Width + Lo->Width);
-  BVExpr E;
-  E.Op = BVOp::Concat;
-  E.Width = Hi->Width + Lo->Width;
-  E.Ops = {Hi, Lo};
-  return intern(std::move(E));
+  return binary(BVOp::Concat, Hi, Lo, Hi->Width + Lo->Width);
 }
 
 const BVExpr *BVContext::eq(const BVExpr *A, const BVExpr *B) {
@@ -467,11 +489,13 @@ const BVExpr *BVContext::ite(const BVExpr *C, const BVExpr *T,
     if (F->isTrue())
       return bvor(bvnot(C), T);
   }
-  BVExpr E;
-  E.Op = BVOp::ITE;
-  E.Width = T->Width;
-  E.Ops = {C, T, F};
-  return intern(std::move(E));
+  BVKey K;
+  K.Op = BVOp::ITE;
+  K.Width = T->Width;
+  K.Ops[0] = C;
+  K.Ops[1] = T;
+  K.Ops[2] = F;
+  return intern(K);
 }
 
 APInt64 BVContext::evaluate(

@@ -71,12 +71,46 @@ struct BVExpr {
   bool isFalse() const { return Width == 1 && isConst(0); }
 };
 
+/// The structural identity of a term: op, width, constant bits, variable
+/// id, extract offset and up to three operand pointers (unused slots null).
+/// Two interning requests share one node exactly when their keys are equal.
+struct BVKey {
+  BVOp Op = BVOp::Const;
+  unsigned Width = 0;
+  uint64_t Bits = 0;  ///< Const only
+  unsigned VarId = 0; ///< Var only
+  unsigned Lo = 0;    ///< Extract only
+  const BVExpr *Ops[3] = {nullptr, nullptr, nullptr};
+
+  bool operator==(const BVKey &) const = default;
+};
+
+struct BVKeyHash {
+  size_t operator()(const BVKey &K) const;
+};
+
 /// Owns and interns terms; provides smart constructors with folding.
 class BVContext {
 public:
   BVContext() = default;
   BVContext(const BVContext &) = delete;
   BVContext &operator=(const BVContext &) = delete;
+
+  /// A point in the context's history: how many nodes and variables it
+  /// held. rollback() returns the context to exactly that state.
+  struct Mark {
+    size_t Nodes = 0;
+    size_t Vars = 0;
+    bool operator==(const Mark &) const = default;
+  };
+  Mark mark() const { return {Pool.size(), VarNames.size()}; }
+  /// Forget every node and variable created after \p M. Operands are
+  /// interned before their users, so no node below the mark refers to one
+  /// above it, and the context afterwards is the one a build that stopped at
+  /// \p M holds: the same nodes under the same keys, and the next var()
+  /// gets the same id. Pointers to forgotten nodes dangle. The CSE counters
+  /// keep counting every request ever made.
+  void rollback(Mark M);
 
   //===--- Leaves ---------------------------------------------------------===//
 
@@ -165,12 +199,15 @@ public:
                    const std::unordered_map<unsigned, APInt64> &Model) const;
 
 private:
-  const BVExpr *intern(BVExpr E);
+  /// The node for \p K: found without allocating, or built on a miss.
+  const BVExpr *intern(const BVKey &K);
+  const BVExpr *unary(BVOp Op, const BVExpr *A, unsigned Width,
+                      unsigned Lo = 0);
   const BVExpr *binary(BVOp Op, const BVExpr *A, const BVExpr *B,
                        unsigned Width);
 
   std::deque<BVExpr> Pool;
-  std::unordered_map<std::string, const BVExpr *> Interned;
+  std::unordered_map<BVKey, const BVExpr *, BVKeyHash> Interned;
   std::vector<std::string> VarNames;
   uint64_t CseHits = 0;
   uint64_t CseMisses = 0;

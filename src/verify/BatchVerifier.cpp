@@ -6,6 +6,7 @@
 #include "trace/Trace.h"
 #include "verify/RefinementQuery.h"
 
+#include <cassert>
 #include <mutex>
 #include <unordered_map>
 
@@ -39,7 +40,8 @@ VerifyOptions tierOptions(const RobustVerifyOptions &O, unsigned Tier) {
 std::vector<VerifyResult>
 BatchVerifier::verifyGroup(const std::string &SrcText, const Function &Src,
                            const std::vector<const Candidate *> &Cands,
-                           GroupStats *Stats) const {
+                           GroupStats *Stats,
+                           std::unique_ptr<SourceEncoding> *Kept) const {
   TraceSpan Span("batch.verify");
   const VerifyOptions Tier0 = tierOptions(Opts.Robust, 0);
 
@@ -72,11 +74,18 @@ BatchVerifier::verifyGroup(const std::string &SrcText, const Function &Src,
   }
 
   // The shared source half is built on first need: a group whose every
-  // rung is already cached never pays for it.
-  std::unique_ptr<SourceEncoding> SC;
+  // rung is already cached never pays for it. A kept half is built by the
+  // first group against its source that needs it and reused after that.
+  std::unique_ptr<SourceEncoding> Local;
+  std::unique_ptr<SourceEncoding> &SC = Kept ? *Kept : Local;
   std::once_flag SCOnce;
   auto sharedEncoding = [&]() -> SourceEncoding * {
-    std::call_once(SCOnce, [&] { SC = buildSourceEncoding(Src, Tier0); });
+    std::call_once(SCOnce, [&] {
+      if (!SC)
+        SC = buildSourceEncoding(Src, Tier0);
+      [[maybe_unused]] bool Busy = SC->InGroup.exchange(true);
+      assert(!Busy && "a kept source half serves one group at a time");
+    });
     return SC.get();
   };
 
@@ -188,6 +197,8 @@ BatchVerifier::verifyGroup(const std::string &SrcText, const Function &Src,
   else
     for (size_t U = 0; U < Unique.size(); ++U)
       RunOne(U);
+  if (Kept && SC)
+    endGroup(*SC);
 
   GroupStats GS;
   GS.Candidates = static_cast<unsigned>(Cands.size());

@@ -3,10 +3,13 @@
 // The one entry point that turns a candidate into a verdict. Verifies a
 // whole GRPO group — G Candidates (Candidate.h) against one source —
 // through a single shared solver context. The source function's
-// falsification runs, symbolic encoding, and CNF are built once
-// (SourceEncoding); each candidate pays only for its own screen, encode,
-// and an assumption-guarded SAT activation on a clone of the retained
-// prefix (QueryPrefix). A single candidate is a group of one (verifyOne).
+// falsification runs and symbolic encoding (SourceEncoding) are built once
+// per call, or once per training stage when the caller keeps the half
+// across groups (the GRPO trainer does, one per prompt). The source CNF
+// (QueryPrefix) is blasted only when a candidate of the group reaches SAT,
+// once per group. Each candidate pays only for its own screen, encode, and
+// an assumption-guarded SAT activation on a clone of that prefix. A single
+// candidate is a group of one (verifyOne).
 //
 // Every unique candidate runs an escalating retry ladder: an Inconclusive
 // verdict caused by budget exhaustion (SolverTimeout / ResourceExhausted)
@@ -36,10 +39,13 @@
 #include "verify/Candidate.h"
 #include "verify/VerifyCache.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
 namespace veriopt {
+
+struct SourceEncoding;
 
 struct RobustVerifyOptions {
   /// Tier-0 verification options; higher tiers scale the budget knobs only.
@@ -95,10 +101,18 @@ public:
   /// once in verify.retry.*. The same Candidate may appear more than once
   /// (every entry counts in GroupStats::Candidates). \p SrcText must be the
   /// printed form of \p Src.
+  ///
+  /// \p Kept, when non-null, keeps the source half across calls: the first
+  /// group that needs it builds it into the slot, and every group ends by
+  /// rolling it back to its post-build state (endGroup), so the verdicts
+  /// are those of a fresh half. A slot belongs to one \p Src and this
+  /// verifier's tier-0 options, and serves one group at a time. Null
+  /// builds a half for this call alone.
   std::vector<VerifyResult>
   verifyGroup(const std::string &SrcText, const Function &Src,
               const std::vector<const Candidate *> &Cands,
-              GroupStats *Stats = nullptr) const;
+              GroupStats *Stats = nullptr,
+              std::unique_ptr<SourceEncoding> *Kept = nullptr) const;
   /// The same over candidate texts, one Candidate built per distinct text.
   std::vector<VerifyResult> verifyGroup(const std::string &SrcText,
                                         const Function &Src,

@@ -173,6 +173,26 @@ VerifyResult exhaustedResult(const Function &Src) {
   return Out;
 }
 
+/// The source half's CNF, blasted by the first caller — in a group, the
+/// first member whose constraint is not constant false — and shared by the
+/// rest. Blasting only reads the context, so it may run while another
+/// member encodes under BuildMu.
+QueryPrefix &prefixOf(SourceEncoding &SC, bool Shared) {
+  std::unique_lock<std::mutex> Lock(SC.PrefixMu, std::defer_lock);
+  if (Shared)
+    Lock.lock();
+  if (!SC.Prefix) {
+    TRACE_SPAN("verify.prefix");
+    static Counter &Builds =
+        MetricsRegistry::global().counter("smt.prefix_builds");
+    Builds.inc();
+    assert(!SC.PrefixTerms.empty() &&
+           "usable source encoding must list its prefix terms");
+    SC.Prefix = std::make_unique<QueryPrefix>(SC.Ctx, SC.PrefixTerms);
+  }
+  return *SC.Prefix;
+}
+
 /// The candidate-dependent half of a query, produced by the (locked) build
 /// phase. Every term the SAT/classification phase needs is stashed here so
 /// that phase never interns new nodes — context reads via stable node
@@ -364,19 +384,20 @@ VerifyResult verifyAgainstEncodingImpl(SourceEncoding &SC, const Function &Tgt,
       Q.ModelTerms.push_back(WV);
   } // build lock released; below only reads the context.
 
+  // The prefix is blasted outside the verify.sat span, which times the
+  // search alone.
+  QueryPrefix *Prefix = Q.Cex->isFalse() ? nullptr : &prefixOf(SC, Shared);
   SmtCheck Res;
   {
     TraceSpan SatSpan("verify.sat");
-    if (Q.Cex->isFalse()) {
+    if (!Prefix)
       Res.St = SmtCheck::Unsat; // checkSat's trivial short-circuit
-    } else {
-      assert(SC.Prefix && "usable source encoding must carry a CNF prefix");
-      Res = Shared ? SC.Prefix->activate(Q.Cex, Q.ModelTerms,
-                                         Opts.SolverConflictBudget, &F,
-                                         /*CountRetained=*/true)
-                   : SC.Prefix->activateInPlace(Q.Cex, Q.ModelTerms,
-                                                Opts.SolverConflictBudget, &F);
-    }
+    else
+      Res = Shared ? Prefix->activate(Q.Cex, Q.ModelTerms,
+                                      Opts.SolverConflictBudget, &F,
+                                      /*CountRetained=*/true)
+                   : Prefix->activateInPlace(Q.Cex, Q.ModelTerms,
+                                             Opts.SolverConflictBudget, &F);
     SatSpan.arg(TraceArg::ofStr("result", Res.St == SmtCheck::Sat ? "sat"
                                           : Res.St == SmtCheck::Unsat
                                               ? "unsat"
@@ -465,6 +486,10 @@ VerifyResult verifyAgainstEncodingImpl(SourceEncoding &SC, const Function &Tgt,
 
 std::unique_ptr<SourceEncoding> buildSourceEncoding(const Function &Src,
                                                     const VerifyOptions &Opts) {
+  TRACE_SPAN("verify.source");
+  static Counter &Builds =
+      MetricsRegistry::global().counter("verify.source_builds");
+  Builds.inc();
   auto SC = std::make_unique<SourceEncoding>();
   SC->Src = &Src;
   SC->Opts = Opts;
@@ -509,27 +534,34 @@ std::unique_ptr<SourceEncoding> buildSourceEncoding(const Function &Src,
   Limits.FuelTok = &Rec;
   SC->SE = encodeFunction(Src, SC->Ctx, SC->ArgVars, SC->SrcWorld, Limits);
 
-  // Retain the source half's CNF when candidates can actually reach SAT
-  // with it. The blast list is deterministic: argument variables, world
-  // variables in map order, then the encoding's terms in a fixed order.
+  // List the source terms of the CNF prefix when candidates can actually
+  // reach SAT with it; prefixOf() blasts them on first need. Interning the
+  // return terms here keeps them below the mark.
   if (!SC->SE.Unsupported && !SC->SE.Paths.empty()) {
-    std::vector<const BVExpr *> PrefixTerms = SC->ArgVars;
+    std::vector<const BVExpr *> &Terms = SC->PrefixTerms;
+    Terms = SC->ArgVars;
     for (const BVExpr *WV : SC->SrcWorld.vars())
-      PrefixTerms.push_back(WV);
-    PrefixTerms.push_back(SC->SE.Truncated);
-    PrefixTerms.push_back(SC->SE.UB);
+      Terms.push_back(WV);
+    Terms.push_back(SC->SE.Truncated);
+    Terms.push_back(SC->SE.UB);
     if (!Src.getReturnType()->isVoid()) {
-      PrefixTerms.push_back(SC->SE.returnTerm(SC->Ctx));
-      PrefixTerms.push_back(SC->SE.returnPoison(SC->Ctx));
+      Terms.push_back(SC->SE.returnTerm(SC->Ctx));
+      Terms.push_back(SC->SE.returnPoison(SC->Ctx));
     }
     for (const CallRecord &Rec2 : SC->SE.Calls) {
-      PrefixTerms.push_back(Rec2.Guard);
+      Terms.push_back(Rec2.Guard);
       for (const BVExpr *A : Rec2.Args)
-        PrefixTerms.push_back(A);
+        Terms.push_back(A);
     }
-    SC->Prefix = std::make_unique<QueryPrefix>(SC->Ctx, PrefixTerms);
   }
+  SC->Built = SC->Ctx.mark();
   return SC;
+}
+
+void endGroup(SourceEncoding &SC) {
+  SC.Prefix.reset();
+  SC.Ctx.rollback(SC.Built);
+  SC.InGroup = false;
 }
 
 VerifyResult verifyAgainstEncoding(SourceEncoding &SC, const Function &Tgt,

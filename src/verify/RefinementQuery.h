@@ -2,25 +2,39 @@
 //
 // The incremental core under both verification front doors. A refinement
 // query splits into a candidate-independent half (falsification runs of the
-// source, its symbolic encoding, the CNF of its terms) and a per-candidate
-// half; SourceEncoding captures the former once so a group of candidates
-// against one source — a GRPO group — pays for it once.
+// source, its symbolic encoding, the list of source terms its CNF needs)
+// and a per-candidate half; SourceEncoding captures the former so a group
+// of candidates against one source — a GRPO group — pays for it once.
+//
+// Lifetimes. A source half lives for one call on the text paths and in
+// evaluation, and for a whole training stage in the GRPO trainer, which
+// keeps one per prompt and lends it to each group verified against that
+// prompt. When a group ends, endGroup() rolls the half's context back to
+// the mark its build left and drops the CNF prefix, so the next group
+// starts from exactly the state a fresh build produces. The CNF prefix is
+// blasted on demand: by the first candidate of a group whose constraint is
+// not constant false, once per group, and never by a group that every
+// candidate settles by falsification or folding.
 //
 // Bit-identity contract: for a fixed (source, candidate, options) triple,
 // the verdict, DiagKind, diagnostic text, counterexample, SolverConflicts
 // and FuelSpent are identical whether the encoding is built fresh per call
-// (the sequential oracle, verifyRefinement / verifyCandidateText) or shared
-// across a group at any thread count (BatchVerifier). Three mechanisms make
-// that hold:
+// (the sequential oracle, verifyRefinement / verifyCandidateText), shared
+// across a group at any thread count (BatchVerifier), or kept across groups
+// (GRPOTrainer). Four mechanisms make that hold:
 //  - Fuel replay: the shared source-side work records its fuel charges
 //    once; each candidate replays them against its own budget, so budget
 //    exhaustion happens at exactly the point a fresh run would hit.
 //  - Clone activation: the shared CNF prefix is never solved on directly by
 //    group members; each candidate solves on an exact copy (QueryPrefix),
 //    so SAT search trajectories — and conflict counts — match a fresh run.
+//    The prefix charges no fuel, so when it is blasted does not matter.
 //  - Structural interning: the shared BVContext hash-conses terms purely
 //    structurally, so the terms a candidate builds are independent of which
 //    other candidates built terms before it.
+//  - Rollback: a kept half's context returns to its post-build mark after
+//    every group (BVContext::rollback), so later groups see the nodes, keys
+//    and variable ids of a fresh build.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +47,7 @@
 #include "verify/Candidate.h"
 #include "verify/Encoder.h"
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -42,10 +57,11 @@ namespace veriopt {
 
 /// Everything about a refinement query that does not depend on the
 /// candidate: built once per (source, structural options) and shared by
-/// every candidate in a group. Budget knobs (SolverConflictBudget,
-/// FuelBudget) are *not* baked in — the retry ladder re-asks the same
-/// encoding under scaled budgets — but the structural knobs (MaxPaths,
-/// unroll bound, FalsifyTrials, ...) are, and must match at use sites.
+/// every candidate in a group, or kept across groups. Budget knobs
+/// (SolverConflictBudget, FuelBudget) are *not* baked in — the retry ladder
+/// re-asks the same encoding under scaled budgets — but the structural
+/// knobs (MaxPaths, unroll bound, FalsifyTrials, ...) are, and must match
+/// at use sites.
 struct SourceEncoding {
   const Function *Src = nullptr;
   VerifyOptions Opts; ///< options the encoding was built under
@@ -68,28 +84,46 @@ struct SourceEncoding {
   std::vector<uint64_t> FalsifyTrace; ///< source interp charges, all trials
   std::vector<uint64_t> EncodeTrace;  ///< source symbolic-encode charges
 
-  /// Retained CNF of the source terms; null when the source encoding is
-  /// unusable (pointer params, unsupported construct, no complete path) —
-  /// every candidate resolves before reaching SAT in those cases.
+  /// The source terms the CNF prefix blasts, in a fixed order: argument
+  /// variables, world variables in map order, then the encoding's terms.
+  /// Empty when the source encoding is unusable (pointer params,
+  /// unsupported construct, no complete path) — every candidate resolves
+  /// before reaching SAT in those cases.
+  std::vector<const BVExpr *> PrefixTerms;
+  /// The context as the build left it; endGroup() rolls back to here.
+  BVContext::Mark Built;
+
+  /// CNF of PrefixTerms, blasted on demand by the first candidate that
+  /// reaches SAT and dropped by endGroup(); null until then.
   std::unique_ptr<QueryPrefix> Prefix;
+  /// Serializes that blast among group members.
+  std::mutex PrefixMu;
 
   /// Serializes the context-mutating build phase when group members verify
   /// concurrently (interning order changes, interned *structures* do not).
   std::mutex BuildMu;
+  /// Set while a group is verifying against this half (a kept half serves
+  /// one group at a time).
+  std::atomic<bool> InGroup{false};
 };
 
 /// Build the shared half for \p Src. Source-side fuel charges are recorded
 /// under an unlimited token for later replay; structural limits still bound
-/// the work.
+/// the work. Emits the verify.source span and counts verify.source_builds.
 std::unique_ptr<SourceEncoding> buildSourceEncoding(const Function &Src,
                                                     const VerifyOptions &Opts);
+
+/// End a group's use of \p SC: forget the terms its candidates interned and
+/// drop the CNF prefix, so the next group sees a freshly built half. Call it
+/// once every group member has finished.
+void endGroup(SourceEncoding &SC);
 
 /// Verify \p Tgt against the prebuilt encoding. Mirrors verifyRefinement
 /// exactly (same verdicts, diagnostics, conflict counts, FuelSpent).
 /// \p Shared selects group mode: take SC.BuildMu around context mutation,
-/// activate the prefix on a clone, and credit smt.clauses_retained. With
-/// Shared = false the caller owns SC exclusively and the prefix is consumed
-/// in place.
+/// SC.PrefixMu around the prefix blast, activate the prefix on a clone, and
+/// credit smt.clauses_retained. With Shared = false the caller owns SC
+/// exclusively and the prefix is consumed in place.
 VerifyResult verifyAgainstEncoding(SourceEncoding &SC, const Function &Tgt,
                                    const VerifyOptions &Opts, bool Shared);
 

@@ -52,7 +52,8 @@ TEST(Report, ValidAndKnownNamesPass) {
   std::string Err;
   EXPECT_TRUE(validateTraceLog(Log, &Err)) << Err;
   const auto &Known = knownTraceEventNames();
-  for (const char *N : {"grpo.step", "verify.candidate", "metric"})
+  for (const char *N : {"grpo.step", "grpo.candidates", "verify.candidate",
+                        "verify.source", "verify.prefix", "metric"})
     EXPECT_NE(std::find(Known.begin(), Known.end(), N), Known.end()) << N;
 }
 

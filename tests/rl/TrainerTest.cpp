@@ -11,6 +11,7 @@
 #include <cmath>
 #include <map>
 #include <mutex>
+#include <set>
 
 namespace veriopt {
 namespace {
@@ -85,6 +86,19 @@ BatchVerifier makeVerifier(const RobustVerifyOptions &O, VerifyCache *Cache,
   BO.Robust = O;
   BO.Pool = Pool;
   return BatchVerifier(BO, Cache);
+}
+
+/// \p Got carries the plain ladder's verdict \p Want on \p Text.
+void expectLadderVerdict(const VerifyResult &Got, const VerifyResult &Want,
+                         const std::string &Text) {
+  EXPECT_EQ(Got.Status, Want.Status) << Text;
+  EXPECT_EQ(Got.Kind, Want.Kind) << Text;
+  EXPECT_EQ(Got.Diagnostic, Want.Diagnostic) << Text;
+  EXPECT_EQ(Got.SolverConflicts, Want.SolverConflicts) << Text;
+  EXPECT_EQ(Got.FuelSpent, Want.FuelSpent) << Text;
+  EXPECT_EQ(Got.RetryTier, Want.RetryTier) << Text;
+  EXPECT_EQ(Got.FoundByFalsification, Want.FoundByFalsification) << Text;
+  EXPECT_EQ(Got.Counterexample.size(), Want.Counterexample.size()) << Text;
 }
 
 void expectSameTrajectory(const std::vector<TrainLogEntry> &A,
@@ -265,20 +279,86 @@ TEST(Trainer, VerdictsHandedToRewardMatchOracle) {
       Trainer.train(DS.Train, 4);
 
       ASSERT_FALSE(Handed.empty());
-      for (const Seen &H : Handed) {
-        VerifyResult Want = oracleFor(*H.S, H.Text);
-        EXPECT_EQ(H.Verdict.Status, Want.Status) << H.Text;
-        EXPECT_EQ(H.Verdict.Kind, Want.Kind) << H.Text;
-        EXPECT_EQ(H.Verdict.Diagnostic, Want.Diagnostic) << H.Text;
-        EXPECT_EQ(H.Verdict.SolverConflicts, Want.SolverConflicts) << H.Text;
-        EXPECT_EQ(H.Verdict.FuelSpent, Want.FuelSpent) << H.Text;
-        EXPECT_EQ(H.Verdict.RetryTier, Want.RetryTier) << H.Text;
-        EXPECT_EQ(H.Verdict.FoundByFalsification, Want.FoundByFalsification)
-            << H.Text;
-        EXPECT_EQ(H.Verdict.Counterexample.size(),
-                  Want.Counterexample.size())
-            << H.Text;
+      for (const Seen &H : Handed)
+        expectLadderVerdict(H.Verdict, oracleFor(*H.S, H.Text), H.Text);
+    }
+  }
+}
+
+TEST(Trainer, KeptSourceHalvesMatchOracle) {
+  // The trainer keeps one source half per prompt for its lifetime. Over
+  // three prompts drawn again in every step, every verdict the reward
+  // receives is still the plain ladder's, and each prompt that reaches the
+  // verifier has its half built exactly once.
+  static const Dataset DS = [] {
+    DatasetOptions O;
+    O.TrainCount = 3;
+    O.ValidCount = 0;
+    O.Seed = 21;
+    return buildDataset(O);
+  }();
+  ASSERT_EQ(DS.Train.size(), 3u);
+  std::set<std::string> Sources;
+  for (const Sample &S : DS.Train)
+    Sources.insert(S.SrcText);
+  ASSERT_EQ(Sources.size(), DS.Train.size());
+
+  RobustVerifyOptions O = trainLadder();
+  std::map<std::string, VerifyResult> OracleMemo;
+  auto oracleFor = [&](const Sample &S, const std::string &Text) {
+    auto [It, New] = OracleMemo.try_emplace(S.SrcText + '\x1f' + Text);
+    if (New)
+      It->second = oracle::verifyLadder(S.SrcText, *S.source(), Text, O);
+    return It->second;
+  };
+
+  Counter &SourceBuilds =
+      MetricsRegistry::global().counter("verify.source_builds");
+  for (unsigned Threads : {1u, 4u}) {
+    for (bool UseCache : {false, true}) {
+      SCOPED_TRACE("threads " + std::to_string(Threads) +
+                   (UseCache ? ", cache" : ", no cache"));
+      std::mutex M;
+      std::vector<std::pair<const Sample *, std::string>> Texts;
+      std::vector<VerifyResult> Verdicts;
+      RewardFn Record = [&](const Sample &S, const Completion &C,
+                            const Candidate &Answer,
+                            const RolloutVerdicts &V) {
+        std::lock_guard<std::mutex> L(M);
+        if (C.FormatOk) {
+          Texts.emplace_back(&S, C.AnswerIR);
+          Verdicts.push_back(V.Answer);
+        }
+        Texts.emplace_back(&S, C.ThinkAttemptIR);
+        Verdicts.push_back(V.Attempt);
+        return answerScore(S, C, Answer, V.Answer);
+      };
+      RewritePolicyModel Model(presetQwen3B());
+      auto Cache = UseCache ? std::make_unique<VerifyCache>(512) : nullptr;
+      ThreadPool Pool(Threads);
+      BatchVerifier Verifier = makeVerifier(O, Cache.get(), &Pool);
+      GRPOOptions G = smallGRPO(&Pool);
+      G.Mode = PromptMode::Augmented;
+      const uint64_t Builds0 = SourceBuilds.value();
+      {
+        GRPOTrainer Trainer(Model, Verifier, Record, G);
+        ASSERT_EQ(Trainer.train(DS.Train, 6).size(), 6u);
       }
+      const uint64_t Builds = SourceBuilds.value() - Builds0;
+
+      // A verdict past the guard chain needs the prompt's source half; the
+      // cache starts cold, so some group of this run built it. (The oracle
+      // builds fresh halves of its own, hence the count above.)
+      std::set<const Sample *> Verified;
+      for (size_t I = 0; I < Verdicts.size(); ++I) {
+        expectLadderVerdict(Verdicts[I],
+                            oracleFor(*Texts[I].first, Texts[I].second),
+                            Texts[I].second);
+        if (Verdicts[I].Status != VerifyStatus::SyntaxError)
+          Verified.insert(Texts[I].first);
+      }
+      EXPECT_FALSE(Verified.empty());
+      EXPECT_EQ(Builds, Verified.size());
     }
   }
 }

@@ -3,6 +3,7 @@
 #include "smt/BVExpr.h"
 
 #include "support/RNG.h"
+#include "trace/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -121,6 +122,101 @@ TEST(BVExpr, NodeCountReflectsSharing) {
   const BVExpr *S2 = C.add(X, C.constant(32, 1));
   EXPECT_EQ(S1, S2);
   EXPECT_EQ(C.numNodes(), Before + 2); // the constant + one add node
+}
+
+TEST(BVExpr, RollbackRestoresFreshState) {
+  BVContext C;
+  const BVExpr *X = C.var(32, "x");
+  const BVExpr *One = C.constant(32, 1);
+  const BVExpr *XP1 = C.add(X, One);
+  const BVExpr *Cond = C.ult(X, XP1);
+  const BVContext::Mark M = C.mark();
+  EXPECT_EQ(M.Nodes, C.numNodes());
+  EXPECT_EQ(M.Vars, C.numVars());
+
+  // What a group adds on top: a fresh variable, terms over it, and a
+  // three-operand ite.
+  auto addGroupTerms = [&] {
+    const BVExpr *Y = C.var(32, "call:g#0");
+    const BVExpr *Sum = C.add(XP1, Y);
+    return std::vector<const BVExpr *>{Y, Sum,
+                                       C.ite(Cond, Sum, C.constant(32, 7))};
+  };
+  const std::vector<const BVExpr *> First = addGroupTerms();
+  ASSERT_EQ(First[2]->Op, BVOp::ITE);
+  const size_t NodesAfterFirst = C.numNodes();
+  EXPECT_GT(NodesAfterFirst, M.Nodes);
+  const unsigned FirstVarId = First[0]->VarId;
+
+  C.rollback(M);
+  EXPECT_EQ(C.numNodes(), M.Nodes);
+  EXPECT_EQ(C.numVars(), M.Vars);
+  EXPECT_EQ(C.mark(), M);
+
+  // Every term from before the mark re-interns to its old node.
+  const uint64_t Hits = C.cseHits();
+  EXPECT_EQ(C.constant(32, 1), One);
+  EXPECT_EQ(C.add(X, One), XP1);
+  EXPECT_EQ(C.ult(X, XP1), Cond);
+  EXPECT_EQ(C.cseHits(), Hits + 3);
+  EXPECT_EQ(C.numNodes(), M.Nodes);
+
+  // Rebuilding the terms from after the mark allocates them again, with
+  // the variable ids and names of the first build.
+  const std::vector<const BVExpr *> Second = addGroupTerms();
+  EXPECT_EQ(C.numNodes(), NodesAfterFirst);
+  EXPECT_EQ(Second[0]->VarId, FirstVarId);
+  EXPECT_EQ(C.varName(Second[0]->VarId), "call:g#0");
+  ASSERT_EQ(Second[2]->Op, BVOp::ITE);
+  ASSERT_EQ(Second[2]->Ops.size(), 3u);
+  EXPECT_EQ(Second[2]->Ops[0], Cond);
+  EXPECT_EQ(Second[2]->Ops[1], Second[1]);
+  EXPECT_TRUE(Second[2]->Ops[2]->isConst(7));
+}
+
+TEST(BVExpr, InternKeysEveryField) {
+  BVContext C;
+  MetricsRegistry &Reg = MetricsRegistry::global();
+  const uint64_t RegHits = Reg.counter("encode.cse_hits").value();
+  const uint64_t RegMisses = Reg.counter("encode.cse_misses").value();
+
+  // Each call below makes exactly one interning request: its operands are
+  // variables, so no constructor folds or rewrites.
+  uint64_t Requests = 0;
+  auto req = [&Requests](const BVExpr *E) {
+    ++Requests;
+    return E;
+  };
+  const BVExpr *X = req(C.var(32, "x"));
+  const BVExpr *Y = req(C.var(32, "y"));
+  const BVExpr *Z = req(C.var(32, "z"));
+  const BVExpr *B = req(C.var(1, "b"));
+
+  // Structurally equal requests return one node.
+  EXPECT_EQ(req(C.add(X, Y)), req(C.add(X, Y)));
+  EXPECT_EQ(req(C.extract(X, 8, 8)), req(C.extract(X, 8, 8)));
+  EXPECT_EQ(req(C.constant(32, 5)), req(C.constant(32, 5)));
+  EXPECT_EQ(req(C.ite(B, X, Y)), req(C.ite(B, X, Y)));
+
+  // Requests that differ in one field return different nodes.
+  EXPECT_NE(req(C.extract(X, 0, 8)), req(C.extract(X, 8, 8))); // Lo
+  EXPECT_NE(req(C.extract(X, 8, 8)), req(C.extract(X, 8, 16))); // width
+  EXPECT_NE(req(C.zext(X, 48)), req(C.zext(X, 64)));            // width
+  EXPECT_NE(req(C.constant(32, 5)), req(C.constant(32, 6)));    // bits
+  EXPECT_NE(req(C.constant(8, 5)), req(C.constant(16, 5)));     // width
+  EXPECT_NE(req(C.var(32, "x")), X);                            // var id
+  EXPECT_NE(req(C.add(X, Y)), req(C.add(X, Z)));                // operand 2
+  EXPECT_NE(req(C.add(X, Y)), req(C.add(Z, Y)));                // operand 1
+  EXPECT_NE(req(C.ite(B, X, Y)), req(C.ite(B, X, Z)));          // operand 3
+  EXPECT_NE(req(C.add(X, Y)), req(C.sub(X, Y)));                // op
+
+  // Every request counts once, as a hit or a miss, in the context and in
+  // the registry; the misses are the distinct nodes.
+  EXPECT_EQ(C.cseHits() + C.cseMisses(), Requests);
+  EXPECT_EQ(C.cseMisses(), C.numNodes());
+  EXPECT_EQ(Reg.counter("encode.cse_hits").value() - RegHits, C.cseHits());
+  EXPECT_EQ(Reg.counter("encode.cse_misses").value() - RegMisses,
+            C.cseMisses());
 }
 
 } // namespace

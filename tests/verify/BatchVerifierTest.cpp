@@ -18,6 +18,7 @@
 #include "support/ThreadPool.h"
 #include "trace/Metrics.h"
 #include "trace/Trace.h"
+#include "verify/RefinementQuery.h"
 
 #include <gtest/gtest.h>
 
@@ -340,6 +341,147 @@ TEST(BatchVerifier, FuelStarvedLaddersMatchSequential) {
   auto Want = sequentialOracle(Src, addGroup(), O);
   VerifyCache Cache(256);
   auto Got = makeVerifier(O, &Cache).verifyGroup(Src.Text, *Src.F, addGroup());
+  expectIdentical(Got, Want);
+}
+
+//===--- Kept source halves and the on-demand prefix ------------------------===//
+
+/// A source with an external call, and candidates against it. The second
+/// candidate adds a call only when x == 0x12345678, which no falsification
+/// trial samples, so the solver finds the mismatch — after its encoding
+/// created the call-return variable call:get#1 in the kept context.
+const char *CallSrc = "declare i32 @get()\n"
+                      "define i32 @f(i32 %x) {\n"
+                      "  %v = call i32 @get()\n"
+                      "  %r = add i32 %v, %x\n"
+                      "  ret i32 %r\n}\n";
+
+std::vector<std::vector<std::string>> callGroups() {
+  const std::string Renamed = "declare i32 @get()\n"
+                              "define i32 @f(i32 %x) {\n"
+                              "  %w = call i32 @get()\n"
+                              "  %s = add i32 %x, %w\n"
+                              "  ret i32 %s\n}\n";
+  const std::string ExtraCall = "declare i32 @get()\n"
+                                "define i32 @f(i32 %x) {\n"
+                                "entry:\n"
+                                "  %v = call i32 @get()\n"
+                                "  %c = icmp eq i32 %x, 305419896\n"
+                                "  br i1 %c, label %extra, label %done\n"
+                                "extra:\n"
+                                "  %u = call i32 @get()\n"
+                                "  br label %done\n"
+                                "done:\n"
+                                "  %r = add i32 %v, %x\n"
+                                "  ret i32 %r\n}\n";
+  const std::string Wrong = "declare i32 @get()\n"
+                            "define i32 @f(i32 %x) {\n"
+                            "  %v = call i32 @get()\n"
+                            "  %r = sub i32 %v, %x\n"
+                            "  ret i32 %r\n}\n";
+  const std::string Dropped = "declare i32 @get()\n"
+                              "define i32 @f(i32 %x) {\n"
+                              "  ret i32 %x\n}\n";
+  return {{Renamed, ExtraCall}, {Wrong, Dropped, Renamed}, {ExtraCall}};
+}
+
+/// One Candidate per text, for the Candidate overload of verifyGroup.
+std::vector<const Candidate *> candidates(CandidateSet &Set,
+                                          const std::vector<std::string> &Ts) {
+  std::vector<const Candidate *> Out;
+  for (const std::string &T : Ts)
+    Out.push_back(&Set.get(T));
+  return Out;
+}
+
+int64_t counterValue(const char *Name) {
+  return static_cast<int64_t>(
+      MetricsRegistry::global().counter(Name).value());
+}
+
+TEST(BatchVerifier, KeptHalfAcrossGroupsMatchesFresh) {
+  Parsed Src(CallSrc);
+  RobustVerifyOptions O = defaultLadder();
+  BatchVerifier BV = makeVerifier(O); // no cache: every group computes
+  std::unique_ptr<SourceEncoding> Kept;
+  int64_t Builds = 0; // the oracle builds fresh halves; count ours only
+  bool SawSolverCallMismatch = false;
+  for (const std::vector<std::string> &Group : callGroups()) {
+    CandidateSet Set;
+    const int64_t Builds0 = counterValue("verify.source_builds");
+    auto Got = BV.verifyGroup(Src.Text, *Src.F, candidates(Set, Group),
+                              nullptr, &Kept);
+    Builds += counterValue("verify.source_builds") - Builds0;
+    expectIdentical(Got, sequentialOracle(Src, Group, O));
+    for (const VerifyResult &R : Got)
+      SawSolverCallMismatch |= R.Kind == DiagKind::CallMismatch &&
+                               !R.FoundByFalsification;
+    // The group left the kept half exactly as its build did.
+    ASSERT_NE(Kept, nullptr);
+    EXPECT_EQ(Kept->Ctx.mark(), Kept->Built);
+    EXPECT_EQ(Kept->Prefix, nullptr);
+    EXPECT_FALSE(Kept->InGroup);
+  }
+  EXPECT_TRUE(SawSolverCallMismatch)
+      << "no candidate reached the solver with an extra call";
+  EXPECT_EQ(Builds, 1);
+
+  // A pointer-parameter source has no usable encoding; a kept half of it
+  // stays Inconclusive on every group.
+  Parsed Ptr(PtrSrc);
+  std::unique_ptr<SourceEncoding> KeptPtr;
+  for (int Round = 0; Round < 2; ++Round) {
+    const Candidate Copy(Ptr.Text);
+    auto Got = BV.verifyGroup(Ptr.Text, *Ptr.F, {&Copy}, nullptr, &KeptPtr);
+    expectIdentical(Got, sequentialOracle(Ptr, {Ptr.Text}, O));
+    EXPECT_EQ(Got[0].Status, VerifyStatus::Inconclusive);
+    EXPECT_EQ(Got[0].Kind, DiagKind::Unsupported);
+  }
+}
+
+TEST(BatchVerifier, PrefixBlastedOnlyWhenSatRuns) {
+  RobustVerifyOptions O = defaultLadder();
+
+  // Settled without SAT: copies whose terms fold to the source's (constant
+  // false constraint) and wrong rewrites the falsifier refutes.
+  Parsed Add(AddSrc);
+  const std::vector<std::string> NoSat = {
+      AddSrc,
+      "define i32 @f(i32 %x) {\n  %z = add i32 1, %x\n  ret i32 %z\n}\n",
+      WrongAdd, "define i32 @f(i32 %x) {\n  ret i32 %x\n}\n"};
+  auto Want = sequentialOracle(Add, NoSat, O);
+  int64_t Prefixes0 = counterValue("smt.prefix_builds");
+  int64_t Queries0 = counterValue("smt.queries");
+  int64_t Builds0 = counterValue("verify.source_builds");
+  auto Got = makeVerifier(O).verifyGroup(Add.Text, *Add.F, NoSat);
+  EXPECT_EQ(counterValue("verify.source_builds") - Builds0, 1);
+  EXPECT_EQ(counterValue("smt.queries") - Queries0, 0);
+  EXPECT_EQ(counterValue("smt.prefix_builds") - Prefixes0, 0);
+  expectIdentical(Got, Want);
+
+  // Several members reach SAT on four threads: one prefix for the group.
+  // Commuted adds do not fold to the source's term, so each one runs the
+  // solver.
+  Parsed Add8("define i8 @f(i8 %x, i8 %y) {\n"
+              "  %m = add i8 %x, %y\n  ret i8 %m\n}\n");
+  const std::vector<std::string> Sat = {
+      "define i8 @f(i8 %x, i8 %y) {\n  %m = add i8 %y, %x\n  ret i8 %m\n}\n",
+      "define i8 @f(i8 %x, i8 %y) {\n  %t = add i8 %y, %x\n"
+      "  %m = xor i8 %t, 0\n  ret i8 %m\n}\n",
+      "define i8 @f(i8 %x, i8 %y) {\n  %t = add i8 %y, %x\n"
+      "  %m = or i8 %t, 0\n  ret i8 %m\n}\n",
+      "define i8 @f(i8 %x, i8 %y) {\n  %t = add i8 %y, %x\n"
+      "  %m = add i8 %t, 0\n  ret i8 %m\n}\n"};
+  Want = sequentialOracle(Add8, Sat, O);
+  ThreadPool Pool(4);
+  BatchVerifier::Options BO;
+  BO.Robust = O;
+  BO.Pool = &Pool;
+  Prefixes0 = counterValue("smt.prefix_builds");
+  Queries0 = counterValue("smt.queries");
+  Got = BatchVerifier(BO, nullptr).verifyGroup(Add8.Text, *Add8.F, Sat);
+  EXPECT_GE(counterValue("smt.queries") - Queries0, 4);
+  EXPECT_EQ(counterValue("smt.prefix_builds") - Prefixes0, 1);
   expectIdentical(Got, Want);
 }
 
