@@ -157,25 +157,25 @@ int main(int Argc, char **Argv) {
   uint64_t Assump0 = AssumpSolves.value();
   uint64_t Cse0 = CseHits.value();
 
-  // Batched, single-threaded: the speedup here is pure reuse (shared source
-  // half + canonical dedupe), no parallelism.
+  // Batched: the single-threaded speedup is pure reuse (shared source half
+  // + canonical dedupe), no parallelism. Groups are independent, so with
+  // more than one thread they fan out over the pool, a group per task, the
+  // way evaluation shards call verifyGroup concurrently.
   auto runBatched = [&](unsigned Threads,
                         std::vector<std::vector<VerdictKey>> &Out) {
     Out.assign(Groups.size(), {});
     ThreadPool Pool(Threads);
-    return wallMs([&] {
-      for (size_t I = 0; I < Groups.size(); ++I) {
-        const Sample &S = DS.Train[I];
-        VerifyCache Cache(1024); // cold per group, like the oracle
-        BatchVerifier::Options BO;
-        BO.Robust = RVO;
-        BO.Pool = &Pool;
-        BatchVerifier BV(BO, &Cache);
-        for (const VerifyResult &R :
-             BV.verifyGroup(S.SrcText, *S.source(), Groups[I]))
-          Out[I].push_back(keyOf(R));
-      }
-    });
+    BatchVerifier::Options BO;
+    BO.Robust = RVO;
+    auto VerifyOne = [&](size_t I) {
+      const Sample &S = DS.Train[I];
+      VerifyCache Cache(1024); // cold per group, like the oracle
+      BatchVerifier BV(BO, &Cache);
+      for (const VerifyResult &R :
+           BV.verifyGroup(S.SrcText, *S.source(), Groups[I]))
+        Out[I].push_back(keyOf(R));
+    };
+    return wallMs([&] { Pool.parallelFor(Groups.size(), VerifyOne); });
   };
 
   std::vector<std::vector<VerdictKey>> Batch1, Batch4;

@@ -42,7 +42,6 @@ RunResult run(const Dataset &DS, unsigned Threads, bool UseCache,
   BatchVerifier::Options BO;
   BO.Robust.Base = PipelineOptions::trainVerifyDefaults();
   BO.Robust.MaxTiers = 1;
-  BO.Pool = &Pool;
   BatchVerifier Verifier(BO, Cache.get());
   GRPOOptions G;
   G.Seed = 7;

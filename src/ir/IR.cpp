@@ -166,6 +166,32 @@ ICmpPred swappedPred(ICmpPred P) {
   return P;
 }
 
+bool evalPred(ICmpPred P, const APInt64 &L, const APInt64 &R) {
+  switch (P) {
+  case ICmpPred::EQ:
+    return L.eq(R);
+  case ICmpPred::NE:
+    return L.ne(R);
+  case ICmpPred::UGT:
+    return L.ugt(R);
+  case ICmpPred::UGE:
+    return L.uge(R);
+  case ICmpPred::ULT:
+    return L.ult(R);
+  case ICmpPred::ULE:
+    return L.ule(R);
+  case ICmpPred::SGT:
+    return L.sgt(R);
+  case ICmpPred::SGE:
+    return L.sge(R);
+  case ICmpPred::SLT:
+    return L.slt(R);
+  case ICmpPred::SLE:
+    return L.sle(R);
+  }
+  return false;
+}
+
 ICmpPred invertedPred(ICmpPred P) {
   switch (P) {
   case ICmpPred::EQ:

@@ -69,6 +69,9 @@ enum class ICmpPred : unsigned { EQ, NE, UGT, UGE, ULT, ULE, SGT, SGE, SLT, SLE 
 const char *predName(ICmpPred P);
 /// The predicate with operands swapped (e.g. ULT -> UGT).
 ICmpPred swappedPred(ICmpPred P);
+/// \p P applied to two integers of one width: what icmp computes. The
+/// interpreter and InstCombine's constant fold both call it.
+bool evalPred(ICmpPred P, const APInt64 &L, const APInt64 &R);
 /// The logically negated predicate (e.g. ULT -> UGE).
 ICmpPred invertedPred(ICmpPred P);
 bool isSignedPred(ICmpPred P);

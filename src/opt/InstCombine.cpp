@@ -16,7 +16,6 @@
 #include "opt/Pass.h"
 
 #include "trace/Metrics.h"
-#include "trace/Trace.h"
 
 #include <algorithm>
 #include <deque>
@@ -62,21 +61,14 @@ bool rangesOverlap(int64_t AOff, unsigned ASize, int64_t BOff,
          BOff < AOff + static_cast<int64_t>(ASize);
 }
 
-/// Bulk-publish one run's rule-fire tallies: per-rule process-wide metric
-/// counters plus (when tracing) one "opt.rule_fire" counter event per rule.
-/// Aggregating locally first keeps the per-fire hot path to one map bump.
+/// Bulk-publish one run's rule-fire tallies into the per-rule process-wide
+/// opt.rule_fire.<rule> counters; a trace carries them once, in the metric
+/// lines it ends with. Aggregating locally first keeps the per-fire hot
+/// path to one map bump.
 void flushRuleFires(const std::map<const char *, uint64_t> &Fires) {
-  if (Fires.empty())
-    return;
   MetricsRegistry &M = MetricsRegistry::global();
-  TraceRecorder &R = TraceRecorder::instance();
-  for (const auto &[Rule, N] : Fires) {
+  for (const auto &[Rule, N] : Fires)
     M.counter(std::string("opt.rule_fire.") + Rule).inc(N);
-    if (R.enabled())
-      R.counter("opt.rule_fire",
-                {TraceArg::ofStr("rule", Rule),
-                 TraceArg::ofInt("count", static_cast<int64_t>(N))});
-  }
 }
 
 class InstCombine : public Pass {
@@ -525,7 +517,10 @@ private:
   }
 
   /// UB-free constant folding for binary ops; nullopt when folding would
-  /// hide UB or poison (division corners, oversize shifts, flag overflow).
+  /// hide UB (division by zero, INT_MIN / -1) or an oversize shift. The
+  /// nsw/nuw/exact flags are ignored: `add nsw i8 127, 1` folds to -128.
+  /// That is sound, because such an instruction yields poison and poison
+  /// refines to any value, so the folded constant is a valid refinement.
   std::optional<APInt64> foldBinary(Opcode Op, APInt64 L, APInt64 R) {
     unsigned W = L.width();
     switch (Op) {
@@ -575,32 +570,6 @@ private:
   }
 
   //===--- ICmp -------------------------------------------------------------//
-
-  static bool evalPred(ICmpPred P, const APInt64 &L, const APInt64 &R) {
-    switch (P) {
-    case ICmpPred::EQ:
-      return L.eq(R);
-    case ICmpPred::NE:
-      return L.ne(R);
-    case ICmpPred::UGT:
-      return L.ugt(R);
-    case ICmpPred::UGE:
-      return L.uge(R);
-    case ICmpPred::ULT:
-      return L.ult(R);
-    case ICmpPred::ULE:
-      return L.ule(R);
-    case ICmpPred::SGT:
-      return L.sgt(R);
-    case ICmpPred::SGE:
-      return L.sge(R);
-    case ICmpPred::SLT:
-      return L.slt(R);
-    case ICmpPred::SLE:
-      return L.sle(R);
-    }
-    return false;
-  }
 
   void visitICmp(ICmpInst *I) {
     if (!on(RuleCat::Compare))

@@ -9,8 +9,10 @@
 //
 // The format is line-oriented text with every double stored as its IEEE-754
 // bit pattern in hex, so a save/load round trip is bit-exact. Writes are
-// atomic: serialize to "<path>.tmp", then rename over the destination — a
-// crash mid-write leaves the previous checkpoint intact.
+// atomic and durable: under an exclusive flock on the "<path>.lock"
+// sidecar, writeFileAtomic (support/AtomicFile.h) writes a unique temporary
+// file, fsyncs it, renames it over the destination and fsyncs the
+// directory — a crash mid-write leaves the previous checkpoint intact.
 //
 //===----------------------------------------------------------------------===//
 
@@ -57,14 +59,15 @@ struct PipelineCheckpoint {
   unsigned FirstTimeSamples = 0;
 };
 
-/// Atomically write \p CP to \p Path (via "<path>.tmp" + rename). Returns
-/// false on I/O failure — or when \p Faults fires the CheckpointWrite site
-/// for this checkpoint's (stage, step) key, which simulates a full disk /
-/// crash mid-save. Callers must treat false as "previous checkpoint still
-/// stands" and keep training. \p Attempt (1-based) salts the injection key
-/// for retries *after the first*, so a retrying caller sees an independent
-/// fault decision per attempt while single-attempt callers keep the
-/// historical per-checkpoint pattern.
+/// Atomically and durably write \p CP to \p Path (writeFileAtomic under the
+/// "<path>.lock" flock: unique temporary, fsync, rename, directory fsync).
+/// Returns false on I/O failure — or when \p Faults fires the
+/// CheckpointWrite site for this checkpoint's (stage, step) key, which
+/// simulates a full disk / crash mid-save. Callers must treat false as
+/// "previous checkpoint still stands" and keep training. \p Attempt
+/// (1-based) salts the injection key for retries *after the first*, so a
+/// retrying caller sees an independent fault decision per attempt while
+/// single-attempt callers keep the historical per-checkpoint pattern.
 bool saveCheckpoint(const std::string &Path, const PipelineCheckpoint &CP,
                     FaultInjector *Faults = nullptr, unsigned Attempt = 1);
 

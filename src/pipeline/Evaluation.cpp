@@ -338,9 +338,9 @@ EvalResult evaluateModelSharded(const RewritePolicyModel &Model,
   std::vector<EvalShard> Plan = planEvalShards(Valid.size(), Shards, PlanSeed);
 
   // One shared cache + BatchVerifier for the whole run: shards are
-  // parallelized at shard granularity (the group-level fan-out stays off —
-  // ThreadPool jobs are not reentrant), and a verdict one shard seeds is a
-  // hit for every later peek of the same (source, candidate) pair.
+  // parallelized at shard granularity, each verifying its samples on its
+  // own thread, and a verdict one shard seeds is a hit for every later peek
+  // of the same (source, candidate) pair.
   std::unique_ptr<VerifyCache> OwnCache;
   VerifyCache *Cache = EOpts.SharedCache;
   if (!Cache) {

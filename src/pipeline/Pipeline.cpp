@@ -142,7 +142,6 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
 
   BatchVerifier::Options BO;
   BO.Robust.Base = Opts.TrainVerify;
-  BO.Pool = &Pool;
   BatchVerifier BV(BO, &Cache, Opts.Faults);
 
   auto oracleFaults = [&]() -> uint64_t {

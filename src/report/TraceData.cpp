@@ -61,7 +61,7 @@ const std::vector<std::string> &knownTraceEventNames() {
       "verify.sat",       "verify.tier",     "batch.verify",
       "eval.run",         "eval.shard",      "eval.driver",
       "eval.worker",      "store.load",      "store.compact",
-      "opt.rule_fire",    "metric",          "metric.hist",
+      "metric",           "metric.hist",
   };
   return Names;
 }
@@ -129,9 +129,6 @@ const std::map<std::string, std::vector<ArgRule>> &requiredArgs() {
       {"store.compact",
        {{"before", JsonValue::Kind::Number},
         {"after", JsonValue::Kind::Number}}},
-      {"opt.rule_fire",
-       {{"rule", JsonValue::Kind::String},
-        {"count", JsonValue::Kind::Number}}},
       {"metric",
        {{"key", JsonValue::Kind::String},
         {"value", JsonValue::Kind::Number}}},

@@ -129,8 +129,7 @@ SmtCheck QueryPrefix::solveOn(SatSolver &S, BitBlaster &BB,
 
 SmtCheck QueryPrefix::activate(const BVExpr *Constraint,
                                const std::vector<const BVExpr *> &ModelTerms,
-                               uint64_t ConflictBudget, Fuel *F,
-                               bool CountRetained) const {
+                               uint64_t ConflictBudget, Fuel *F) const {
   if (Constraint->isFalse()) {
     SmtCheck Out;
     Out.St = SmtCheck::Unsat;
@@ -143,7 +142,7 @@ SmtCheck QueryPrefix::activate(const BVExpr *Constraint,
   SatSolver S = Master;
   BitBlaster BB(Ctx, S, *Proto);
   return solveOn(S, BB, Constraint, ModelTerms, ConflictBudget, F,
-                 CountRetained ? Master.numClauses() : 0);
+                 Master.numClauses());
 }
 
 SmtCheck QueryPrefix::activateInPlace(const BVExpr *Constraint,

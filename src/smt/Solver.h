@@ -10,7 +10,7 @@
 //    Activations never solve on the master, so every activation starts from
 //    the same search state and the answer is a pure function of
 //    (prefix, candidate, budget): bit-identical to building the same CNF
-//    from scratch, at any thread count and in any activation order.
+//    from scratch, in any activation order.
 //
 //===----------------------------------------------------------------------===//
 
@@ -50,8 +50,7 @@ SmtCheck checkSat(BVContext &Ctx, const BVExpr *Constraint,
 /// blasts \p PrefixTerms into the master solver; activate() stamps out a
 /// copy per candidate, extends it with the candidate's terms, and solves
 /// the constraint under a selector assumption. The context is only *read*
-/// during activation (every constraint term must already be interned), so
-/// concurrent activations of one prefix are safe.
+/// during activation (every constraint term must already be interned).
 class QueryPrefix {
 public:
   QueryPrefix(BVContext &Ctx, const std::vector<const BVExpr *> &PrefixTerms);
@@ -63,13 +62,11 @@ public:
   /// Copy the master solver, blast \p ModelTerms then \p Constraint on top,
   /// add (Sel -> Constraint) with a fresh frozen selector Sel, and solve
   /// under the assumption Sel. Emits the same smt.* metrics as checkSat
-  /// plus smt.assumption_solves; \p CountRetained additionally credits the
-  /// inherited prefix clauses to smt.clauses_retained (set it only when the
-  /// prefix genuinely replaces a re-encode, i.e. on the batch path).
+  /// plus smt.assumption_solves, and credits the inherited prefix clauses
+  /// to smt.clauses_retained.
   SmtCheck activate(const BVExpr *Constraint,
                     const std::vector<const BVExpr *> &ModelTerms,
-                    uint64_t ConflictBudget, Fuel *F,
-                    bool CountRetained) const;
+                    uint64_t ConflictBudget, Fuel *F) const;
 
   /// One-shot variant for sequential callers that build a fresh prefix per
   /// query: solves directly on the master (skipping the copy). The prefix

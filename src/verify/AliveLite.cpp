@@ -2,8 +2,6 @@
 
 #include "verify/AliveLite.h"
 
-#include "verify/RefinementQuery.h"
-
 namespace veriopt {
 
 const char *diagKindName(DiagKind K) {
@@ -50,17 +48,7 @@ const char *verifyStatusName(VerifyStatus S) {
   return "unknown";
 }
 
-/// The implementation lives in RefinementQuery.cpp: both public entry
-/// points build a fresh, exclusively-owned source encoding per call
-/// (verifyCandidateText is defined there, beside the guard chain it shares
-/// with verifyCandidateOn). BatchVerifier reuses the same machinery with one
-/// shared encoding per group; the results are bit-identical by construction
-/// (see RefinementQuery.h).
-
-VerifyResult verifyRefinement(const Function &Src, const Function &Tgt,
-                              const VerifyOptions &Opts) {
-  auto SC = buildSourceEncoding(Src, Opts);
-  return verifyAgainstEncoding(*SC, Tgt, Opts, /*Shared=*/false);
-}
+// verifyRefinement and verifyCandidateText live in RefinementQuery.cpp,
+// beside the group path they are differentially checked against.
 
 } // namespace veriopt

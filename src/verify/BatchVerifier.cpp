@@ -6,8 +6,6 @@
 #include "trace/Trace.h"
 #include "verify/RefinementQuery.h"
 
-#include <cassert>
-#include <mutex>
 #include <unordered_map>
 
 namespace veriopt {
@@ -78,16 +76,6 @@ BatchVerifier::verifyGroup(const std::string &SrcText, const Function &Src,
   // first group against its source that needs it and reused after that.
   std::unique_ptr<SourceEncoding> Local;
   std::unique_ptr<SourceEncoding> &SC = Kept ? *Kept : Local;
-  std::once_flag SCOnce;
-  auto sharedEncoding = [&]() -> SourceEncoding * {
-    std::call_once(SCOnce, [&] {
-      if (!SC)
-        SC = buildSourceEncoding(Src, Tier0);
-      [[maybe_unused]] bool Busy = SC->InGroup.exchange(true);
-      assert(!Busy && "a kept source half serves one group at a time");
-    });
-    return SC.get();
-  };
 
   MetricsRegistry &Reg = MetricsRegistry::global();
   static Counter &MQueries = Reg.counter("verify.retry.queries");
@@ -98,11 +86,12 @@ BatchVerifier::verifyGroup(const std::string &SrcText, const Function &Src,
 
   const unsigned MaxTiers = Opts.Robust.MaxTiers ? Opts.Robust.MaxTiers : 1;
   std::vector<VerifyResult> Finals(Unique.size());
-  std::vector<unsigned> Hits(Unique.size(), 0), Comps(Unique.size(), 0);
+  GroupStats GS;
+  GS.Candidates = static_cast<unsigned>(Cands.size());
+  GS.Unique = static_cast<unsigned>(Unique.size());
 
-  // One task per unique candidate: its full ladder runs on one thread, so
-  // per-candidate trace spans stay contiguous.
-  auto RunOne = [&](size_t U) {
+  // Each unique candidate runs its full ladder before the next starts.
+  for (size_t U = 0; U < Unique.size(); ++U) {
     const Candidate &Tgt = *Unique[U];
     const std::string &FaultKey = Tier0Key[U];
 
@@ -132,13 +121,13 @@ BatchVerifier::verifyGroup(const std::string &SrcText, const Function &Src,
           Served = Cache->peek(Key, R);
         }
         if (Served) {
-          ++Hits[U];
+          ++GS.CacheHits;
         } else {
-          // Pass the provider, not the encoding: a candidate the guard
-          // chain rejects (parse/size/structure) must not trigger the
-          // shared source build.
-          R = verifyCandidateOn(sharedEncoding, Src, Tgt, TierOpts);
-          ++Comps[U];
+          // Pass the slot, not the encoding: a candidate the guard chain
+          // rejects (parse/size/structure) must not trigger the shared
+          // source build.
+          R = verifyCandidateOn(SC, Src, Tgt, TierOpts);
+          ++GS.Computed;
           if (Cache)
             Cache->seed(Key, R);
         }
@@ -190,23 +179,10 @@ BatchVerifier::verifyGroup(const std::string &SrcText, const Function &Src,
     Final.SolverConflicts = TotalConflicts;
     Final.FuelSpent = TotalFuel;
     Finals[U] = std::move(Final);
-  };
-
-  if (Opts.Pool && Opts.Pool->numThreads() > 1)
-    Opts.Pool->parallelFor(Unique.size(), RunOne);
-  else
-    for (size_t U = 0; U < Unique.size(); ++U)
-      RunOne(U);
+  }
   if (Kept && SC)
     endGroup(*SC);
 
-  GroupStats GS;
-  GS.Candidates = static_cast<unsigned>(Cands.size());
-  GS.Unique = static_cast<unsigned>(Unique.size());
-  for (size_t U = 0; U < Unique.size(); ++U) {
-    GS.CacheHits += Hits[U];
-    GS.Computed += Comps[U];
-  }
   if (Stats)
     *Stats = GS;
 

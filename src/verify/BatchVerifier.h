@@ -11,6 +11,11 @@
 // an assumption-guarded SAT activation on a clone of that prefix. A single
 // candidate is a group of one (verifyOne).
 //
+// A group is verified on the calling thread, one unique candidate after
+// another. Evaluation shards call verifyGroup concurrently through one
+// verifier and one cache, each group on its own source half; the GRPO
+// trainer verifies its groups one after another.
+//
 // Every unique candidate runs an escalating retry ladder: an Inconclusive
 // verdict caused by budget exhaustion (SolverTimeout / ResourceExhausted)
 // is retried at geometrically larger budget tiers before being accepted as
@@ -25,8 +30,8 @@
 // of (seed, site, canonical tier-0 key), so canonically equal candidates
 // get the same injection decision whatever their bytes or group order.
 // Verdicts, diagnostics, conflict counts, and fuel spent are bit-identical
-// to verifyCandidateText at each rung's tierOptions, at any thread count
-// (see RefinementQuery.h for the mechanisms).
+// to verifyCandidateText at each rung's tierOptions (see RefinementQuery.h
+// for the mechanisms).
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +39,6 @@
 #define VERIOPT_VERIFY_BATCHVERIFIER_H
 
 #include "support/FaultInjector.h"
-#include "support/ThreadPool.h"
 #include "verify/AliveLite.h"
 #include "verify/Candidate.h"
 #include "verify/VerifyCache.h"
@@ -73,10 +77,6 @@ public:
   struct Options {
     /// The retry ladder every unique candidate runs.
     RobustVerifyOptions Robust;
-    /// Per-candidate parallelism: the group fans out over the pool when it
-    /// has more than one thread (the context-mutating build phase
-    /// serializes internally); null or a 1-thread pool runs serially.
-    ThreadPool *Pool = nullptr;
   };
 
   /// Group-level reuse accounting, also mirrored into batch.* metrics.
@@ -105,9 +105,11 @@ public:
   /// \p Kept, when non-null, keeps the source half across calls: the first
   /// group that needs it builds it into the slot, and every group ends by
   /// rolling it back to its post-build state (endGroup), so the verdicts
-  /// are those of a fresh half. A slot belongs to one \p Src and this
-  /// verifier's tier-0 options, and serves one group at a time. Null
-  /// builds a half for this call alone.
+  /// are those of a fresh half. A slot belongs to one \p Src and to this
+  /// verifier's structural options (MaxPaths, the unroll and step bounds,
+  /// StrictLoops, FalsifyTrials), which every rung of the ladder shares,
+  /// and serves one group at a time. Null builds a half for this call
+  /// alone.
   std::vector<VerifyResult>
   verifyGroup(const std::string &SrcText, const Function &Src,
               const std::vector<const Candidate *> &Cands,

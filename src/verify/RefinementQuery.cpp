@@ -174,13 +174,9 @@ VerifyResult exhaustedResult(const Function &Src) {
 }
 
 /// The source half's CNF, blasted by the first caller — in a group, the
-/// first member whose constraint is not constant false — and shared by the
-/// rest. Blasting only reads the context, so it may run while another
-/// member encodes under BuildMu.
-QueryPrefix &prefixOf(SourceEncoding &SC, bool Shared) {
-  std::unique_lock<std::mutex> Lock(SC.PrefixMu, std::defer_lock);
-  if (Shared)
-    Lock.lock();
+/// first member whose constraint is not constant false — and reused by the
+/// rest of the group.
+QueryPrefix &prefixOf(SourceEncoding &SC) {
   if (!SC.Prefix) {
     TRACE_SPAN("verify.prefix");
     static Counter &Builds =
@@ -193,23 +189,9 @@ QueryPrefix &prefixOf(SourceEncoding &SC, bool Shared) {
   return *SC.Prefix;
 }
 
-/// The candidate-dependent half of a query, produced by the (locked) build
-/// phase. Every term the SAT/classification phase needs is stashed here so
-/// that phase never interns new nodes — context reads via stable node
-/// pointers are safe concurrently with another candidate's build.
-struct BuiltQuery {
-  FnEncoding TE;
-  ExternalWorld World; ///< per-candidate copy of the source world
-  bool SrcFuelOut = false;
-  bool Truncated = false;
-  const BVExpr *CallMismatch = nullptr;
-  const BVExpr *PoisonViol = nullptr;
-  const BVExpr *Cex = nullptr;
-  const BVExpr *RetS = nullptr; ///< source return term (null for void)
-  const BVExpr *RetT = nullptr; ///< target return term (null for void)
-  std::vector<const BVExpr *> ModelTerms;
-};
-
+/// \p Shared: the half serves a group, so the candidate solves on a copy of
+/// the prefix (crediting smt.clauses_retained) and leaves the master for
+/// the next member; otherwise the half is private and consumed in place.
 VerifyResult verifyAgainstEncodingImpl(SourceEncoding &SC, const Function &Tgt,
                                        const VerifyOptions &Opts, Fuel &F,
                                        bool Shared) {
@@ -248,155 +230,146 @@ VerifyResult verifyAgainstEncodingImpl(SourceEncoding &SC, const Function &Tgt,
     return Out;
   }
 
-  // Build phase: replay the source encode's charges, then encode the
-  // target into the shared context. Mutates the context, so group members
-  // serialize here; interning is structural, so the resulting terms do not
-  // depend on the serialization order.
-  BuiltQuery Q;
+  // Replay the source encode's charges, then encode the target into the
+  // shared context.
+  FnEncoding TE;
+  ExternalWorld World; // per-candidate copy of the source world
+  bool SrcFuelOut = false;
   {
-    std::unique_lock<std::mutex> Lock(SC.BuildMu, std::defer_lock);
-    if (Shared)
-      Lock.lock();
-    {
-      TRACE_SPAN("verify.encode");
-      if (!F.replay(SC.EncodeTrace, 0, SC.EncodeTrace.size())) {
-        // A fresh run encodes the source first; once its tank runs dry the
-        // target encoder still charges its first block visit before
-        // noticing. Reproduce that one charge so FuelSpent matches.
-        F.consume(fuel::EncodeBlockVisit);
-        Q.SrcFuelOut = true;
-      } else {
-        Q.World = SC.SrcWorld;
-        EncodeLimits Limits;
-        Limits.MaxPaths = Opts.MaxPaths;
-        Limits.MaxBlockVisitsPerPath = Opts.MaxBlockVisitsPerPath;
-        Limits.MaxStepsPerPath = Opts.MaxStepsPerPath;
-        Limits.FuelTok = &F;
-        Q.TE = encodeFunction(Tgt, SC.Ctx, SC.ArgVars, Q.World, Limits);
-      }
+    TRACE_SPAN("verify.encode");
+    if (!F.replay(SC.EncodeTrace, 0, SC.EncodeTrace.size())) {
+      // A fresh run encodes the source first; once its tank runs dry the
+      // target encoder still charges its first block visit before
+      // noticing. Reproduce that one charge so FuelSpent matches.
+      F.consume(fuel::EncodeBlockVisit);
+      SrcFuelOut = true;
+    } else {
+      World = SC.SrcWorld;
+      EncodeLimits Limits;
+      Limits.MaxPaths = Opts.MaxPaths;
+      Limits.MaxBlockVisitsPerPath = Opts.MaxBlockVisitsPerPath;
+      Limits.MaxStepsPerPath = Opts.MaxStepsPerPath;
+      Limits.FuelTok = &F;
+      TE = encodeFunction(Tgt, SC.Ctx, SC.ArgVars, World, Limits);
     }
+  }
 
-    if (Q.SrcFuelOut || Q.TE.FuelOut)
-      return exhaustedResult(Src);
-    if (SC.SE.Unsupported || Q.TE.Unsupported) {
-      Out.Status = VerifyStatus::Inconclusive;
-      Out.Kind = DiagKind::Unsupported;
-      Out.Diagnostic =
-          "Inconclusive: " +
-          (SC.SE.Unsupported ? SC.SE.UnsupportedWhy : Q.TE.UnsupportedWhy) +
-          "\n";
-      return Out;
-    }
+  if (SrcFuelOut || TE.FuelOut)
+    return exhaustedResult(Src);
+  const FnEncoding &SE = SC.SE;
+  if (SE.Unsupported || TE.Unsupported) {
+    Out.Status = VerifyStatus::Inconclusive;
+    Out.Kind = DiagKind::Unsupported;
+    Out.Diagnostic =
+        "Inconclusive: " +
+        (SE.Unsupported ? SE.UnsupportedWhy : TE.UnsupportedWhy) + "\n";
+    return Out;
+  }
 
-    // No execution completed within the bound (e.g. the candidate loops
-    // forever): nothing can be claimed, even in bounded mode.
-    if (SC.SE.Paths.empty() || Q.TE.Paths.empty()) {
-      Out.Status = VerifyStatus::Inconclusive;
-      Out.Kind = DiagKind::LoopBound;
-      Out.Diagnostic =
-          "Inconclusive: no execution path completes within the unroll "
-          "bound\n";
-      return Out;
-    }
+  // No execution completed within the bound (e.g. the candidate loops
+  // forever): nothing can be claimed, even in bounded mode.
+  if (SE.Paths.empty() || TE.Paths.empty()) {
+    Out.Status = VerifyStatus::Inconclusive;
+    Out.Kind = DiagKind::LoopBound;
+    Out.Diagnostic =
+        "Inconclusive: no execution path completes within the unroll "
+        "bound\n";
+    return Out;
+  }
 
-    const FnEncoding &SE = SC.SE;
-    const FnEncoding &TE = Q.TE;
-    BVContext &Ctx = SC.Ctx;
+  BVContext &Ctx = SC.Ctx;
+  const bool Truncated = !SE.Truncated->isFalse() || !TE.Truncated->isFalse();
+  if (Truncated && Opts.StrictLoops) {
+    Out.Status = VerifyStatus::Inconclusive;
+    Out.Kind = DiagKind::LoopBound;
+    Out.Diagnostic = "Inconclusive: loop unroll bound reached\n";
+    return Out;
+  }
 
-    Q.Truncated = !SE.Truncated->isFalse() || !TE.Truncated->isFalse();
-    if (Q.Truncated && Opts.StrictLoops) {
-      Out.Status = VerifyStatus::Inconclusive;
-      Out.Kind = DiagKind::LoopBound;
-      Out.Diagnostic = "Inconclusive: loop unroll bound reached\n";
-      return Out;
-    }
+  // Assumption region: inputs where both sides stayed within the unroll
+  // bound (bounded translation validation, as in Alive2).
+  const BVExpr *InBound =
+      Ctx.and1(Ctx.not1(SE.Truncated), Ctx.not1(TE.Truncated));
 
-    // Assumption region: inputs where both sides stayed within the unroll
-    // bound (bounded translation validation, as in Alive2).
-    const BVExpr *InBound =
-        Ctx.and1(Ctx.not1(SE.Truncated), Ctx.not1(TE.Truncated));
-
-    // Call-trace matching per (callee, occurrence).
-    const BVExpr *CallMismatch = Ctx.falseVal();
-    {
-      std::map<std::pair<std::string, unsigned>,
-               std::pair<std::vector<const CallRecord *>,
-                         std::vector<const CallRecord *>>>
-          ByKey;
-      for (const CallRecord &Rec : SE.Calls)
-        ByKey[{Rec.Callee, Rec.Index}].first.push_back(&Rec);
-      for (const CallRecord &Rec : TE.Calls)
-        ByKey[{Rec.Callee, Rec.Index}].second.push_back(&Rec);
-      for (auto &[Key, Lists] : ByKey) {
-        const BVExpr *SrcExec = Ctx.falseVal();
-        for (const CallRecord *Rec : Lists.first)
-          SrcExec = Ctx.or1(SrcExec, Rec->Guard);
-        const BVExpr *TgtExec = Ctx.falseVal();
-        for (const CallRecord *Rec : Lists.second)
-          TgtExec = Ctx.or1(TgtExec, Rec->Guard);
-        CallMismatch = Ctx.or1(CallMismatch, Ctx.ne(SrcExec, TgtExec));
-        // Where both execute, arguments must agree.
-        for (const CallRecord *SRec : Lists.first)
-          for (const CallRecord *TRec : Lists.second) {
-            const BVExpr *Both = Ctx.and1(SRec->Guard, TRec->Guard);
-            if (Both->isFalse())
-              continue;
-            const BVExpr *ArgsDiffer = Ctx.falseVal();
-            if (SRec->Args.size() != TRec->Args.size()) {
-              ArgsDiffer = Ctx.trueVal();
-            } else {
-              for (size_t I = 0; I < SRec->Args.size(); ++I)
-                ArgsDiffer = Ctx.or1(
-                    ArgsDiffer, Ctx.ne(SRec->Args[I], TRec->Args[I]));
-            }
-            CallMismatch = Ctx.or1(CallMismatch, Ctx.and1(Both, ArgsDiffer));
+  // Call-trace matching per (callee, occurrence).
+  const BVExpr *CallMismatch = Ctx.falseVal();
+  {
+    std::map<std::pair<std::string, unsigned>,
+             std::pair<std::vector<const CallRecord *>,
+                       std::vector<const CallRecord *>>>
+        ByKey;
+    for (const CallRecord &Rec : SE.Calls)
+      ByKey[{Rec.Callee, Rec.Index}].first.push_back(&Rec);
+    for (const CallRecord &Rec : TE.Calls)
+      ByKey[{Rec.Callee, Rec.Index}].second.push_back(&Rec);
+    for (auto &[Key, Lists] : ByKey) {
+      const BVExpr *SrcExec = Ctx.falseVal();
+      for (const CallRecord *Rec : Lists.first)
+        SrcExec = Ctx.or1(SrcExec, Rec->Guard);
+      const BVExpr *TgtExec = Ctx.falseVal();
+      for (const CallRecord *Rec : Lists.second)
+        TgtExec = Ctx.or1(TgtExec, Rec->Guard);
+      CallMismatch = Ctx.or1(CallMismatch, Ctx.ne(SrcExec, TgtExec));
+      // Where both execute, arguments must agree.
+      for (const CallRecord *SRec : Lists.first)
+        for (const CallRecord *TRec : Lists.second) {
+          const BVExpr *Both = Ctx.and1(SRec->Guard, TRec->Guard);
+          if (Both->isFalse())
+            continue;
+          const BVExpr *ArgsDiffer = Ctx.falseVal();
+          if (SRec->Args.size() != TRec->Args.size()) {
+            ArgsDiffer = Ctx.trueVal();
+          } else {
+            for (size_t I = 0; I < SRec->Args.size(); ++I)
+              ArgsDiffer =
+                  Ctx.or1(ArgsDiffer, Ctx.ne(SRec->Args[I], TRec->Args[I]));
           }
-      }
+          CallMismatch = Ctx.or1(CallMismatch, Ctx.and1(Both, ArgsDiffer));
+        }
     }
-    Q.CallMismatch = CallMismatch;
+  }
 
-    // Refinement violation condition.
-    const BVExpr *SrcDefined = Ctx.not1(SE.UB);
-    const BVExpr *Violation = TE.UB;
-    Violation = Ctx.or1(Violation, CallMismatch);
-    const BVExpr *ValueViol = Ctx.falseVal();
-    Q.PoisonViol = Ctx.falseVal();
-    if (!Src.getReturnType()->isVoid()) {
-      Q.RetS = SE.returnTerm(Ctx);
-      Q.RetT = TE.returnTerm(Ctx);
-      const BVExpr *PoisS = SE.returnPoison(Ctx);
-      const BVExpr *PoisT = TE.returnPoison(Ctx);
-      assert(Q.RetS && Q.RetT && "non-void function without return paths");
-      // When the source's return is non-poison, the target must return the
-      // same non-poison value; a poison source return refines to anything.
-      Q.PoisonViol = Ctx.and1(Ctx.not1(PoisS), PoisT);
-      ValueViol = Ctx.and1(Ctx.not1(PoisS),
-                           Ctx.and1(Ctx.not1(PoisT), Ctx.ne(Q.RetS, Q.RetT)));
-      Violation = Ctx.or1(Violation, Ctx.or1(Q.PoisonViol, ValueViol));
-    }
-    Q.Cex = Ctx.and1(InBound, Ctx.and1(SrcDefined, Violation));
+  // Refinement violation condition.
+  const BVExpr *SrcDefined = Ctx.not1(SE.UB);
+  const BVExpr *Violation = TE.UB;
+  Violation = Ctx.or1(Violation, CallMismatch);
+  const BVExpr *ValueViol = Ctx.falseVal();
+  const BVExpr *PoisonViol = Ctx.falseVal();
+  const BVExpr *RetS = nullptr, *RetT = nullptr; // null for void
+  if (!Src.getReturnType()->isVoid()) {
+    RetS = SE.returnTerm(Ctx);
+    RetT = TE.returnTerm(Ctx);
+    const BVExpr *PoisS = SE.returnPoison(Ctx);
+    const BVExpr *PoisT = TE.returnPoison(Ctx);
+    assert(RetS && RetT && "non-void function without return paths");
+    // When the source's return is non-poison, the target must return the
+    // same non-poison value; a poison source return refines to anything.
+    PoisonViol = Ctx.and1(Ctx.not1(PoisS), PoisT);
+    ValueViol = Ctx.and1(Ctx.not1(PoisS),
+                         Ctx.and1(Ctx.not1(PoisT), Ctx.ne(RetS, RetT)));
+    Violation = Ctx.or1(Violation, Ctx.or1(PoisonViol, ValueViol));
+  }
+  const BVExpr *Cex = Ctx.and1(InBound, Ctx.and1(SrcDefined, Violation));
 
-    // Extract a model over the arguments AND the external world so the
-    // counterexample classification/rendering evaluates under the same
-    // assignment the SAT solver found.
-    Q.ModelTerms = SC.ArgVars;
-    for (const BVExpr *WV : Q.World.vars())
-      Q.ModelTerms.push_back(WV);
-  } // build lock released; below only reads the context.
+  // Extract a model over the arguments AND the external world so the
+  // counterexample classification/rendering evaluates under the same
+  // assignment the SAT solver found.
+  std::vector<const BVExpr *> ModelTerms = SC.ArgVars;
+  for (const BVExpr *WV : World.vars())
+    ModelTerms.push_back(WV);
 
   // The prefix is blasted outside the verify.sat span, which times the
   // search alone.
-  QueryPrefix *Prefix = Q.Cex->isFalse() ? nullptr : &prefixOf(SC, Shared);
+  QueryPrefix *Prefix = Cex->isFalse() ? nullptr : &prefixOf(SC);
   SmtCheck Res;
   {
     TraceSpan SatSpan("verify.sat");
     if (!Prefix)
       Res.St = SmtCheck::Unsat; // checkSat's trivial short-circuit
     else
-      Res = Shared ? Prefix->activate(Q.Cex, Q.ModelTerms,
-                                      Opts.SolverConflictBudget, &F,
-                                      /*CountRetained=*/true)
-                   : Prefix->activateInPlace(Q.Cex, Q.ModelTerms,
+      Res = Shared ? Prefix->activate(Cex, ModelTerms,
+                                      Opts.SolverConflictBudget, &F)
+                   : Prefix->activateInPlace(Cex, ModelTerms,
                                              Opts.SolverConflictBudget, &F);
     SatSpan.arg(TraceArg::ofStr("result", Res.St == SmtCheck::Sat ? "sat"
                                           : Res.St == SmtCheck::Unsat
@@ -423,10 +396,10 @@ VerifyResult verifyAgainstEncodingImpl(SourceEncoding &SC, const Function &Tgt,
   if (Res.St == SmtCheck::Unsat) {
     Out.Status = VerifyStatus::Equivalent;
     Out.Kind = DiagKind::None;
-    Out.BoundedOnly = Q.Truncated;
+    Out.BoundedOnly = Truncated;
     std::ostringstream OS;
     OS << header(Src) << "Transformation seems to be correct!";
-    if (Q.Truncated)
+    if (Truncated)
       OS << " (within unroll bound " << Opts.MaxBlockVisitsPerPath << ")";
     OS << "\n";
     Out.Diagnostic = OS.str();
@@ -436,13 +409,13 @@ VerifyResult verifyAgainstEncodingImpl(SourceEncoding &SC, const Function &Tgt,
   // SAT: counterexample. Classify by evaluating the sub-conditions.
   Out.Status = VerifyStatus::NotEquivalent;
   auto evalTrue = [&](const BVExpr *E) {
-    return SC.Ctx.evaluate(E, Res.Model).isOne();
+    return Ctx.evaluate(E, Res.Model).isOne();
   };
-  if (evalTrue(Q.TE.UB))
+  if (evalTrue(TE.UB))
     Out.Kind = DiagKind::UBIntroduced;
-  else if (evalTrue(Q.CallMismatch))
+  else if (evalTrue(CallMismatch))
     Out.Kind = DiagKind::CallMismatch;
-  else if (evalTrue(Q.PoisonViol))
+  else if (evalTrue(PoisonViol))
     Out.Kind = DiagKind::PoisonMismatch;
   else
     Out.Kind = DiagKind::ValueMismatch;
@@ -473,15 +446,34 @@ VerifyResult verifyAgainstEncodingImpl(SourceEncoding &SC, const Function &Tgt,
   OS << "\n" << renderBindings(Out.Counterexample);
   if (Out.Kind == DiagKind::ValueMismatch &&
       !Src.getReturnType()->isVoid()) {
-    OS << "Source value: "
-       << SC.Ctx.evaluate(Q.RetS, Res.Model).toString() << "\n"
-       << "Target value: "
-       << SC.Ctx.evaluate(Q.RetT, Res.Model).toString() << "\n";
+    OS << "Source value: " << Ctx.evaluate(RetS, Res.Model).toString()
+       << "\n"
+       << "Target value: " << Ctx.evaluate(RetT, Res.Model).toString()
+       << "\n";
   }
   Out.Diagnostic = OS.str();
   return Out;
 }
 
+/// Verify \p Tgt against the prebuilt encoding: the same verdicts,
+/// diagnostics, conflict counts and FuelSpent as a fresh verifyRefinement,
+/// whichever way the prefix is activated (see \p Shared above).
+VerifyResult verifyAgainstEncoding(SourceEncoding &SC, const Function &Tgt,
+                                   const VerifyOptions &Opts, bool Shared) {
+  assert(SC.Opts.MaxPaths == Opts.MaxPaths &&
+         SC.Opts.MaxBlockVisitsPerPath == Opts.MaxBlockVisitsPerPath &&
+         SC.Opts.MaxStepsPerPath == Opts.MaxStepsPerPath &&
+         SC.Opts.StrictLoops == Opts.StrictLoops &&
+         SC.Opts.FalsifyTrials == Opts.FalsifyTrials &&
+         "structural options must match the encoding; only budgets may vary");
+  // One fuel token per verification: a deterministic total-work bound that
+  // is independent of thread count and wall clock, so identical queries
+  // yield bit-identical results everywhere.
+  Fuel F(Opts.FuelBudget);
+  VerifyResult Out = verifyAgainstEncodingImpl(SC, Tgt, Opts, F, Shared);
+  Out.FuelSpent = F.spent();
+  return Out;
+}
 } // namespace
 
 std::unique_ptr<SourceEncoding> buildSourceEncoding(const Function &Src,
@@ -561,24 +553,6 @@ std::unique_ptr<SourceEncoding> buildSourceEncoding(const Function &Src,
 void endGroup(SourceEncoding &SC) {
   SC.Prefix.reset();
   SC.Ctx.rollback(SC.Built);
-  SC.InGroup = false;
-}
-
-VerifyResult verifyAgainstEncoding(SourceEncoding &SC, const Function &Tgt,
-                                   const VerifyOptions &Opts, bool Shared) {
-  assert(SC.Opts.MaxPaths == Opts.MaxPaths &&
-         SC.Opts.MaxBlockVisitsPerPath == Opts.MaxBlockVisitsPerPath &&
-         SC.Opts.MaxStepsPerPath == Opts.MaxStepsPerPath &&
-         SC.Opts.StrictLoops == Opts.StrictLoops &&
-         SC.Opts.FalsifyTrials == Opts.FalsifyTrials &&
-         "structural options must match the encoding; only budgets may vary");
-  // One fuel token per verification: a deterministic total-work bound that
-  // is independent of thread count and wall clock, so identical queries
-  // yield bit-identical results everywhere.
-  Fuel F(Opts.FuelBudget);
-  VerifyResult Out = verifyAgainstEncodingImpl(SC, Tgt, Opts, F, Shared);
-  Out.FuelSpent = F.spent();
-  return Out;
 }
 
 /// The guard chain's first rung, which needs only the text's size: refuse a
@@ -596,18 +570,18 @@ static bool rejectOversized(const Function &Src, size_t Bytes,
 }
 
 /// The rest of the guard chain over a parse (\p M null when the text did not
-/// parse, with \p ParseError rendered), then verification.
-static VerifyResult
-verifyParsed(const std::function<SourceEncoding *()> &GetSC,
-             const Function &Src, const Module *M,
-             const std::string &ParseError, const VerifyOptions &Opts) {
-  VerifyResult Out;
+/// parse, with \p ParseError rendered). Returns the function to verify, or
+/// null with the rejection in \p Out.
+static const Function *screenParsed(const Function &Src, const Module *M,
+                                    const std::string &ParseError,
+                                    const VerifyOptions &Opts,
+                                    VerifyResult &Out) {
   if (!M) {
     Out.Status = VerifyStatus::SyntaxError;
     Out.Kind = DiagKind::ParseError;
     Out.Diagnostic = header(Src) + "ERROR: Could not parse transformed IR (" +
                      ParseError + ")\n";
-    return Out;
+    return nullptr;
   }
   const Function *Tgt = M->getMainFunction();
   if (!Tgt) {
@@ -615,7 +589,7 @@ verifyParsed(const std::function<SourceEncoding *()> &GetSC,
     Out.Kind = DiagKind::ParseError;
     Out.Diagnostic =
         header(Src) + "ERROR: Transformed IR contains no function\n";
-    return Out;
+    return nullptr;
   }
   if (Opts.MaxCandidateInsts > 0 &&
       Tgt->instructionCount() > Opts.MaxCandidateInsts) {
@@ -626,7 +600,7 @@ verifyParsed(const std::function<SourceEncoding *()> &GetSC,
                      std::to_string(Tgt->instructionCount()) + " > " +
                      std::to_string(Opts.MaxCandidateInsts) +
                      " instructions)\n";
-    return Out;
+    return nullptr;
   }
   std::string Err;
   if (!isWellFormed(*Tgt, &Err)) {
@@ -634,14 +608,9 @@ verifyParsed(const std::function<SourceEncoding *()> &GetSC,
     Out.Kind = DiagKind::StructureError;
     Out.Diagnostic =
         header(Src) + "ERROR: Transformed IR is ill-formed (" + Err + ")\n";
-    return Out;
+    return nullptr;
   }
-  // Only now is source-side work unavoidable: materialize the shared
-  // encoding (or build a private one). Guard failures above never pay it.
-  if (SourceEncoding *SC = GetSC ? GetSC() : nullptr)
-    return verifyAgainstEncoding(*SC, *Tgt, Opts, /*Shared=*/true);
-  auto Fresh = buildSourceEncoding(Src, Opts);
-  return verifyAgainstEncoding(*Fresh, *Tgt, Opts, /*Shared=*/false);
+  return Tgt;
 }
 
 /// The verify.candidate span and the verify.* metrics around \p Verify.
@@ -678,6 +647,18 @@ static VerifyResult recordCandidateVerdict(VerifyFn &&Verify) {
   return Out;
 }
 
+// The reference path: verifyRefinement and verifyCandidateText build a
+// private source half per call and solve on its master prefix in place.
+// The group path (verifyCandidateOn) solves on copies of a shared prefix;
+// the two are bit-identical by construction, and the differential gates
+// compare them.
+
+VerifyResult verifyRefinement(const Function &Src, const Function &Tgt,
+                              const VerifyOptions &Opts) {
+  auto SC = buildSourceEncoding(Src, Opts);
+  return verifyAgainstEncoding(*SC, Tgt, Opts, /*Shared=*/false);
+}
+
 VerifyResult verifyCandidateText(const Function &Src,
                                  const std::string &TgtText,
                                  const VerifyOptions &Opts) {
@@ -686,20 +667,29 @@ VerifyResult verifyCandidateText(const Function &Src,
     if (rejectOversized(Src, TgtText.size(), Opts, Out))
       return Out;
     auto M = parseModule(TgtText);
-    if (!M)
-      return verifyParsed(nullptr, Src, nullptr, M.error().render(), Opts);
-    return verifyParsed(nullptr, Src, M.value().get(), "", Opts);
+    const Function *Tgt =
+        M ? screenParsed(Src, M.value().get(), "", Opts, Out)
+          : screenParsed(Src, nullptr, M.error().render(), Opts, Out);
+    return Tgt ? verifyRefinement(Src, *Tgt, Opts) : Out;
   });
 }
 
-VerifyResult verifyCandidateOn(const std::function<SourceEncoding *()> &GetSC,
+VerifyResult verifyCandidateOn(std::unique_ptr<SourceEncoding> &SC,
                                const Function &Src, const Candidate &Tgt,
                                const VerifyOptions &Opts) {
   return recordCandidateVerdict([&] {
     VerifyResult Out;
     if (rejectOversized(Src, Tgt.text().size(), Opts, Out))
       return Out;
-    return verifyParsed(GetSC, Src, Tgt.module(), Tgt.parseError(), Opts);
+    const Function *T =
+        screenParsed(Src, Tgt.module(), Tgt.parseError(), Opts, Out);
+    if (!T)
+      return Out;
+    // Only now is source-side work unavoidable; guard failures above never
+    // pay it.
+    if (!SC)
+      SC = buildSourceEncoding(Src, Opts);
+    return verifyAgainstEncoding(*SC, *T, Opts, /*Shared=*/true);
   });
 }
 

@@ -20,8 +20,10 @@
 // the verdict, DiagKind, diagnostic text, counterexample, SolverConflicts
 // and FuelSpent are identical whether the encoding is built fresh per call
 // (the sequential oracle, verifyRefinement / verifyCandidateText), shared
-// across a group at any thread count (BatchVerifier), or kept across groups
-// (GRPOTrainer). Four mechanisms make that hold:
+// across a group (BatchVerifier), or kept across groups (GRPOTrainer).
+// A half is single-threaded: one group uses it at a time, on the calling
+// thread; parallelism lives above it, in eval shards and rollout scoring.
+// Four mechanisms make that hold:
 //  - Fuel replay: the shared source-side work records its fuel charges
 //    once; each candidate replays them against its own budget, so budget
 //    exhaustion happens at exactly the point a fresh run would hit.
@@ -47,10 +49,7 @@
 #include "verify/Candidate.h"
 #include "verify/Encoder.h"
 
-#include <atomic>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 namespace veriopt {
@@ -96,15 +95,6 @@ struct SourceEncoding {
   /// CNF of PrefixTerms, blasted on demand by the first candidate that
   /// reaches SAT and dropped by endGroup(); null until then.
   std::unique_ptr<QueryPrefix> Prefix;
-  /// Serializes that blast among group members.
-  std::mutex PrefixMu;
-
-  /// Serializes the context-mutating build phase when group members verify
-  /// concurrently (interning order changes, interned *structures* do not).
-  std::mutex BuildMu;
-  /// Set while a group is verifying against this half (a kept half serves
-  /// one group at a time).
-  std::atomic<bool> InGroup{false};
 };
 
 /// Build the shared half for \p Src. Source-side fuel charges are recorded
@@ -118,25 +108,16 @@ std::unique_ptr<SourceEncoding> buildSourceEncoding(const Function &Src,
 /// once every group member has finished.
 void endGroup(SourceEncoding &SC);
 
-/// Verify \p Tgt against the prebuilt encoding. Mirrors verifyRefinement
-/// exactly (same verdicts, diagnostics, conflict counts, FuelSpent).
-/// \p Shared selects group mode: take SC.BuildMu around context mutation,
-/// SC.PrefixMu around the prefix blast, activate the prefix on a clone, and
-/// credit smt.clauses_retained. With Shared = false the caller owns SC
-/// exclusively and the prefix is consumed in place.
-VerifyResult verifyAgainstEncoding(SourceEncoding &SC, const Function &Tgt,
-                                   const VerifyOptions &Opts, bool Shared);
-
-/// verifyCandidateText over a parsed Candidate and a lazily provided
-/// encoding: the same guard chain in the same order (size, parse, no
-/// function, instruction count, well-formedness) with the same diagnostic
-/// bytes, verify.candidate span, and verify.* metrics, run on the
-/// Candidate's parse instead of a fresh one. \p GetSC is invoked only after
-/// the guard chain passes — candidates rejected at the parse/screen stage
-/// never pay source-side work, shared encoding or not. A null/empty
-/// provider (or one returning null) builds a fresh private encoding after
-/// the guards pass.
-VerifyResult verifyCandidateOn(const std::function<SourceEncoding *()> &GetSC,
+/// verifyCandidateText over a parsed Candidate and the group's source half:
+/// the same guard chain in the same order (size, parse, no function,
+/// instruction count, well-formedness) with the same diagnostic bytes,
+/// verify.candidate span, and verify.* metrics, run on the Candidate's parse
+/// instead of a fresh one. \p SC is the caller's slot for the half; an
+/// empty slot is filled only after the guard chain passes, so candidates
+/// rejected at the parse/screen stage never pay source-side work. The
+/// candidate solves on a copy of the half's CNF prefix, which stays usable
+/// for the rest of the group.
+VerifyResult verifyCandidateOn(std::unique_ptr<SourceEncoding> &SC,
                                const Function &Src, const Candidate &Tgt,
                                const VerifyOptions &Opts);
 

@@ -100,6 +100,27 @@ TEST(Value, PredicateHelpers) {
   }
 }
 
+TEST(Value, EvalPredMatchesIntegerComparisonAtI4) {
+  // Every predicate on every pair of i4 values, against plain comparison of
+  // the unsigned bits and of their sign extensions.
+  for (uint64_t A = 0; A < 16; ++A)
+    for (uint64_t B = 0; B < 16; ++B) {
+      const APInt64 L(4, A), R(4, B);
+      const int64_t SA = A >= 8 ? int64_t(A) - 16 : int64_t(A);
+      const int64_t SB = B >= 8 ? int64_t(B) - 16 : int64_t(B);
+      const std::pair<ICmpPred, bool> Want[] = {
+          {ICmpPred::EQ, A == B},   {ICmpPred::NE, A != B},
+          {ICmpPred::UGT, A > B},   {ICmpPred::UGE, A >= B},
+          {ICmpPred::ULT, A < B},   {ICmpPred::ULE, A <= B},
+          {ICmpPred::SGT, SA > SB}, {ICmpPred::SGE, SA >= SB},
+          {ICmpPred::SLT, SA < SB}, {ICmpPred::SLE, SA <= SB},
+      };
+      for (const auto &[Pred, Expected] : Want)
+        EXPECT_EQ(evalPred(Pred, L, R), Expected)
+            << predName(Pred) << " " << A << ", " << B;
+    }
+}
+
 TEST(Value, InstructionClassification) {
   auto F = makeFn();
   IRBuilder B(F->getEntryBlock());

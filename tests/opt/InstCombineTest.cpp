@@ -49,6 +49,19 @@ TEST(InstCombine, ConstantFolding) {
       "  %c = sub i32 %b, 4\n  ret i32 %c\n}\n");
   EXPECT_HAS(Out, "ret i32 80");
   EXPECT_NOT_HAS(Out, "add");
+
+  // The fold ignores nsw/nuw/exact: each of these instructions yields
+  // poison, and the wrapped or truncated constant refines it (optimize()
+  // asserts Equivalent under verifyRefinement).
+  Out = optimize("define i8 @f() {\n  %a = add nsw i8 127, 1\n"
+                 "  ret i8 %a\n}\n");
+  EXPECT_HAS(Out, "ret i8 -128");
+  Out = optimize("define i8 @f() {\n  %a = shl nuw i8 -1, 1\n"
+                 "  ret i8 %a\n}\n");
+  EXPECT_HAS(Out, "ret i8 -2");
+  Out = optimize("define i8 @f() {\n  %a = udiv exact i8 7, 2\n"
+                 "  ret i8 %a\n}\n");
+  EXPECT_HAS(Out, "ret i8 3");
 }
 
 TEST(InstCombine, StrengthReduction) {

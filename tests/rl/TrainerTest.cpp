@@ -12,6 +12,7 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <tuple>
 
 namespace veriopt {
 namespace {
@@ -79,12 +80,10 @@ GRPOOptions smallGRPO(ThreadPool *Pool = nullptr) {
   return G;
 }
 
-/// A verifier for the trainer: the given ladder, fanning out over \p Pool.
-BatchVerifier makeVerifier(const RobustVerifyOptions &O, VerifyCache *Cache,
-                           ThreadPool *Pool = nullptr) {
+/// A verifier for the trainer: the given ladder.
+BatchVerifier makeVerifier(const RobustVerifyOptions &O, VerifyCache *Cache) {
   BatchVerifier::Options BO;
   BO.Robust = O;
-  BO.Pool = Pool;
   return BatchVerifier(BO, Cache);
 }
 
@@ -170,7 +169,7 @@ TEST(Trainer, ParallelScoringIsBitIdenticalToSerial) {
     RewritePolicyModel Model(presetQwen3B());
     auto Cache = UseCache ? std::make_unique<VerifyCache>(512) : nullptr;
     ThreadPool Pool(Threads);
-    BatchVerifier Verifier = makeVerifier(O, Cache.get(), &Pool);
+    BatchVerifier Verifier = makeVerifier(O, Cache.get());
     GRPOTrainer Trainer(Model, Verifier, AnswerReward,
                         smallGRPO(&Pool));
     auto Logs = Trainer.train(DS.Train, 12);
@@ -214,7 +213,7 @@ TEST(Trainer, BatchVerificationIsBitIdenticalToSequential) {
     RewritePolicyModel Model(presetQwen3B());
     VerifyCache Cache(512);
     ThreadPool Pool(Threads);
-    BatchVerifier Verifier = makeVerifier(O, &Cache, &Pool);
+    BatchVerifier Verifier = makeVerifier(O, &Cache);
     GRPOTrainer Trainer(Model, Verifier, Reward, smallGRPO(&Pool));
     auto Logs = Trainer.train(DS.Train, 10);
     ParamsOut = Model.params();
@@ -272,7 +271,7 @@ TEST(Trainer, VerdictsHandedToRewardMatchOracle) {
       RewritePolicyModel Model(presetQwen3B());
       auto Cache = UseCache ? std::make_unique<VerifyCache>(512) : nullptr;
       ThreadPool Pool(Threads);
-      BatchVerifier Verifier = makeVerifier(O, Cache.get(), &Pool);
+      BatchVerifier Verifier = makeVerifier(O, Cache.get());
       GRPOOptions G = smallGRPO(&Pool);
       G.Mode = PromptMode::Augmented;
       GRPOTrainer Trainer(Model, Verifier, Record, G);
@@ -336,7 +335,7 @@ TEST(Trainer, KeptSourceHalvesMatchOracle) {
       RewritePolicyModel Model(presetQwen3B());
       auto Cache = UseCache ? std::make_unique<VerifyCache>(512) : nullptr;
       ThreadPool Pool(Threads);
-      BatchVerifier Verifier = makeVerifier(O, Cache.get(), &Pool);
+      BatchVerifier Verifier = makeVerifier(O, Cache.get());
       GRPOOptions G = smallGRPO(&Pool);
       G.Mode = PromptMode::Augmented;
       const uint64_t Builds0 = SourceBuilds.value();
@@ -360,6 +359,90 @@ TEST(Trainer, KeptSourceHalvesMatchOracle) {
       EXPECT_FALSE(Verified.empty());
       EXPECT_EQ(Builds, Verified.size());
     }
+  }
+
+  // An explicit batch that repeats a prompt, so A's two groups share one
+  // kept half. At 1 and 4 threads the logs, the verdicts and every batch.*,
+  // verify.* and smt.* counter delta are identical.
+  const Sample &A = DS.Train[0], &B = DS.Train[1];
+  struct Seen {
+    std::string Sample, Text;
+    VerifyResult Verdict;
+  };
+  struct StepRun {
+    std::vector<TrainLogEntry> Logs;
+    std::vector<Seen> Verdicts; // sorted by (sample, text)
+    std::map<std::string, uint64_t> Deltas;
+  };
+  auto countedLayers = [] {
+    std::map<std::string, uint64_t> Out;
+    for (const auto &[Name, V] :
+         MetricsRegistry::global().snapshot().Counters)
+      if (Name.rfind("batch.", 0) == 0 || Name.rfind("verify.", 0) == 0 ||
+          Name.rfind("smt.", 0) == 0)
+        Out[Name] = V;
+    return Out;
+  };
+  for (bool UseCache : {false, true}) {
+    std::vector<StepRun> Runs;
+    for (unsigned Threads : {1u, 4u}) {
+      SCOPED_TRACE("step {A, A, B}, threads " + std::to_string(Threads) +
+                   (UseCache ? ", cache" : ", no cache"));
+      StepRun Run;
+      std::mutex M;
+      RewardFn Record = [&](const Sample &S, const Completion &C,
+                            const Candidate &Answer,
+                            const RolloutVerdicts &V) {
+        std::lock_guard<std::mutex> L(M);
+        if (C.FormatOk)
+          Run.Verdicts.push_back({S.Name, C.AnswerIR, V.Answer});
+        Run.Verdicts.push_back({S.Name, C.ThinkAttemptIR, V.Attempt});
+        return answerScore(S, C, Answer, V.Answer);
+      };
+      RewritePolicyModel Model(presetQwen3B());
+      auto Cache = UseCache ? std::make_unique<VerifyCache>(512) : nullptr;
+      ThreadPool Pool(Threads);
+      BatchVerifier Verifier = makeVerifier(O, Cache.get());
+      GRPOOptions G = smallGRPO(&Pool);
+      G.Mode = PromptMode::Augmented;
+      GRPOTrainer Trainer(Model, Verifier, Record, G);
+      const std::map<std::string, uint64_t> Before = countedLayers();
+      for (int Step = 0; Step < 2; ++Step)
+        Run.Logs.push_back(Trainer.step({&A, &A, &B}));
+      for (const auto &[Name, V] : countedLayers()) {
+        auto It = Before.find(Name);
+        uint64_t Delta = V - (It == Before.end() ? 0 : It->second);
+        if (Delta)
+          Run.Deltas[Name] = Delta;
+      }
+      EXPECT_GT(Run.Deltas["batch.groups"], 0u);
+
+      std::stable_sort(Run.Verdicts.begin(), Run.Verdicts.end(),
+                       [](const Seen &X, const Seen &Y) {
+                         return std::tie(X.Sample, X.Text) <
+                                std::tie(Y.Sample, Y.Text);
+                       });
+      for (const Seen &R : Run.Verdicts)
+        expectLadderVerdict(R.Verdict,
+                            oracleFor(R.Sample == A.Name ? A : B, R.Text),
+                            R.Text);
+      Runs.push_back(std::move(Run));
+    }
+    SCOPED_TRACE(UseCache ? "cache" : "no cache");
+    const StepRun &Serial = Runs[0], &Pooled = Runs[1];
+    expectSameTrajectory(Serial.Logs, Pooled.Logs);
+    for (size_t I = 0; I < Serial.Logs.size(); ++I) {
+      EXPECT_EQ(Serial.Logs[I].CacheHitRate, Pooled.Logs[I].CacheHitRate);
+      EXPECT_EQ(Serial.Logs[I].FalsifyWins, Pooled.Logs[I].FalsifyWins);
+    }
+    ASSERT_EQ(Serial.Verdicts.size(), Pooled.Verdicts.size());
+    for (size_t I = 0; I < Serial.Verdicts.size(); ++I) {
+      EXPECT_EQ(Serial.Verdicts[I].Sample, Pooled.Verdicts[I].Sample);
+      expectLadderVerdict(Pooled.Verdicts[I].Verdict,
+                          Serial.Verdicts[I].Verdict,
+                          Serial.Verdicts[I].Text);
+    }
+    EXPECT_EQ(Serial.Deltas, Pooled.Deltas);
   }
 }
 
@@ -414,8 +497,7 @@ TEST(Trainer, RolloutHookSeesEveryRolloutInOrder) {
     G.Pool = Order == &SerialOrder ? nullptr : &Pool;
     G.OnRollout = [Order](const Sample &S, const Completion &,
                           const RolloutScore &) { Order->push_back(&S); };
-    BatchVerifier Verifier =
-        makeVerifier(RobustVerifyOptions(), nullptr, G.Pool);
+    BatchVerifier Verifier = makeVerifier(RobustVerifyOptions(), nullptr);
     RewritePolicyModel M(presetQwen3B());
     GRPOTrainer Trainer(M, Verifier, FlatReward, G);
     Trainer.train(DS.Train, 3);

@@ -200,13 +200,13 @@ TEST(QueryPrefix, ActivationAgreesWithCheckSat) {
 
   // Valid identity: negation is Unsat both ways.
   const BVExpr *Valid = C.not1(C.eq(C.bvxor(C.bvxor(X, Y), Y), X));
-  EXPECT_EQ(P.activate(Valid, {}, 0, nullptr, false).St, SmtCheck::Unsat);
+  EXPECT_EQ(P.activate(Valid, {}, 0, nullptr).St, SmtCheck::Unsat);
   EXPECT_EQ(checkSat(C, Valid).St, SmtCheck::Unsat);
 
   // Refutable claim: Sat with a genuine witness.
   const BVExpr *Wrong =
       C.ne(C.add(X, C.constant(8, 1)), C.sub(X, C.constant(8, 1)));
-  auto R = P.activate(Wrong, {X}, 0, nullptr, false);
+  auto R = P.activate(Wrong, {X}, 0, nullptr);
   ASSERT_EQ(R.St, SmtCheck::Sat);
   ASSERT_TRUE(R.Model.count(X->VarId));
   APInt64 XV = R.Model[X->VarId];
@@ -234,7 +234,7 @@ TEST(QueryPrefix, CloneActivationMatchesInPlaceBitForBit) {
   build(C2, X2, Y2, Q2);
   QueryPrefix P1(C1, {X1, Y1});
   QueryPrefix P2(C2, {X2, Y2});
-  auto A = P1.activate(Q1, {X1, Y1}, 0, nullptr, false);
+  auto A = P1.activate(Q1, {X1, Y1}, 0, nullptr);
   auto B = P2.activateInPlace(Q2, {X2, Y2}, 0, nullptr);
   ASSERT_EQ(A.St, SmtCheck::Sat);
   ASSERT_EQ(B.St, SmtCheck::Sat);
@@ -254,9 +254,9 @@ TEST(QueryPrefix, RepeatedActivationsAreIndependent) {
                           C.add(C.add(X, X), X)); // valid -> Unsat
   const BVExpr *Q2 = C.ne(C.shl(X, C.constant(8, 1)),
                           C.add(X, C.constant(8, 1))); // Sat
-  auto First = P.activate(Q1, {X}, 0, nullptr, false);
-  auto Other = P.activate(Q2, {X}, 0, nullptr, false);
-  auto Again = P.activate(Q1, {X}, 0, nullptr, false);
+  auto First = P.activate(Q1, {X}, 0, nullptr);
+  auto Other = P.activate(Q2, {X}, 0, nullptr);
+  auto Again = P.activate(Q1, {X}, 0, nullptr);
   EXPECT_EQ(First.St, SmtCheck::Unsat);
   EXPECT_EQ(Other.St, SmtCheck::Sat);
   EXPECT_EQ(Again.St, First.St);
@@ -269,11 +269,11 @@ TEST(QueryPrefix, BudgetExhaustionReportsUnknown) {
   const BVExpr *Y = C.var(32, "y");
   QueryPrefix P(C, {X, Y});
   const BVExpr *Hard = C.ne(C.mul(X, Y), C.mul(Y, X));
-  EXPECT_EQ(P.activate(Hard, {}, /*ConflictBudget=*/10, nullptr, false).St,
+  EXPECT_EQ(P.activate(Hard, {}, /*ConflictBudget=*/10, nullptr).St,
             SmtCheck::Unknown);
   // A later activation with an adequate budget still finishes: the Unknown
   // left no residue on the master.
-  EXPECT_EQ(P.activate(C.ne(X, X), {}, 0, nullptr, false).St, SmtCheck::Unsat);
+  EXPECT_EQ(P.activate(C.ne(X, X), {}, 0, nullptr).St, SmtCheck::Unsat);
 }
 
 TEST(QueryPrefix, FuelExhaustionLatchesToken) {
@@ -283,7 +283,7 @@ TEST(QueryPrefix, FuelExhaustionLatchesToken) {
   QueryPrefix P(C, {X, Y});
   const BVExpr *Hard = C.ne(C.mul(X, Y), C.mul(Y, X));
   Fuel F(50);
-  EXPECT_EQ(P.activate(Hard, {}, 0, &F, false).St, SmtCheck::Unknown);
+  EXPECT_EQ(P.activate(Hard, {}, 0, &F).St, SmtCheck::Unknown);
   EXPECT_TRUE(F.exhausted());
 }
 
@@ -291,7 +291,7 @@ TEST(QueryPrefix, TriviallyFalseConstraintShortCircuits) {
   BVContext C;
   const BVExpr *X = C.var(8, "x");
   QueryPrefix P(C, {X});
-  auto R = P.activate(C.constant(1, 0), {}, 0, nullptr, false);
+  auto R = P.activate(C.constant(1, 0), {}, 0, nullptr);
   EXPECT_EQ(R.St, SmtCheck::Unsat);
   EXPECT_EQ(R.Conflicts, 0u);
 }

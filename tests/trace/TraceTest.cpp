@@ -89,7 +89,6 @@ std::vector<TraceEvent> tracedRun(unsigned Threads) {
   BatchVerifier::Options BO;
   BO.Robust.Base.FalsifyTrials = 8;
   BO.Robust.MaxTiers = 1;
-  BO.Pool = &Pool;
   BatchVerifier Verifier(BO, nullptr);
   GRPOOptions G;
   G.GroupSize = 4;

@@ -4,8 +4,9 @@
 // Its contract is bit-identity with the plain ladder (oracle::verifyLadder:
 // verifyCandidateText at each rung's tierOptions): for every candidate,
 // verdict, diagnostic kind and text, counterexample, summed solver
-// conflicts, fuel spent, and retry tier must match — at any thread count,
-// under fault injection, and with arbitrary cache-hit interleavings.
+// conflicts, fuel spent, and retry tier must match — for concurrent groups
+// of distinct sources, under fault injection, and with arbitrary cache-hit
+// interleavings.
 //
 // The RobustVerifier suite checks the retry ladder itself on groups of one.
 //
@@ -173,23 +174,72 @@ TEST(BatchVerifier, EscalatingLadderMatchesSequential) {
   expectIdentical(Got, Want);
 }
 
+/// Commuted adds at i8: none folds to the source's term, so each one runs
+/// the solver (cheaply, at this width).
+const char *Add8Src = "define i8 @f(i8 %x, i8 %y) {\n"
+                      "  %m = add i8 %x, %y\n  ret i8 %m\n}\n";
+std::vector<std::string> add8Group() {
+  return {
+      "define i8 @f(i8 %x, i8 %y) {\n  %m = add i8 %y, %x\n  ret i8 %m\n}\n",
+      "define i8 @f(i8 %x, i8 %y) {\n  %t = add i8 %y, %x\n"
+      "  %m = xor i8 %t, 0\n  ret i8 %m\n}\n",
+      "define i8 @f(i8 %x, i8 %y) {\n  %t = add i8 %y, %x\n"
+      "  %m = or i8 %t, 0\n  ret i8 %m\n}\n",
+      "define i8 @f(i8 %x, i8 %y) {\n  %t = add i8 %y, %x\n"
+      "  %m = add i8 %t, 0\n  ret i8 %m\n}\n"};
+}
+
 TEST(BatchVerifier, ThreadCountInvariance) {
-  Parsed Src(AddSrc);
+  // Evaluation shards call verifyGroup concurrently, one task per source,
+  // through one verifier and one cache. Each task here verifies its group
+  // twice (the second pass replays the cache). From a 4-thread pool, every
+  // verdict and every group's stats equal serial calls'.
   RobustVerifyOptions O = defaultLadder();
+  std::vector<Parsed> Srcs;
+  for (const char *Text : {AddSrc, WrongAdd, Add8Src, PtrSrc})
+    Srcs.emplace_back(Text);
+  const std::vector<std::vector<std::string>> Groups = {
+      addGroup(), addGroup(), add8Group(), {PtrSrc, PtrSrc}};
+
+  struct TaskOut {
+    std::vector<VerifyResult> First, Again;
+    BatchVerifier::GroupStats FirstStats, AgainStats;
+  };
+  auto run = [&](const BatchVerifier &BV, size_t I, TaskOut &Out) {
+    const Parsed &Src = Srcs[I];
+    Out.First = BV.verifyGroup(Src.Text, *Src.F, Groups[I], &Out.FirstStats);
+    Out.Again = BV.verifyGroup(Src.Text, *Src.F, Groups[I], &Out.AgainStats);
+  };
 
   VerifyCache C1(256);
-  auto Sequential =
-      makeVerifier(O, &C1).verifyGroup(Src.Text, *Src.F, addGroup());
+  BatchVerifier Serial = makeVerifier(O, &C1);
+  std::vector<TaskOut> Want(Srcs.size());
+  for (size_t I = 0; I < Srcs.size(); ++I)
+    run(Serial, I, Want[I]);
 
   ThreadPool Pool(4);
   VerifyCache C4(256);
-  BatchVerifier::Options B4;
-  B4.Robust = O;
-  B4.Pool = &Pool;
-  BatchVerifier BV4(B4, &C4);
-  auto Threaded = BV4.verifyGroup(Src.Text, *Src.F, addGroup());
+  BatchVerifier Shared = makeVerifier(O, &C4);
+  std::vector<TaskOut> Got(Srcs.size());
+  Pool.parallelFor(Srcs.size(), [&](size_t I) { run(Shared, I, Got[I]); });
 
-  expectIdentical(Threaded, Sequential);
+  auto expectSameStats = [](const BatchVerifier::GroupStats &G,
+                            const BatchVerifier::GroupStats &W) {
+    EXPECT_EQ(G.Candidates, W.Candidates);
+    EXPECT_EQ(G.Unique, W.Unique);
+    EXPECT_EQ(G.CacheHits, W.CacheHits);
+    EXPECT_EQ(G.Computed, W.Computed);
+  };
+  for (size_t I = 0; I < Srcs.size(); ++I) {
+    SCOPED_TRACE("source " + std::to_string(I));
+    expectIdentical(Got[I].First, Want[I].First);
+    expectIdentical(Got[I].Again, Want[I].Again);
+    expectSameStats(Got[I].FirstStats, Want[I].FirstStats);
+    expectSameStats(Got[I].AgainStats, Want[I].AgainStats);
+    EXPECT_EQ(Got[I].AgainStats.Computed, 0u);
+  }
+  EXPECT_EQ(C4.counters().Hits, C1.counters().Hits);
+  EXPECT_EQ(C4.counters().Misses, C1.counters().Misses);
 }
 
 TEST(BatchVerifier, SeedsCacheSoScoringReplaysWithoutComputing) {
@@ -420,7 +470,6 @@ TEST(BatchVerifier, KeptHalfAcrossGroupsMatchesFresh) {
     ASSERT_NE(Kept, nullptr);
     EXPECT_EQ(Kept->Ctx.mark(), Kept->Built);
     EXPECT_EQ(Kept->Prefix, nullptr);
-    EXPECT_FALSE(Kept->InGroup);
   }
   EXPECT_TRUE(SawSolverCallMismatch)
       << "no candidate reached the solver with an extra call";
@@ -459,27 +508,13 @@ TEST(BatchVerifier, PrefixBlastedOnlyWhenSatRuns) {
   EXPECT_EQ(counterValue("smt.prefix_builds") - Prefixes0, 0);
   expectIdentical(Got, Want);
 
-  // Several members reach SAT on four threads: one prefix for the group.
-  // Commuted adds do not fold to the source's term, so each one runs the
-  // solver.
-  Parsed Add8("define i8 @f(i8 %x, i8 %y) {\n"
-              "  %m = add i8 %x, %y\n  ret i8 %m\n}\n");
-  const std::vector<std::string> Sat = {
-      "define i8 @f(i8 %x, i8 %y) {\n  %m = add i8 %y, %x\n  ret i8 %m\n}\n",
-      "define i8 @f(i8 %x, i8 %y) {\n  %t = add i8 %y, %x\n"
-      "  %m = xor i8 %t, 0\n  ret i8 %m\n}\n",
-      "define i8 @f(i8 %x, i8 %y) {\n  %t = add i8 %y, %x\n"
-      "  %m = or i8 %t, 0\n  ret i8 %m\n}\n",
-      "define i8 @f(i8 %x, i8 %y) {\n  %t = add i8 %y, %x\n"
-      "  %m = add i8 %t, 0\n  ret i8 %m\n}\n"};
+  // Several members reach SAT: one prefix for the group.
+  Parsed Add8(Add8Src);
+  const std::vector<std::string> Sat = add8Group();
   Want = sequentialOracle(Add8, Sat, O);
-  ThreadPool Pool(4);
-  BatchVerifier::Options BO;
-  BO.Robust = O;
-  BO.Pool = &Pool;
   Prefixes0 = counterValue("smt.prefix_builds");
   Queries0 = counterValue("smt.queries");
-  Got = BatchVerifier(BO, nullptr).verifyGroup(Add8.Text, *Add8.F, Sat);
+  Got = makeVerifier(O).verifyGroup(Add8.Text, *Add8.F, Sat);
   EXPECT_GE(counterValue("smt.queries") - Queries0, 4);
   EXPECT_EQ(counterValue("smt.prefix_builds") - Prefixes0, 1);
   expectIdentical(Got, Want);

@@ -13,7 +13,7 @@
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "support/ThreadPool.h"
-#include "verify/BatchVerifier.h"
+#include "verify/VerifyCache.h"
 #include "verify/RefinementQuery.h"
 
 #include <gtest/gtest.h>
@@ -117,7 +117,8 @@ TEST(Candidate, GuardChainMatchesTheTextPath) {
   for (const std::string &Text : Cases) {
     VerifyResult ByText = verifyCandidateText(*Src->getMainFunction(), Text,
                                               Opts);
-    VerifyResult ByCand = verifyCandidateOn(nullptr, *Src->getMainFunction(),
+    std::unique_ptr<SourceEncoding> SC;
+    VerifyResult ByCand = verifyCandidateOn(SC, *Src->getMainFunction(),
                                             Candidate(Text), Opts);
     expectSame(ByCand, ByText, Text);
     Kinds.insert(diagKindName(ByText.Kind));
@@ -129,9 +130,9 @@ TEST(Candidate, GuardChainMatchesTheTextPath) {
 
 TEST(Candidate, SharedAcrossPoolThreads) {
   // Candidates are read concurrently: the reward reads one answer's
-  // Candidate from every rollout that gave that answer, and the batch
-  // verifier fans a group's unique Candidates out over the pool. Every
-  // concurrent read must see what a serial read sees.
+  // Candidate from every rollout that gave that answer, on the scoring
+  // pool's threads. Every concurrent read (a verdict, a cache key, a print)
+  // must see what a serial read sees.
   auto Src = parseOk(SrcIR);
   const Function &F = *Src->getMainFunction();
   const std::string SrcText = printFunction(F);
@@ -153,7 +154,8 @@ TEST(Candidate, SharedAcrossPoolThreads) {
   };
   auto readOne = [&](const Candidate &C) {
     Read R;
-    R.Verdict = verifyCandidateOn(nullptr, F, C, Opts);
+    std::unique_ptr<SourceEncoding> SC; // a private half per read
+    R.Verdict = verifyCandidateOn(SC, F, C, Opts);
     R.Key = VerifyCache::makeKey(SrcText, C, Opts);
     if (C.function())
       R.Printed = printFunction(*C.function());
@@ -173,24 +175,6 @@ TEST(Candidate, SharedAcrossPoolThreads) {
     EXPECT_EQ(Parallel[I].Key, Serial[I].Key);
     EXPECT_EQ(Parallel[I].Printed, Serial[I].Printed);
   }
-
-  // The same group through a pooled batch verifier, with a cache.
-  BatchVerifier::Options BO;
-  BO.Robust.Base = Opts;
-  BO.Pool = &Pool;
-  VerifyCache Cache;
-  BatchVerifier::GroupStats GS;
-  std::vector<VerifyResult> Batch =
-      BatchVerifier(BO, &Cache).verifyGroup(SrcText, F, Group, &GS);
-  EXPECT_EQ(GS.Candidates, Group.size());
-  EXPECT_EQ(GS.Unique, Cases.size());
-  BatchVerifier::Options Serial1 = BO;
-  Serial1.Pool = nullptr;
-  for (size_t I = 0; I < Group.size(); ++I)
-    expectSame(Batch[I],
-               BatchVerifier(Serial1, nullptr)
-                   .verifyOne(SrcText, F, Cases[I % Cases.size()]),
-               Cases[I % Cases.size()]);
 }
 
 } // namespace
