@@ -6,6 +6,7 @@
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "textgen/Bleu.h"
+#include "trace/Metrics.h"
 
 #include <cmath>
 
@@ -86,6 +87,9 @@ uint64_t fnv1a(uint64_t H, const std::string &Text) {
 /// printFunction(F).
 std::array<double, NumFeatures> featuresOf(const Function &F,
                                            const std::string &Text) {
+  static Counter &Extractions =
+      MetricsRegistry::global().counter("policy.features");
+  Extractions.inc();
   std::array<double, NumFeatures> Phi{};
   Phi[0] = 1.0; // bias
   bool HasAlloca = false, HasCall = false, HasMulDiv = false,
@@ -501,12 +505,15 @@ std::string corruptTruncate(std::string Text) {
   return Text.substr(0, Text.size() * 2 / 3);
 }
 
-/// Apply a *set* of optimization actions as one fixpoint pipeline.
-void applyOptActionSet(const std::vector<Action> &Actions, Function &F) {
+/// Apply a *set* of optimization actions, given as a mask over the Opt*
+/// actions, as one fixpoint pipeline.
+void applyOptActionSet(uint32_t Firing, Function &F) {
   unsigned CatMask = 0;
   bool Mem2Reg = false, SCFG = false, DCE = false;
-  for (Action A : Actions) {
-    switch (A) {
+  for (unsigned AIdx = 0; AIdx < NumActions; ++AIdx) {
+    if (!((Firing >> AIdx) & 1))
+      continue;
+    switch (static_cast<Action>(AIdx)) {
     case Action::OptConstFold:
       CatMask |= ruleCatBit(RuleCat::ConstFold);
       break;
@@ -559,7 +566,77 @@ void applyOptActionSet(const std::vector<Action> &Actions, Function &F) {
   PM.runToFixpoint(F);
 }
 
+/// FNV-1a seed of the hashes that identify the model (InitSeed).
+uint64_t modelSeed(const ModelConfig &Cfg, uint64_t Salt) {
+  return FnvOffset ^ (Cfg.InitSeed * 0x9E3779B9ULL + Salt);
+}
+
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// Prompt records
+//===----------------------------------------------------------------------===//
+
+PromptRecord::PromptRecord(const RewritePolicyModel &Model,
+                           const Function &Src, const std::string &SrcText)
+    : Model(Model), Src(Src), SrcText(SrcText),
+      Features(featuresOf(Src, SrcText)),
+      GateState(fnv1a(modelSeed(Model.config(), 0), SrcText)) {
+  uint64_t H = fnv1a(modelSeed(Model.config(), 7), SrcText);
+  H ^= H >> 29;
+  ResidualRoll = H % 100;
+}
+
+const std::string &PromptRecord::rewrite(uint32_t Firing,
+                                         const std::vector<Action> &Semantic,
+                                         bool KeepClean) {
+  assert(Semantic.size() <= 4 && "a decode takes each corruption once");
+  uint64_t Key = Firing;
+  for (size_t I = 0; I < Semantic.size(); ++I)
+    Key |= static_cast<uint64_t>(Semantic[I]) << (32 + 5 * I);
+  auto It = Rewrites.find(Key);
+  if (It != Rewrites.end())
+    return It->second;
+
+  static Counter &Runs = MetricsRegistry::global().counter("policy.rewrites");
+  Runs.inc();
+  std::unique_ptr<Function> F = Src.clone();
+  if (Firing)
+    applyOptActionSet(Firing, *F);
+  if (!Semantic.empty() && KeepClean && !Rewrites.count(Firing))
+    Rewrites.emplace(Firing, printFunction(*F));
+  for (Action A : Semantic) {
+    switch (A) {
+    case Action::CorruptConstant:
+      perturbConstant(*F);
+      break;
+    case Action::CorruptSwapSub:
+      swapNonCommutative(*F);
+      break;
+    case Action::CorruptFlipPred:
+      flipPredicate(*F);
+      break;
+    default:
+      dropStore(*F);
+      break;
+    }
+  }
+  return Rewrites.emplace(Key, printFunction(*F)).first->second;
+}
+
+const std::string &PromptRecord::perturbed(const std::string &Text) {
+  auto [It, New] = Perturbations.try_emplace(Text);
+  if (New) {
+    It->second = Text;
+    auto M = parseModule(Text);
+    if (M && M.value()->getMainFunction()) {
+      Function *F = M.value()->getMainFunction();
+      if (perturbConstant(*F))
+        It->second = printFunction(*F);
+    }
+  }
+  return It->second;
+}
 
 Completion RewritePolicyModel::generate(const Function &Src, PromptMode Mode,
                                         RNG &R, bool Greedy,
@@ -571,13 +648,27 @@ Completion RewritePolicyModel::generate(const Function &Src,
                                         const std::string &SrcText,
                                         PromptMode Mode, RNG &R, bool Greedy,
                                         double Temperature) const {
-  Completion Out;
-  // The features, the capacity gate and the residual roll hash the printed
-  // source, and a copy answers with it.
-  std::vector<double> BaseLogits = actionLogits(featuresOf(Src, SrcText));
+  PromptRecord P(*this, Src, SrcText);
+  return generate(P, Mode, R, Greedy, Temperature);
+}
 
+Completion RewritePolicyModel::generate(PromptRecord &P, PromptMode Mode,
+                                        RNG &R, bool Greedy,
+                                        double Temperature) const {
+  assert(&P.Model == this && "a prompt record decodes for its own model");
+  Completion Out;
+  std::vector<double> BaseLogits = actionLogits(P.Features);
+
+  // The selected rewrite families act as a *set*: the answer is one
+  // fixpoint run of the corresponding pipeline (mem2reg first, masked
+  // instcombine, simplifycfg, dce), so action order cannot leave cascading
+  // opportunities on the table. Families are filtered through the
+  // capacity gate first: selecting a family does not guarantee the model
+  // can actually realize it on this prompt. The gate hashes (model
+  // identity, source text, family); the state after the text is kept in
+  // the record.
+  uint32_t Firing = 0;
   std::vector<Action> SyntaxCorrupts, SemanticCorrupts;
-  std::vector<Action> OptActions;
   bool Copied = false;
   uint32_t Used = 0;
 
@@ -597,63 +688,44 @@ Completion RewritePolicyModel::generate(const Function &Src,
       Copied = true;
       break;
     }
-    if (isOptAction(A))
-      OptActions.push_back(A);
-    else if (isSemanticCorruption(A))
+    if (isOptAction(A)) {
+      if (familyFires(P.GateState, A))
+        Firing |= 1u << AIdx;
+    } else if (isSemanticCorruption(A)) {
       SemanticCorrupts.push_back(A);
-    else
+    } else {
       SyntaxCorrupts.push_back(A);
-  }
-
-  // The selected rewrite families act as a *set*: the answer is one
-  // fixpoint run of the corresponding pipeline (mem2reg first, masked
-  // instcombine, simplifycfg, dce), so action order cannot leave cascading
-  // opportunities on the table. Families are filtered through the
-  // capacity gate first: selecting a family does not guarantee the model
-  // can actually realize it on this prompt. The gate hashes (model
-  // identity, source text, family); the state after the text is shared by
-  // every family.
-  const uint64_t GateState =
-      fnv1a(FnvOffset ^ (Cfg.InitSeed * 0x9E3779B9ULL), SrcText);
-  std::vector<Action> Firing;
-  for (Action A : OptActions)
-    if (familyFires(GateState, A))
-      Firing.push_back(A);
-  // A copy answers with the source text, so only a rewrite clones the
-  // source: Clean is the corruption-free transformed function, and a
-  // second clone carries the semantic corruptions when any were selected.
-  std::unique_ptr<Function> Clean, Corrupted;
-  if (!Copied) {
-    Clean = Src.clone();
-    if (!Firing.empty())
-      applyOptActionSet(Firing, *Clean);
-    if (!SemanticCorrupts.empty())
-      Corrupted = Clean->clone();
-    for (Action A : SemanticCorrupts) {
-      switch (A) {
-      case Action::CorruptConstant:
-        perturbConstant(*Corrupted);
-        break;
-      case Action::CorruptSwapSub:
-        swapNonCommutative(*Corrupted);
-        break;
-      case Action::CorruptFlipPred:
-        flipPredicate(*Corrupted);
-        break;
-      default:
-        dropStore(*Corrupted);
-        break;
-      }
     }
   }
 
-  // Render the attempt.
+  // Augmented mode (Fig. 2) diagnoses the attempt and may correct it. Both
+  // draws read only the actions, so they come before any rendering.
+  bool Fixed = false;
+  if (Mode == PromptMode::Augmented) {
+    std::vector<double> DProbs =
+        softmax(diagLogits(Out.Actions), Temperature);
+    unsigned DClass = Greedy ? argmax(DProbs)
+                             : static_cast<unsigned>(R.weightedPick(DProbs));
+    Out.PredictedDiagClass = DClass;
+    Out.LogProb += std::log(std::max(DProbs[DClass], 1e-12));
+    Out.PredictedMessage = diagClassMessage(DClass, P.Src.getName());
+    if (DClass != 0) {
+      double PFix = 1.0 / (1.0 + std::exp(-Theta[fixW()]));
+      Fixed = Greedy ? PFix > 0.5 : R.chance(PFix);
+      Out.LogProb += std::log(std::max(Fixed ? PFix : 1.0 - PFix, 1e-12));
+    }
+    Out.SelfCorrected = Fixed;
+  }
+
+  // Render the attempt. A copy answers with the source text; a rewrite is
+  // the record's text for its decision, and a correction needs the
+  // corruption-free text of the same families.
   std::string AttemptIR;
   bool AttemptFormatOk = true;
   if (Copied) {
-    AttemptIR = SrcText;
+    AttemptIR = P.SrcText;
   } else {
-    AttemptIR = printFunction(Corrupted ? *Corrupted : *Clean);
+    AttemptIR = P.rewrite(Firing, SemanticCorrupts, /*KeepClean=*/Fixed);
     for (Action A : SyntaxCorrupts) {
       switch (A) {
       case Action::CorruptUndefName:
@@ -674,42 +746,17 @@ Completion RewritePolicyModel::generate(const Function &Src,
     }
   }
 
-  if (Mode == PromptMode::Generic) {
-    Out.AnswerIR = AttemptIR;
-    Out.FormatOk = AttemptFormatOk;
-    applyResidualHallucination(SrcText, Out);
-    Out.Text = renderCompletion(Mode, Out.FormatOk, "", "", Out.AnswerIR);
-    Out.TokenCount = static_cast<unsigned>(Out.Actions.size() +
-                                           countIRTokens(Out.AnswerIR));
-    return Out;
-  }
-
-  // Augmented mode (Fig. 2): diagnose the attempt, then answer.
-  Out.ThinkAttemptIR = AttemptIR;
-  std::vector<double> DProbs = softmax(diagLogits(Out.Actions), Temperature);
-  unsigned DClass = Greedy ? argmax(DProbs)
-                           : static_cast<unsigned>(R.weightedPick(DProbs));
-  Out.PredictedDiagClass = DClass;
-  Out.LogProb += std::log(std::max(DProbs[DClass], 1e-12));
-  Out.PredictedMessage = diagClassMessage(DClass, Src.getName());
-
-  bool NeedsFix = DClass != 0;
-  bool Fixed = false;
-  if (NeedsFix) {
-    double PFix = 1.0 / (1.0 + std::exp(-Theta[fixW()]));
-    Fixed = Greedy ? PFix > 0.5 : R.chance(PFix);
-    Out.LogProb += std::log(std::max(Fixed ? PFix : 1.0 - PFix, 1e-12));
-  }
-  Out.SelfCorrected = Fixed;
+  if (Mode == PromptMode::Augmented)
+    Out.ThinkAttemptIR = AttemptIR;
   if (Fixed) {
     // The corrected answer: the clean (uncorrupted) transformed function.
-    Out.AnswerIR = Copied ? SrcText : printFunction(*Clean);
+    Out.AnswerIR = Copied ? P.SrcText : P.rewrite(Firing, {}, false);
     Out.FormatOk = true;
   } else {
-    Out.AnswerIR = AttemptIR;
+    Out.AnswerIR = std::move(AttemptIR);
     Out.FormatOk = AttemptFormatOk;
   }
-  applyResidualHallucination(SrcText, Out);
+  applyResidualHallucination(P, Out);
   Out.Text = renderCompletion(Mode, Out.FormatOk, Out.ThinkAttemptIR,
                               Out.PredictedMessage, Out.AnswerIR);
   Out.TokenCount = static_cast<unsigned>(Out.Actions.size() +
@@ -718,24 +765,12 @@ Completion RewritePolicyModel::generate(const Function &Src,
   return Out;
 }
 
-void RewritePolicyModel::applyResidualHallucination(
-    const std::string &SrcText, Completion &Out) const {
-  uint64_t H = fnv1a(FnvOffset ^ (Cfg.InitSeed * 0x9E3779B9ULL + 7), SrcText);
-  H ^= H >> 29;
-  unsigned Roll = H % 100;
-  if (Roll < Cfg.ResidualSyntaxPct) {
+void RewritePolicyModel::applyResidualHallucination(PromptRecord &P,
+                                                    Completion &Out) const {
+  if (P.ResidualRoll < Cfg.ResidualSyntaxPct)
     Out.AnswerIR = corruptUndefName(std::move(Out.AnswerIR));
-  } else if (Roll < Cfg.ResidualSyntaxPct + Cfg.ResidualSemanticPct) {
-    // Re-parse and perturb a constant. An answer that does not parse (it is
-    // already broken anyway), or has no constant to perturb, stays as it
-    // is.
-    auto M = parseModule(Out.AnswerIR);
-    if (M && M.value()->getMainFunction()) {
-      Function *F = M.value()->getMainFunction();
-      if (perturbConstant(*F))
-        Out.AnswerIR = printFunction(*F);
-    }
-  }
+  else if (P.ResidualRoll < Cfg.ResidualSyntaxPct + Cfg.ResidualSemanticPct)
+    Out.AnswerIR = P.perturbed(Out.AnswerIR);
 }
 
 double RewritePolicyModel::sequenceLogProb(
@@ -755,11 +790,10 @@ double RewritePolicyModel::sequenceLogProb(
 }
 
 void RewritePolicyModel::accumulateSequenceGrad(
-    const Function &Src, const std::string &SrcText,
-    const std::vector<Action> &Seq, double Scale,
+    const PromptRecord &P, const std::vector<Action> &Seq, double Scale,
     std::vector<double> &Grad) const {
   assert(Grad.size() == Theta.size() && "gradient buffer layout mismatch");
-  auto Phi = featuresOf(Src, SrcText);
+  const std::array<double, NumFeatures> &Phi = P.Features;
   std::vector<double> BaseLogits = actionLogits(Phi);
   uint32_t Used = 0;
   // d log softmax_a / d logit_b = [a==b] - P_b, per step, under the same

@@ -31,6 +31,7 @@
 #include <array>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace veriopt {
@@ -120,6 +121,53 @@ struct Completion {
 
 //===--- The policy --------------------------------------------------------===//
 
+class RewritePolicyModel;
+
+/// What decoding one prompt computes that depends on nothing but the
+/// prompt, the model's configuration and one decision of the decode: the
+/// features, the FNV-1a states of the capacity gate and the residual roll,
+/// the printed rewrite per (firing families, semantic corruptions in order)
+/// and the residual semantic perturbation per answer text. The features and
+/// hash states are computed with the record; a rewrite or perturbation the
+/// first time a decode through the record needs it. So a record kept across
+/// the decodes of one prompt computes each value once, and a fresh record
+/// does the work of one decode. Bound to one model, whose configuration
+/// never changes, and to the prompt; both must outlive it. Not thread-safe:
+/// one decode at a time.
+class PromptRecord {
+public:
+  /// \p SrcText must be printFunction(Src) (Sample::SrcText).
+  PromptRecord(const RewritePolicyModel &Model, const Function &Src,
+               const std::string &SrcText);
+
+private:
+  friend class RewritePolicyModel;
+
+  /// The prompt rewritten by the families in \p Firing (a mask over the
+  /// Opt* actions, which act as a set) and then corrupted by \p Semantic in
+  /// order, printed. On a miss, one clone and fixpoint run computes it;
+  /// with \p KeepClean, the same run also keeps the corruption-free text.
+  const std::string &rewrite(uint32_t Firing,
+                             const std::vector<Action> &Semantic,
+                             bool KeepClean);
+  /// \p Text with its first constant perturbed, or \p Text itself when it
+  /// does not parse or has no constant (the residual semantic error).
+  const std::string &perturbed(const std::string &Text);
+
+  const RewritePolicyModel &Model;
+  const Function &Src;
+  const std::string &SrcText;
+  std::array<double, NumFeatures> Features;
+  /// FNV-1a states after (model identity, SrcText): the capacity gate's,
+  /// and the residual roll in [0, 100).
+  uint64_t GateState;
+  unsigned ResidualRoll;
+  /// Keyed by the firing mask in the low 32 bits and the semantic
+  /// corruptions, 5 bits each, above.
+  std::unordered_map<uint64_t, std::string> Rewrites;
+  std::unordered_map<std::string, std::string> Perturbations;
+};
+
 class RewritePolicyModel {
 public:
   explicit RewritePolicyModel(const ModelConfig &Cfg);
@@ -129,11 +177,15 @@ public:
   std::vector<double> &params() { return Theta; }
   const std::vector<double> &params() const { return Theta; }
 
-  /// Decode a completion for \p Src, whose printed text is \p SrcText
-  /// (Sample::SrcText): the features, the capacity gate and the residual
-  /// roll hash it, and a copy answers with it. Greedy when \p Greedy (the
+  /// Decode a completion for the prompt of \p P, a record built for this
+  /// model, reusing and filling its kept values. Greedy when \p Greedy (the
   /// evaluation setting); otherwise temperature-\p Temperature sampling
-  /// from \p R.
+  /// from \p R. The result depends only on the prompt, the parameters and
+  /// \p R, never on what \p P already holds.
+  Completion generate(PromptRecord &P, PromptMode Mode, RNG &R, bool Greedy,
+                      double Temperature = 1.0) const;
+  /// One decode through a fresh record for \p Src, whose printed text is
+  /// \p SrcText (Sample::SrcText).
   Completion generate(const Function &Src, const std::string &SrcText,
                       PromptMode Mode, RNG &R, bool Greedy,
                       double Temperature = 1.0) const;
@@ -152,8 +204,8 @@ public:
                          const std::vector<Action> &Seq) const;
 
   /// Accumulate d logProb(Seq)/d Theta * Scale into \p Grad (same layout as
-  /// params()). \p SrcText must be printFunction(Src) (Sample::SrcText).
-  void accumulateSequenceGrad(const Function &Src, const std::string &SrcText,
+  /// params()), for the prompt of \p P.
+  void accumulateSequenceGrad(const PromptRecord &P,
                               const std::vector<Action> &Seq, double Scale,
                               std::vector<double> &Grad) const;
 
@@ -196,9 +248,7 @@ private:
   /// (model identity, printed source) is \p GateState? The deterministic
   /// content-hash gate implementing the capacity ceiling.
   bool familyFires(uint64_t GateState, Action A) const;
-  /// \p SrcText is the printed prompt function.
-  void applyResidualHallucination(const std::string &SrcText,
-                                  Completion &Out) const;
+  void applyResidualHallucination(PromptRecord &P, Completion &Out) const;
   std::array<double, 10> diagFeatures(const std::vector<Action> &A) const;
   std::vector<double> diagLogits(const std::vector<Action> &A) const;
 

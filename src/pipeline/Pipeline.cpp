@@ -24,28 +24,29 @@ static RolloutScore scoreFromBreakdown(const RewardBreakdown &B,
 }
 
 RewardFn makeAnswerReward() {
-  return [](const Sample &S, const Completion &C, const Candidate &Answer,
-            const RolloutVerdicts &V) {
+  return [](const Sample &S, const Completion &C,
+            const RolloutAnswer &Answer, const RolloutVerdicts &V) {
     RewardBreakdown B = answerReward(S, C, Answer, V.Answer);
     return scoreFromBreakdown(B, B.Total);
   };
 }
 
 RewardFn makeCorrectnessReward() {
-  return [](const Sample &S, const Completion &C, const Candidate &Answer,
-            const RolloutVerdicts &V) {
+  return [](const Sample &S, const Completion &C,
+            const RolloutAnswer &Answer, const RolloutVerdicts &V) {
     RewardBreakdown B = answerReward(S, C, Answer, V.Answer);
     return scoreFromBreakdown(B, B.Total + cotReward(C, V.Attempt));
   };
 }
 
 RewardFn makeLatencyReward(const LatencyRewardParams &P) {
-  return [P](const Sample &S, const Completion &C, const Candidate &Answer,
-             const RolloutVerdicts &V) {
+  return [P](const Sample &S, const Completion &C,
+             const RolloutAnswer &Answer, const RolloutVerdicts &V) {
     RewardBreakdown B = answerChecks(S, C, Answer, V.Answer);
     // Eq. (4): equivalence-gated shaped speedup. Alive2 stays in the loop
     // as the gate even though the instcombine labels are gone.
-    return scoreFromBreakdown(B, latencyReward(S, Answer, B.Equivalent, P));
+    return scoreFromBreakdown(
+        B, latencyReward(S, Answer.Parse, B.Equivalent, P));
   };
 }
 

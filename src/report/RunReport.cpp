@@ -72,6 +72,33 @@ std::string renderRunReport(const RunSummary &S, unsigned TopN) {
   }
   OS << "\n";
 
+  //--- Self time per span ---------------------------------------------------
+  OS << "-- self time per span (minus same-thread child spans) ------------\n";
+  if (S.SpansByName.empty()) {
+    OS << "no spans in this trace\n";
+  } else {
+    std::vector<std::pair<std::string, RunSummary::SpanAgg>> Rows(
+        S.SpansByName.begin(), S.SpansByName.end());
+    std::stable_sort(Rows.begin(), Rows.end(),
+                     [](const auto &A, const auto &B) {
+                       return A.second.SelfMs > B.second.SelfMs;
+                     });
+    double TotalSelf = 0;
+    for (const auto &Row : Rows)
+      TotalSelf += Row.second.SelfMs;
+    OS << "  span                       count    self ms   share\n";
+    for (const auto &[SpanName, Agg] : Rows)
+      OS << "  " << SpanName
+         << std::string(SpanName.size() < 24 ? 24 - SpanName.size() : 1, ' ')
+         << fmt("%8.0f", static_cast<double>(Agg.Count))
+         << fmt("%11.1f", Agg.SelfMs)
+         << fmt("%7.1f%%", TotalSelf > 0 ? 100 * Agg.SelfMs / TotalSelf : 0)
+         << "\n";
+    OS << "  total" << std::string(27, ' ') << fmt("%11.1f", TotalSelf)
+       << "\n";
+  }
+  OS << "\n";
+
   //--- Per-stage reward curves ----------------------------------------------
   OS << "-- GRPO reward curves (per stage) --------------------------------\n";
   if (S.Stages.empty())

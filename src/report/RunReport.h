@@ -1,9 +1,10 @@
 //===- RunReport.h - Single-run report rendering -----------------*- C++ -*-=//
 //
 // Renders the human-readable end-of-run report from an aggregated
-// RunSummary: per-stage reward curves, verdict breakdown by DiagKind, the
-// retry-ladder summary, top-N slowest verification queries, cache efficacy,
-// batch/shard/driver sections, and InstCombine rule-fire counts.
+// RunSummary: span totals and self time per span, per-stage reward curves,
+// verdict breakdown by DiagKind, the retry-ladder summary, top-N slowest
+// verification queries, cache efficacy, batch/shard/driver sections, and
+// InstCombine rule-fire counts.
 //
 // Rendering is deterministic for a given log — wall-clock values are read
 // from the events, never from the environment — so the output is

@@ -123,9 +123,55 @@ std::string deterministicEventKey(const JsonValue &Event) {
   return Key;
 }
 
+namespace {
+
+/// One span's place on its thread's timeline.
+struct TimedSpan {
+  uint64_t TsNs, DurNs;
+  RunSummary::SpanAgg *Agg;
+};
+
+uint64_t fieldU64(const JsonValue &E, const char *Key) {
+  const JsonValue *V = E.get(Key);
+  return V && V->isNumber() ? static_cast<uint64_t>(V->number()) : 0;
+}
+
+/// Credit each span's self time to its name: spans of one thread nest
+/// properly, so a stack of open spans ordered by start time finds each
+/// span's direct parent. Ties keep file order, so the split is the same
+/// for the same log.
+void addSelfTimes(std::map<uint64_t, std::vector<TimedSpan>> &ByThread) {
+  for (auto &[Tid, Spans] : ByThread) {
+    std::stable_sort(Spans.begin(), Spans.end(),
+                     [](const TimedSpan &A, const TimedSpan &B) {
+                       if (A.TsNs != B.TsNs)
+                         return A.TsNs < B.TsNs;
+                       return A.DurNs > B.DurNs; // a parent before its child
+                     });
+    std::vector<uint64_t> ChildNs(Spans.size(), 0);
+    std::vector<size_t> Open;
+    for (size_t I = 0; I < Spans.size(); ++I) {
+      while (!Open.empty() &&
+             Spans[Open.back()].TsNs + Spans[Open.back()].DurNs <=
+                 Spans[I].TsNs)
+        Open.pop_back();
+      if (!Open.empty())
+        ChildNs[Open.back()] += Spans[I].DurNs;
+      Open.push_back(I);
+    }
+    for (size_t I = 0; I < Spans.size(); ++I) {
+      uint64_t Dur = Spans[I].DurNs;
+      Spans[I].Agg->SelfMs += (Dur > ChildNs[I] ? Dur - ChildNs[I] : 0) / 1e6;
+    }
+  }
+}
+
+} // namespace
+
 RunSummary aggregateRun(const TraceLog &Log) {
   RunSummary S;
   S.Events = Log.Events.size();
+  std::map<uint64_t, std::vector<TimedSpan>> SpansByThread;
 
   for (const JsonValue &E : Log.Events) {
     const std::string N = name(E);
@@ -136,6 +182,8 @@ RunSummary aggregateRun(const TraceLog &Log) {
       auto &Agg = S.SpansByName[N];
       ++Agg.Count;
       Agg.TotalMs += durMs(E);
+      SpansByThread[fieldU64(E, "tid")].push_back(
+          {fieldU64(E, "ts_ns"), fieldU64(E, "dur_ns"), &Agg});
     } else if (Ph == "C") {
       ++S.Counters;
     } else {
@@ -188,6 +236,8 @@ RunSummary aggregateRun(const TraceLog &Log) {
         S.RuleFires[Key.substr(RuleFire.size())] = argU64(E, "value");
     }
   }
+
+  addSelfTimes(SpansByThread);
 
   // Step curves render in step order regardless of emit order.
   for (auto &[_, Steps] : S.Stages)

@@ -33,10 +33,13 @@ struct RunSummary {
   //--- event totals ---------------------------------------------------------
   size_t Events = 0, Spans = 0, Counters = 0, Instants = 0;
 
-  /// Per span-name count + summed wall ms (nondeterministic plane).
+  /// Per span-name count, summed wall ms and summed self ms
+  /// (nondeterministic plane). A span's self time is its duration minus
+  /// the durations of its direct children on the same thread.
   struct SpanAgg {
     uint64_t Count = 0;
     double TotalMs = 0;
+    double SelfMs = 0;
   };
   std::map<std::string, SpanAgg> SpansByName;
 

@@ -6,6 +6,7 @@
 #include "ir/Printer.h"
 #include "support/Stats.h"
 #include "textgen/Bleu.h"
+#include "trace/Metrics.h"
 
 #include <algorithm>
 #include <cmath>
@@ -17,19 +18,31 @@ namespace veriopt {
 /// cosmetic edits. Compare the re-printed parse (names kept) with the
 /// sample's printed source; an answer that does not parse is a copy only
 /// byte for byte.
-static bool isCopyOfSource(const Sample &S, const Candidate &Answer) {
-  if (Answer.text() == S.SrcText)
-    return true;
-  const Function *F = Answer.function();
-  return F && printFunction(*F) == S.SrcText;
+bool AnswerTerms::isCopy(const Sample &S, const Candidate &Answer) const {
+  std::call_once(CopyOnce, [&] {
+    const Function *F = Answer.function();
+    Copy = Answer.text() == S.SrcText ||
+           (F && printFunction(*F) == S.SrcText);
+  });
+  return Copy;
+}
+
+double AnswerTerms::bleu(const Sample &S, const Candidate &Answer) const {
+  std::call_once(BleuOnce, [&] {
+    static Counter &Scorings =
+        MetricsRegistry::global().counter("reward.bleu");
+    Scorings.inc();
+    Bleu = S.refBleu().score(Answer.text());
+  });
+  return Bleu;
 }
 
 RewardBreakdown answerChecks(const Sample &S, const Completion &C,
-                             const Candidate &Answer,
+                             const RolloutAnswer &Answer,
                              const VerifyResult &Verdict) {
   RewardBreakdown Out;
   Out.FormatOk = C.FormatOk;
-  Out.IsCopy = isCopyOfSource(S, Answer);
+  Out.IsCopy = Answer.Terms.isCopy(S, Answer.Parse);
 
   if (Out.FormatOk) {
     Out.Verify = Verdict;
@@ -39,15 +52,15 @@ RewardBreakdown answerChecks(const Sample &S, const Completion &C,
     Out.Verify.Kind = DiagKind::ParseError;
     Out.Verify.Diagnostic = "ERROR: completion violates the answer format";
   }
-  Out.ExactMatch = Out.Equivalent && Answer.text() == S.RefText;
+  Out.ExactMatch = Out.Equivalent && Answer.Parse.text() == S.RefText;
   return Out;
 }
 
 RewardBreakdown answerReward(const Sample &S, const Completion &C,
-                             const Candidate &Answer,
+                             const RolloutAnswer &Answer,
                              const VerifyResult &Verdict) {
   RewardBreakdown Out = answerChecks(S, C, Answer, Verdict);
-  Out.Bleu = S.refBleu().score(Answer.text());
+  Out.Bleu = Answer.Terms.bleu(S, Answer.Parse);
 
   double T = Out.FormatOk ? 1.0 : 0.0;
   double A = Out.Equivalent ? 1.0 : 0.0;

@@ -20,6 +20,8 @@
 #include "verify/AliveLite.h"
 #include "verify/Candidate.h"
 
+#include <mutex>
+
 namespace veriopt {
 
 /// Everything one evaluation of a completion yields. Carries the verify
@@ -34,14 +36,38 @@ struct RewardBreakdown {
   VerifyResult Verify;     ///< verdict on the *answer*
 };
 
+/// The terms of Eq. (1) that depend on nothing but the prompt and the
+/// answer text: the copy flag and the BLEU score. Each is computed on first
+/// use, once even when scorers ask concurrently (the lazy pattern of
+/// Sample::refBleu), so one AnswerTerms serves every rollout that gives its
+/// prompt the same answer. The trainer keeps one per (prompt, answer text)
+/// for its lifetime.
+class AnswerTerms {
+public:
+  /// \p Answer is a Candidate of the text these terms are for.
+  bool isCopy(const Sample &S, const Candidate &Answer) const;
+  double bleu(const Sample &S, const Candidate &Answer) const;
+
+private:
+  mutable std::once_flag CopyOnce, BleuOnce;
+  mutable bool Copy = false;
+  mutable double Bleu = 0;
+};
+
+/// A completion's answer as the reward reads it: the Candidate of
+/// C.AnswerIR (its parse) and the terms kept for it.
+struct RolloutAnswer {
+  const Candidate &Parse;
+  const AnswerTerms &Terms;
+};
+
 /// Evaluate Eq. (1) for a completion's answer against the sample's source
-/// and reference, given \p Answer, the Candidate of C.AnswerIR, and the
-/// verifier's \p Verdict on it (the trainer computes both: the Candidate
-/// once per distinct answer of a group, the verdict through BatchVerifier).
-/// A completion that fails the format gate scores as a syntax error and
-/// \p Verdict is ignored.
+/// and reference, given \p Answer and the verifier's \p Verdict on it (the
+/// trainer computes both: the Candidate once per distinct answer of a step,
+/// the verdict through BatchVerifier). A completion that fails the format
+/// gate scores as a syntax error and \p Verdict is ignored.
 RewardBreakdown answerReward(const Sample &S, const Completion &C,
-                             const Candidate &Answer,
+                             const RolloutAnswer &Answer,
                              const VerifyResult &Verdict);
 
 /// answerReward's format, equivalence, exact-match and copy checks without
@@ -49,7 +75,7 @@ RewardBreakdown answerReward(const Sample &S, const Completion &C,
 /// answerReward returns. For rewards that read only those checks (the
 /// latency stage), so they do not pay for BLEU.
 RewardBreakdown answerChecks(const Sample &S, const Completion &C,
-                             const Candidate &Answer,
+                             const RolloutAnswer &Answer,
                              const VerifyResult &Verdict);
 
 /// Eq. (2): 1 when model and Alive agree the think-attempt verifies;

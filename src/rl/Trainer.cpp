@@ -40,11 +40,21 @@ GRPOTrainer::GRPOTrainer(RewritePolicyModel &Model,
 
 GRPOTrainer::~GRPOTrainer() = default;
 
+GRPOTrainer::KeptPrompt::KeptPrompt(const RewritePolicyModel &Model,
+                                    const Sample &S)
+    : Decode(Model, *S.source(), S.SrcText) {}
+
+GRPOTrainer::KeptPrompt &GRPOTrainer::kept(const Sample &S) {
+  return Prompts.try_emplace(&S, Model, S).first->second;
+}
+
 TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
   struct Rollout {
-    const Sample *S;
+    const Sample *S = nullptr;
+    KeptPrompt *Kept = nullptr;
     Completion C;
     const Candidate *Answer = nullptr;
+    const AnswerTerms *Terms = nullptr; ///< kept for (S, C.AnswerIR)
     const Candidate *Attempt = nullptr; ///< augmented mode only
     RolloutVerdicts Verdicts;
     RolloutScore Score;
@@ -55,21 +65,24 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
   std::vector<Rollout> Rollouts;
   Rollouts.reserve(Batch.size() * Opts.GroupSize);
 
-  // Phase 1: sequential generation. Each rollout draws from its own RNG,
-  // derived from (Seed, Step, PromptIdx, G) — never from a shared stream —
-  // so the sampled completions are a pure function of the options,
-  // independent of scoring order and thread count.
+  // Phase 1: sequential generation, through each prompt's kept decode
+  // record. Each rollout draws from its own RNG, derived from (Seed, Step,
+  // PromptIdx, G) — never from a shared stream — so the sampled
+  // completions are a pure function of the options, independent of scoring
+  // order and thread count.
   {
     TraceSpan GenSpan("grpo.generate");
     GenSpan.arg(TraceArg::ofInt("step", StepNo));
     for (unsigned PromptIdx = 0; PromptIdx < Batch.size(); ++PromptIdx) {
       const Sample *S = Batch[PromptIdx];
+      KeptPrompt &K = kept(*S);
       for (unsigned G = 0; G < Opts.GroupSize; ++G) {
         Rollout Ro;
         Ro.S = S;
+        Ro.Kept = &K;
         RNG RoR(mixSeed(mixSeed(mixSeed(Opts.Seed, StepNo), PromptIdx), G));
-        Ro.C = Model.generate(*S->source(), S->SrcText, Opts.Mode, RoR,
-                              /*Greedy=*/false, Opts.Temperature);
+        Ro.C = Model.generate(K.Decode, Opts.Mode, RoR, /*Greedy=*/false,
+                              Opts.Temperature);
         Rollouts.push_back(std::move(Ro));
       }
     }
@@ -77,13 +90,14 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
 
   // Phase 2: candidates. Every distinct answer and attempt text of the
   // step becomes one Candidate, parsed once for the cache key, the verdict
-  // and the reward.
+  // and the reward; every answer gets its prompt's kept reward terms.
   CandidateSet Candidates; // read by the verification and scoring phases
   {
     TraceSpan CandSpan("grpo.candidates");
     CandSpan.arg(TraceArg::ofInt("step", StepNo));
     for (Rollout &Ro : Rollouts) {
       Ro.Answer = &Candidates.get(Ro.C.AnswerIR);
+      Ro.Terms = &Ro.Kept->Terms.try_emplace(Ro.C.AnswerIR).first->second;
       if (Opts.Mode == PromptMode::Augmented)
         Ro.Attempt = &Candidates.get(Ro.C.ThinkAttemptIR);
     }
@@ -114,7 +128,7 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
       continue;
     BatchVerifier::GroupStats GS;
     std::vector<VerifyResult> Verdicts = Verifier.verifyGroup(
-        S->SrcText, *S->source(), ToVerify, &GS, &KeptSources[S]);
+        S->SrcText, *S->source(), ToVerify, &GS, &kept(*S).Source);
     for (size_t I = 0; I < Slots.size(); ++I)
       *Slots[I] = std::move(Verdicts[I]);
     RungHits += GS.CacheHits;
@@ -122,8 +136,8 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
   }
 
   // Phase 4: scoring (cost model, BLEU) fans out over the pool. Each task
-  // writes only its own rollout's Score slot, so the result is identical to
-  // the serial loop.
+  // writes only its own rollout's Score slot, and the kept reward terms
+  // fill themselves once, so the result is identical to the serial loop.
   auto ScoreStart = std::chrono::steady_clock::now();
   {
     TraceSpan ScoreSpan("grpo.score");
@@ -132,7 +146,7 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
         TraceArg::ofInt("rollouts", static_cast<int64_t>(Rollouts.size())));
     auto ScoreOne = [&](size_t I) {
       Rollout &Ro = Rollouts[I];
-      Ro.Score = Reward(*Ro.S, Ro.C, *Ro.Answer, Ro.Verdicts);
+      Ro.Score = Reward(*Ro.S, Ro.C, {*Ro.Answer, *Ro.Terms}, Ro.Verdicts);
     };
     if (Opts.Pool && Opts.Pool->numThreads() > 1)
       Opts.Pool->parallelFor(Rollouts.size(), ScoreOne);
@@ -194,8 +208,7 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
     double Scale = Ro.Advantage * TokenScale *
                    static_cast<double>(Ro.C.TokenCount) /
                    std::max<size_t>(Ro.C.Actions.size(), 1);
-    Model.accumulateSequenceGrad(*Ro.S->source(), Ro.S->SrcText,
-                                 Ro.C.Actions, Scale, Grad);
+    Model.accumulateSequenceGrad(Ro.Kept->Decode, Ro.C.Actions, Scale, Grad);
     if (Opts.Mode == PromptMode::Augmented) {
       Model.accumulateDiagGrad(Ro.C.Actions, Ro.C.PredictedDiagClass, Scale,
                                Grad);
@@ -316,6 +329,7 @@ void sftTrain(RewritePolicyModel &Model, const std::vector<SFTExample> &Data,
   if (Data.empty())
     return;
   RNG R(Opts.Seed);
+  std::unordered_map<const Sample *, PromptRecord> Records;
   for (unsigned Epoch = 0; Epoch < Opts.Epochs; ++Epoch) {
     // Shuffled single-example steps (small data; SGD is fine).
     std::vector<unsigned> Order(Data.size());
@@ -328,8 +342,10 @@ void sftTrain(RewritePolicyModel &Model, const std::vector<SFTExample> &Data,
       const SFTExample &Ex = Data[Idx];
       std::vector<double> Grad(Model.numParams(), 0.0);
       double Scale = 1.0 / std::max<size_t>(Ex.TargetActions.size(), 1);
-      Model.accumulateSequenceGrad(*Ex.S->source(), Ex.S->SrcText,
-                                   Ex.TargetActions, Scale, Grad);
+      const PromptRecord &P =
+          Records.try_emplace(Ex.S, Model, *Ex.S->source(), Ex.S->SrcText)
+              .first->second;
+      Model.accumulateSequenceGrad(P, Ex.TargetActions, Scale, Grad);
       Model.accumulateDiagGrad(Ex.AttemptActions, Ex.DiagClassTarget, 1.0,
                                Grad);
       if (Ex.IsCorrection)

@@ -46,17 +46,18 @@ struct RolloutVerdicts {
   VerifyResult Attempt;
 };
 
-/// Stage-specific reward: (sample, completion, the Candidate of its answer,
-/// verdicts) -> score. It never verifies, and reads the answer's parse from
-/// the Candidate instead of parsing again. Scoring fans out when
-/// GRPOOptions::Pool has more than one thread, and rollouts with the same
-/// answer text share one Candidate, so the function must be safe to call
-/// concurrently on distinct completions (shared state needs its own
-/// synchronization — or better, use GRPOOptions::OnRollout, which runs
-/// sequentially).
+/// Stage-specific reward: (sample, completion, its answer, verdicts) ->
+/// score. It never verifies, reads the answer's parse from the Candidate
+/// instead of parsing again, and reads the copy flag and BLEU score from
+/// the terms the trainer keeps per (prompt, answer text). Scoring fans out
+/// when GRPOOptions::Pool has more than one thread, and rollouts with the
+/// same answer text share one Candidate and, per prompt, one AnswerTerms,
+/// so the function must be safe to call concurrently on distinct
+/// completions (shared state needs its own synchronization — or better,
+/// use GRPOOptions::OnRollout, which runs sequentially).
 using RewardFn =
     std::function<RolloutScore(const Sample &, const Completion &,
-                               const Candidate &, const RolloutVerdicts &)>;
+                               const RolloutAnswer &, const RolloutVerdicts &)>;
 
 /// Sequential per-rollout observer, invoked after the (possibly parallel)
 /// scoring phase in deterministic rollout order. The place for stateful
@@ -129,8 +130,7 @@ class GRPOTrainer {
 public:
   /// \p Verifier computes every verdict the reward sees; it must outlive
   /// the trainer, and so must every prompt passed to train() or step(): the
-  /// trainer keeps each prompt's source half (SourceEncoding) for its
-  /// lifetime and lends it to every group verified against that prompt.
+  /// trainer keeps a record per prompt for its lifetime (KeptPrompt).
   GRPOTrainer(RewritePolicyModel &Model, const BatchVerifier &Verifier,
               RewardFn Reward, const GRPOOptions &Opts);
   GRPOTrainer(RewritePolicyModel &Model, const BatchVerifier &&Verifier,
@@ -161,10 +161,26 @@ private:
   RNG R;
   unsigned StepCount = 0;
   EMA Smoother{0.95};
-  /// One source half per prompt, built by its first group that reaches
-  /// the verifier.
-  std::unordered_map<const Sample *, std::unique_ptr<SourceEncoding>>
-      KeptSources;
+  /// What the trainer keeps per prompt for its lifetime: every value that
+  /// depends on nothing but the prompt and one decision, so a prompt drawn
+  /// again reuses it. Each is a function of its key, so keeping it changes
+  /// no decode, verdict or reward, and a trainer restored from a checkpoint
+  /// starts with no records. Candidates are not kept: they live for one
+  /// step.
+  struct KeptPrompt {
+    KeptPrompt(const RewritePolicyModel &Model, const Sample &S);
+    /// Features, gate and roll states, rewrites and perturbations.
+    PromptRecord Decode;
+    /// The verifier's source half, built by the prompt's first group that
+    /// reaches the verifier and lent to every later one.
+    std::unique_ptr<SourceEncoding> Source;
+    /// Reward terms per answer text. Entries are added in the sequential
+    /// phases of a step and fill themselves race-free when scoring fans out.
+    std::unordered_map<std::string, AnswerTerms> Terms;
+  };
+  KeptPrompt &kept(const Sample &S);
+
+  std::unordered_map<const Sample *, KeptPrompt> Prompts;
 };
 
 //===--- SFT -----------------------------------------------------------------//

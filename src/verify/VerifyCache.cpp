@@ -103,7 +103,7 @@ void VerifyCache::seed(const std::string &Key, const VerifyResult &R) {
       Tier = Store;
     if (!Index.count(Key)) {
       LRU.emplace_front(Key, R);
-      Index.emplace(Key, LRU.begin());
+      Index.emplace(LRU.front().first, LRU.begin());
       while (Capacity && LRU.size() > Capacity) {
         Index.erase(LRU.back().first);
         LRU.pop_back();
@@ -132,8 +132,8 @@ size_t VerifyCache::size() const {
 
 void VerifyCache::clear() {
   std::lock_guard<std::mutex> L(M);
-  LRU.clear();
   Index.clear();
+  LRU.clear();
   Stats = Counters();
 }
 

@@ -28,6 +28,7 @@
 #include <list>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 namespace veriopt {
@@ -115,7 +116,9 @@ private:
   size_t Capacity;
   mutable std::mutex M;
   LRUList LRU; ///< front = most recently used
-  std::unordered_map<std::string, LRUList::iterator> Index;
+  /// Keys view the key strings of LRU's nodes, so each key is stored once;
+  /// an entry is erased before its node.
+  std::unordered_map<std::string_view, LRUList::iterator> Index;
   Counters Stats;
   FaultInjector *Faults = nullptr;
   VerdictBackingTier *Store = nullptr;

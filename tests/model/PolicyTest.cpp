@@ -6,6 +6,7 @@
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "oracle/Pins.h"
+#include "trace/Metrics.h"
 #include "verify/AliveLite.h"
 
 #include <gtest/gtest.h>
@@ -171,7 +172,8 @@ TEST(Policy, GradChecksSequenceHead) {
   std::vector<Action> Seq = {Action::OptMemory, Action::OptAlgebraic,
                              Action::Stop};
   std::vector<double> Grad(Model.numParams(), 0.0);
-  Model.accumulateSequenceGrad(*F, printFunction(*F), Seq, 1.0, Grad);
+  const std::string Text = printFunction(*F);
+  Model.accumulateSequenceGrad(PromptRecord(Model, *F, Text), Seq, 1.0, Grad);
   RNG R(8);
   for (int Trial = 0; Trial < 10; ++Trial) {
     unsigned K = static_cast<unsigned>(R.below(NumActions * NumFeatures));
@@ -262,11 +264,16 @@ TEST(Policy, PresetOrderingMakesSense) {
 /// the prompt's text passed in (Sample::SrcText) must give the same digest
 /// as printing it.
 TEST(Policy, DecodesArePinned) {
-  for (bool GivenText : {false, true}) {
-    SCOPED_TRACE(GivenText ? "text passed in" : "text printed");
+  Counter &Rewrites = MetricsRegistry::global().counter("policy.rewrites");
+  std::vector<uint64_t> RewriteRuns;
+  for (pins::DecodePath Path :
+       {pins::DecodePath::Printed, pins::DecodePath::GivenText,
+        pins::DecodePath::KeptRecord}) {
+    SCOPED_TRACE("decode path " + std::to_string(static_cast<int>(Path)));
     pins::Fnv1a D;
     unsigned OptSelected = 0, Copies = 0, SelfCorrected = 0, Thinks = 0;
-    for (const pins::Decode &X : pins::decodes(GivenText)) {
+    const uint64_t Runs0 = Rewrites.value();
+    for (const pins::Decode &X : pins::decodes(Path)) {
       const Completion &C = X.C;
       D.addU64(C.Actions.size());
       for (Action A : C.Actions) {
@@ -285,6 +292,7 @@ TEST(Policy, DecodesArePinned) {
       SelfCorrected += C.SelfCorrected;
       Thinks += !C.ThinkAttemptIR.empty();
     }
+    RewriteRuns.push_back(Rewrites.value() - Runs0);
     // The set reaches the capacity gate, the Copy answer and the augmented
     // self-correction, the paths that reuse the printed source.
     EXPECT_GT(OptSelected, 0u);
@@ -293,6 +301,11 @@ TEST(Policy, DecodesArePinned) {
     EXPECT_GT(Thinks, 0u);
     EXPECT_EQ(D.H, 0x752f6a10fc99a34bULL);
   }
+  // A fresh record per decode rewrites every non-copy decode; a kept
+  // record serves the repeated decisions of its prompt.
+  EXPECT_EQ(RewriteRuns[0], RewriteRuns[1]);
+  EXPECT_GT(RewriteRuns[2], 0u);
+  EXPECT_LT(RewriteRuns[2], RewriteRuns[0]);
 }
 
 TEST(Policy, DiagClassRoundTrip) {

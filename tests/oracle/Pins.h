@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -63,21 +64,36 @@ struct Decode {
   Completion C;
 };
 
+/// Which generate overload decodes() calls: the one that prints the prompt,
+/// the one that takes its text (Sample::SrcText), or the one that takes a
+/// PromptRecord, with one record per (model, sample) kept across all its
+/// draws in both modes, so repeated decisions are served from the record.
+enum class DecodePath { Printed, GivenText, KeptRecord };
+
 /// Every corpus sample decoded by two presets with different InitSeed and
 /// capacity-gate percentages (presetQwen7B's emergent families fire at
 /// 40 %), in both prompt modes, once greedily and three times sampled from
-/// a seeded stream. \p GivenText decodes through the generate overload that
-/// takes the prompt's text (Sample::SrcText) instead of printing it.
-inline std::vector<Decode> decodes(bool GivenText = false) {
+/// a seeded stream, through \p Path.
+inline std::vector<Decode> decodes(DecodePath Path = DecodePath::Printed) {
   std::vector<Decode> Out;
   for (const ModelConfig &Cfg : {presetQwen3B(), presetQwen7B()}) {
     RewritePolicyModel Model(Cfg);
+    std::map<const Sample *, PromptRecord> Records;
     for (PromptMode Mode : {PromptMode::Generic, PromptMode::Augmented}) {
       RNG R(Cfg.InitSeed * 1000 + static_cast<unsigned>(Mode));
       auto decode = [&](const Sample &S, bool Greedy) {
-        return GivenText
-                   ? Model.generate(*S.source(), S.SrcText, Mode, R, Greedy)
-                   : Model.generate(*S.source(), Mode, R, Greedy);
+        switch (Path) {
+        case DecodePath::Printed:
+          return Model.generate(*S.source(), Mode, R, Greedy);
+        case DecodePath::GivenText:
+          return Model.generate(*S.source(), S.SrcText, Mode, R, Greedy);
+        case DecodePath::KeptRecord:
+          break;
+        }
+        PromptRecord &P =
+            Records.try_emplace(&S, Model, *S.source(), S.SrcText)
+                .first->second;
+        return Model.generate(P, Mode, R, Greedy);
       };
       for (const Sample &S : corpus().Train) {
         Out.push_back({&S, decode(S, /*Greedy=*/true)});

@@ -38,7 +38,9 @@ Completion completionWithAnswer(std::string IR, bool FormatOk = true) {
 
 /// Eq. (1) given the plain verifier's verdict on the answer.
 RewardBreakdown scored(const Sample &S, const Completion &C) {
-  return answerReward(S, C, Candidate(C.AnswerIR),
+  const Candidate Answer(C.AnswerIR);
+  AnswerTerms Terms;
+  return answerReward(S, C, {Answer, Terms},
                       verifyCandidateText(*S.source(), C.AnswerIR));
 }
 
@@ -197,8 +199,9 @@ TEST(Reward, ChecksAgreeWithAnswerReward) {
   for (const Completion &C : Cases) {
     VerifyResult V = verifyCandidateText(*S.source(), C.AnswerIR);
     const Candidate Answer(C.AnswerIR);
-    RewardBreakdown Full = answerReward(S, C, Answer, V);
-    RewardBreakdown Checks = answerChecks(S, C, Answer, V);
+    AnswerTerms FullTerms, CheckTerms;
+    RewardBreakdown Full = answerReward(S, C, {Answer, FullTerms}, V);
+    RewardBreakdown Checks = answerChecks(S, C, {Answer, CheckTerms}, V);
     EXPECT_EQ(Checks.FormatOk, Full.FormatOk) << C.AnswerIR;
     EXPECT_EQ(Checks.Equivalent, Full.Equivalent) << C.AnswerIR;
     EXPECT_EQ(Checks.ExactMatch, Full.ExactMatch) << C.AnswerIR;
@@ -233,10 +236,11 @@ TEST(Reward, CachedAnswerRewardMatchesUncached) {
        {S.RefText, S.SrcText, S.RefText.substr(0, S.RefText.size() / 2)}) {
     Completion C = completionWithAnswer(IR);
     const Candidate Answer(IR);
+    AnswerTerms Terms;
     auto Plain = scored(S, C);
-    auto Cached =
-        answerReward(S, C, Answer, BV.verifyOne(S.SrcText, *S.source(), IR));
-    auto Hit = answerReward(S, C, Answer,
+    auto Cached = answerReward(S, C, {Answer, Terms},
+                               BV.verifyOne(S.SrcText, *S.source(), IR));
+    auto Hit = answerReward(S, C, {Answer, Terms},
                             BV.verifyOne(S.SrcText, *S.source(), Answer));
     for (const auto *B : {&Cached, &Hit}) {
       EXPECT_EQ(Plain.Total, B->Total);
@@ -362,7 +366,8 @@ TEST(Reward, CandidatePathMatchesTextPath) {
   // answerReward, answerChecks and latencyReward over a Candidate (its
   // parse, the sample's cached BLEU reference, the batch verifier's
   // verdict) give bit-identical results to the same rewards computed from
-  // the answer text (fresh parses, plain BLEU, verifyCandidateText).
+  // the answer text (fresh parses, plain BLEU, verifyCandidateText);
+  // answerChecks reads the copy flag answerReward left in the shared terms.
   const Sample &S = sample();
   auto doubleSpaces = [](std::string T) {
     for (size_t I = 0; I < T.size(); ++I)
@@ -418,11 +423,12 @@ TEST(Reward, CandidatePathMatchesTextPath) {
   unsigned Copies = 0, Equivalent = 0, Oversized = 0;
   for (const Case &K : Cases) {
     const Candidate Answer(K.C.AnswerIR);
+    AnswerTerms Terms;
     VerifyResult ByCandidate = BV.verifyOne(S.SrcText, *S.source(), Answer);
     VerifyResult ByText = verifyCandidateText(*S.source(), K.C.AnswerIR, VOpts);
-    expectSameBreakdown(answerReward(S, K.C, Answer, ByCandidate),
+    expectSameBreakdown(answerReward(S, K.C, {Answer, Terms}, ByCandidate),
                         textpath::answerReward(S, K.C, ByText), K.What);
-    expectSameBreakdown(answerChecks(S, K.C, Answer, ByCandidate),
+    expectSameBreakdown(answerChecks(S, K.C, {Answer, Terms}, ByCandidate),
                         textpath::answerChecks(S, K.C, ByText), K.What);
     for (bool Eq : {false, true})
       EXPECT_EQ(bitsOf(latencyReward(S, Answer, Eq, P)),

@@ -3,6 +3,8 @@
 #include "rl/Trainer.h"
 
 #include "oracle/Oracle.h"
+#include "oracle/Pins.h"
+#include "pipeline/Pipeline.h"
 #include "trace/Metrics.h"
 #include "verify/BatchVerifier.h"
 
@@ -40,7 +42,7 @@ TEST(Trainer, ClipGradientScalesDown) {
 
 /// The stage-1 reward: Eq. (1) on the verdict the trainer hands over.
 RolloutScore answerScore(const Sample &S, const Completion &C,
-                         const Candidate &Answer, const VerifyResult &V) {
+                         const RolloutAnswer &Answer, const VerifyResult &V) {
   RewardBreakdown B = answerReward(S, C, Answer, V);
   RolloutScore Sc;
   Sc.Reward = B.Total;
@@ -51,13 +53,14 @@ RolloutScore answerScore(const Sample &S, const Completion &C,
 }
 
 const RewardFn AnswerReward = [](const Sample &S, const Completion &C,
-                                 const Candidate &Answer,
+                                 const RolloutAnswer &Answer,
                                  const RolloutVerdicts &V) {
   return answerScore(S, C, Answer, V.Answer);
 };
 
 const RewardFn FlatReward = [](const Sample &, const Completion &,
-                               const Candidate &, const RolloutVerdicts &) {
+                               const RolloutAnswer &,
+                               const RolloutVerdicts &) {
   RolloutScore Sc;
   Sc.Reward = 1.0;
   return Sc;
@@ -201,11 +204,14 @@ TEST(Trainer, BatchVerificationIsBitIdenticalToSequential) {
   const Dataset &DS = tinyDataset();
   RobustVerifyOptions O = trainLadder();
   const RewardFn Sequential = [O](const Sample &S, const Completion &C,
-                                  const Candidate &, const RolloutVerdicts &) {
+                                  const RolloutAnswer &,
+                                  const RolloutVerdicts &) {
     VerifyResult V;
     if (C.FormatOk)
       V = oracle::verifyLadder(S.SrcText, *S.source(), C.AnswerIR, O);
-    return answerScore(S, C, Candidate(C.AnswerIR), V);
+    Candidate Answer(C.AnswerIR);
+    AnswerTerms Terms;
+    return answerScore(S, C, {Answer, Terms}, V);
   };
 
   auto runConfig = [&](const RewardFn &Reward, unsigned Threads,
@@ -260,7 +266,7 @@ TEST(Trainer, VerdictsHandedToRewardMatchOracle) {
       std::mutex M;
       std::vector<Seen> Handed;
       RewardFn Record = [&](const Sample &S, const Completion &C,
-                            const Candidate &Answer,
+                            const RolloutAnswer &Answer,
                             const RolloutVerdicts &V) {
         std::lock_guard<std::mutex> L(M);
         if (C.FormatOk)
@@ -321,7 +327,7 @@ TEST(Trainer, KeptSourceHalvesMatchOracle) {
       std::vector<std::pair<const Sample *, std::string>> Texts;
       std::vector<VerifyResult> Verdicts;
       RewardFn Record = [&](const Sample &S, const Completion &C,
-                            const Candidate &Answer,
+                            const RolloutAnswer &Answer,
                             const RolloutVerdicts &V) {
         std::lock_guard<std::mutex> L(M);
         if (C.FormatOk) {
@@ -391,7 +397,7 @@ TEST(Trainer, KeptSourceHalvesMatchOracle) {
       StepRun Run;
       std::mutex M;
       RewardFn Record = [&](const Sample &S, const Completion &C,
-                            const Candidate &Answer,
+                            const RolloutAnswer &Answer,
                             const RolloutVerdicts &V) {
         std::lock_guard<std::mutex> L(M);
         if (C.FormatOk)
@@ -470,6 +476,63 @@ TEST(Trainer, RetryQueriesCountUniqueCandidates) {
     return true;
   });
   EXPECT_EQ(Steps, 6u);
+}
+
+TEST(Trainer, TrajectoryIsPinned) {
+  // A few steps under each pipeline reward: the answer reward in Generic
+  // mode, the correctness reward in Augmented mode, and the latency reward
+  // in Generic mode at the stage-3 temperature. The digest covers the bits
+  // of the trained parameters and every deterministic TrainLogEntry field.
+  // It was recorded before the trainer kept per-prompt decode and reward
+  // records, so keeping them moves no bit, at 1 or 4 scoring threads.
+  const Dataset &DS = tinyDataset();
+  LatencyRewardParams Latency;
+  Latency.UMax = computeUMax(DS.Train);
+  struct Arm {
+    RewardFn Reward;
+    PromptMode Mode;
+    double Temperature;
+    bool ScoresBleu;
+  };
+  const Arm Arms[] = {
+      {makeAnswerReward(), PromptMode::Generic, 1.0, true},
+      {makeCorrectnessReward(), PromptMode::Augmented, 1.0, true},
+      {makeLatencyReward(Latency), PromptMode::Generic,
+       PipelineOptions().Stage3Temperature, false}};
+  Counter &Bleus = MetricsRegistry::global().counter("reward.bleu");
+  for (unsigned Threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(Threads));
+    pins::Fnv1a D;
+    for (const Arm &A : Arms) {
+      const uint64_t Bleus0 = Bleus.value();
+      RewritePolicyModel Model(presetQwen3B());
+      VerifyCache Cache(512);
+      ThreadPool Pool(Threads);
+      BatchVerifier Verifier = makeVerifier(trainLadder(), &Cache);
+      GRPOOptions G = smallGRPO(&Pool);
+      G.Mode = A.Mode;
+      G.Temperature = A.Temperature;
+      GRPOTrainer Trainer(Model, Verifier, A.Reward, G);
+      for (const TrainLogEntry &E : Trainer.train(DS.Train, 8)) {
+        D.addU64(E.Step);
+        D.addDoubleBits(E.MeanReward);
+        D.addDoubleBits(E.EMAReward);
+        D.addDoubleBits(E.EquivalentRate);
+        D.addDoubleBits(E.CopyRate);
+        D.addDoubleBits(E.GradNorm);
+        D.addU64(E.FalsifyWins);
+        D.addU64(E.SolverConflicts);
+        D.addU64(E.RetryEscalations);
+        D.addU64(E.TerminalInconclusive);
+        D.addU64(E.MaxRetryTier);
+      }
+      for (double W : Model.params())
+        D.addDoubleBits(W);
+      // The latency reward reads no BLEU, so it computes none.
+      EXPECT_EQ(Bleus.value() > Bleus0, A.ScoresBleu);
+    }
+    EXPECT_EQ(D.H, 0xac5d20961887e464ULL);
+  }
 }
 
 TEST(Trainer, ColdCacheHitRateReflectsComputedRungs) {

@@ -97,7 +97,7 @@ std::vector<TraceEvent> tracedRun(unsigned Threads) {
   G.Pool = &Pool;
   G.TraceLabel = "stage1";
   RewardFn Reward = [](const Sample &S, const Completion &C,
-                       const Candidate &Answer, const RolloutVerdicts &V) {
+                       const RolloutAnswer &Answer, const RolloutVerdicts &V) {
     RewardBreakdown B = answerReward(S, C, Answer, V.Answer);
     RolloutScore Sc;
     Sc.Reward = B.Total;

@@ -148,6 +148,10 @@ TEST(VerifyCache, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(Cache.counters().Hits, 2u);
   lookup(Cache, *F.Src, BadTgt, Opts); // evicted: a miss again
   EXPECT_EQ(Cache.counters().Misses, 4u);
+  // The re-inserted key is resident: its index entry views the new node.
+  lookup(Cache, *F.Src, BadTgt, Opts);
+  EXPECT_EQ(Cache.counters().Hits, 3u);
+  EXPECT_EQ(Cache.size(), 2u);
 }
 
 TEST(VerifyCache, ConcurrentLookupsAgree) {
