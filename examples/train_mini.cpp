@@ -14,9 +14,6 @@
 //   --eval-shards <n>      shard the final evaluation (0 = one per thread);
 //                          results are bit-identical at any setting
 //   --eval-threads <n>     worker threads for the sharded evaluation
-//   --stream-trace <n>     stream the trace incrementally (flush every n
-//                          events, bounded memory) instead of buffering;
-//                          requires --trace, excludes --chrome-trace
 //   --verdict-store <path> durable verdict journal shared across runs and
 //                          processes (docs/PERSISTENCE.md); results are
 //                          bit-identical warm or cold
@@ -30,10 +27,14 @@
 //                          must still complete with a training trajectory
 //                          bit-identical to the fault-free same-seed run;
 //                          only durability (store flushes, checkpoints)
-//                          degrades, visibly, as io.* metrics. The trace
-//                          sinks themselves are exempted so the gate
-//                          artifact this flag exists to compare survives.
-//   --chaos-io-seed <s>    seed for the fault pattern (default 0xFA11)
+//                          degrades, visibly, as io.* metrics. The JSONL
+//                          trace is exempted so the gate artifact this
+//                          flag exists to compare survives.
+//   --chaos-io-seed <s>    seed for the fault pattern, decimal or 0x hex
+//                          (default 0xFA11)
+//
+// Every numeric value must parse whole; a bad one prints the usage line
+// and exits 2.
 //
 //===----------------------------------------------------------------------===//
 
@@ -48,7 +49,6 @@
 #include "trace/Trace.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -58,16 +58,15 @@ using namespace veriopt;
 int main(int argc, char **argv) {
   bool Tiny = false;
   unsigned EvalShards = 1, EvalThreads = 1;
-  size_t StreamEvery = 0;
   unsigned CheckpointEvery = 0;
-  long ChaosIoPct = 0;
+  unsigned ChaosIoPct = 0;
   uint64_t ChaosIoSeed = 0xFA11;
   std::string TracePath, ChromePath, StorePath, CheckpointPath;
   auto usage = [&] {
     std::fprintf(stderr,
                  "usage: %s [--tiny] [--trace out.jsonl] "
                  "[--chrome-trace out.json] [--eval-shards n] "
-                 "[--eval-threads n] [--stream-trace n] "
+                 "[--eval-threads n] "
                  "[--verdict-store path] [--checkpoint path] "
                  "[--checkpoint-every n] [--chaos-io rate%%] "
                  "[--chaos-io-seed s]\n",
@@ -88,41 +87,27 @@ int main(int argc, char **argv) {
       if (!parseUnsignedArg(argv[++I], EvalThreads))
         return usage();
       EvalThreads = std::max(1u, EvalThreads);
-    } else if (std::strcmp(argv[I], "--stream-trace") == 0 && I + 1 < argc) {
-      StreamEvery = static_cast<size_t>(std::max(1, std::atoi(argv[++I])));
     } else if (std::strcmp(argv[I], "--verdict-store") == 0 && I + 1 < argc) {
       StorePath = argv[++I];
     } else if (std::strcmp(argv[I], "--checkpoint") == 0 && I + 1 < argc) {
       CheckpointPath = argv[++I];
     } else if (std::strcmp(argv[I], "--checkpoint-every") == 0 &&
                I + 1 < argc) {
-      CheckpointEvery = static_cast<unsigned>(std::max(0, std::atoi(argv[++I])));
+      if (!parseUnsignedArg(argv[++I], CheckpointEvery))
+        return usage();
     } else if (std::strcmp(argv[I], "--chaos-io") == 0 && I + 1 < argc) {
-      ChaosIoPct = std::strtol(argv[++I], nullptr, 10);
-      if (ChaosIoPct < 0 || ChaosIoPct > 100) {
-        std::fprintf(stderr, "error: --chaos-io wants a percentage 0..100\n");
-        return 2;
-      }
+      if (!parseUnsignedArg(argv[++I], ChaosIoPct) || ChaosIoPct > 100)
+        return usage();
     } else if (std::strcmp(argv[I], "--chaos-io-seed") == 0 && I + 1 < argc) {
-      ChaosIoSeed = std::strtoull(argv[++I], nullptr, 0);
+      if (!parseU64Arg(argv[++I], ChaosIoSeed))
+        return usage();
     } else {
       return usage();
     }
   }
-  if (StreamEvery && TracePath.empty()) {
-    std::fprintf(stderr, "error: --stream-trace requires --trace\n");
-    return 2;
-  }
-  if (StreamEvery && !ChromePath.empty()) {
-    // The streaming sink drains buffers as it goes; there is nothing left
-    // for the Chrome exporter to snapshot at the end.
-    std::fprintf(stderr,
-                 "error: --stream-trace and --chrome-trace are exclusive\n");
-    return 2;
-  }
 
   // Chaos-io installs process-wide, before any durable subsystem opens a
-  // file, so the whole run sees the same hostile disk. The trace sinks are
+  // file, so the whole run sees the same hostile disk. The JSONL trace is
   // exempted: the CI chaos gate diffs this run's trace against a fault-free
   // same-seed run, which requires the comparison artifact itself to land.
   std::unique_ptr<FaultInjector> IoFI;
@@ -137,24 +122,14 @@ int main(int argc, char **argv) {
       IoFI->enable(S, Rate);
     IoFaults = std::make_unique<FaultyIoEnv>(*IoFI);
     IoFaults->exemptSuffix(".jsonl");
-    IoFaults->exemptSuffix(".stream");
     IoInstall = std::make_unique<ScopedIoEnv>(IoFaults.get());
-    std::fprintf(stderr, "chaos-io: armed at %ld%% (seed 0x%llx)\n",
+    std::fprintf(stderr, "chaos-io: armed at %u%% (seed 0x%llx)\n",
                  ChaosIoPct,
                  static_cast<unsigned long long>(ChaosIoSeed));
   }
 
   if (!TracePath.empty() || !ChromePath.empty())
     TraceRecorder::instance().enable();
-  if (StreamEvery) {
-    TraceRecorder::instance().flushEvery(StreamEvery);
-    if (!TraceRecorder::instance().streamTo(TracePath,
-                                            &MetricsRegistry::global())) {
-      std::fprintf(stderr, "error: could not start streaming to %s\n",
-                   TracePath.c_str());
-      return 1;
-    }
-  }
 
   std::unique_ptr<VerdictStore> Store;
   if (!StorePath.empty()) {
@@ -257,11 +232,8 @@ int main(int argc, char **argv) {
   }
 
   if (!TracePath.empty()) {
-    bool Ok = StreamEvery
-                  ? TraceRecorder::instance().finishStream()
-                  : TraceRecorder::instance().writeJsonl(
-                        TracePath, &MetricsRegistry::global());
-    if (Ok)
+    if (TraceRecorder::instance().writeJsonl(TracePath,
+                                             &MetricsRegistry::global()))
       std::printf("wrote trace: %s  (render: tools/report %s)\n",
                   TracePath.c_str(), TracePath.c_str());
     else {

@@ -20,7 +20,6 @@
 #define VERIOPT_PIPELINE_CHECKPOINT_H
 
 #include "rl/Trainer.h"
-#include "support/FaultInjector.h"
 
 #include <string>
 #include <vector>
@@ -61,15 +60,10 @@ struct PipelineCheckpoint {
 
 /// Atomically and durably write \p CP to \p Path (writeFileAtomic under the
 /// "<path>.lock" flock: unique temporary, fsync, rename, directory fsync).
-/// Returns false on I/O failure — or when \p Faults fires the
-/// CheckpointWrite site for this checkpoint's (stage, step) key, which
-/// simulates a full disk / crash mid-save. Callers must treat false as
-/// "previous checkpoint still stands" and keep training. \p Attempt
-/// (1-based) salts the injection key for retries *after the first*, so a
-/// retrying caller sees an independent fault decision per attempt while
-/// single-attempt callers keep the historical per-checkpoint pattern.
-bool saveCheckpoint(const std::string &Path, const PipelineCheckpoint &CP,
-                    FaultInjector *Faults = nullptr, unsigned Attempt = 1);
+/// Returns false on I/O failure; callers must treat false as "previous
+/// checkpoint still stands" and keep training. Tests fail the write through
+/// a FaultyIoEnv (support/IoEnv.h).
+bool saveCheckpoint(const std::string &Path, const PipelineCheckpoint &CP);
 
 /// Load \p Path into \p CP. Returns false (leaving \p CP default) when the
 /// file is missing, truncated, or not a compatible checkpoint.

@@ -242,7 +242,7 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
         RetriesCounter.inc();
       }
       Attempts = A;
-      Ok = saveCheckpoint(Opts.CheckpointPath, Snap, Opts.Faults, A);
+      Ok = saveCheckpoint(Opts.CheckpointPath, Snap);
     }
     if (Ok)
       ++Art.CheckpointsWritten;

@@ -20,6 +20,7 @@
 
 #include "pipeline/Checkpoint.h"
 #include "rl/Trainer.h"
+#include "support/FaultInjector.h"
 
 #include <memory>
 
@@ -80,7 +81,8 @@ struct PipelineOptions {
   unsigned HaltAfterSteps = 0;
 
   /// Optional deterministic fault injection (oracle budget exhaustion,
-  /// verdict flips, cache misses, checkpoint-write failures). Null = off.
+  /// verdict flips, cache misses). Null = off. Checkpoint write failures
+  /// come from the installed IoEnv (support/IoEnv.h).
   FaultInjector *Faults = nullptr;
 
   /// Optional durable verdict tier (the persistent VerdictStore, opened by
@@ -120,7 +122,8 @@ struct PipelineArtifacts {
   // Fault-tolerant-runtime instrumentation.
   bool Halted = false;            ///< stopped early via HaltAfterSteps
   unsigned CheckpointsWritten = 0;
-  unsigned CheckpointWriteFailures = 0; ///< injected or real; run continued
+  unsigned CheckpointWriteFailures = 0; ///< every attempt failed; run
+                                        ///< continued
   uint64_t CheckpointRetries = 0;       ///< extra save attempts consumed
   uint64_t RetryEscalations = 0;        ///< rollouts verified above tier 0
   uint64_t TerminalInconclusive = 0;    ///< budget-bound at the top tier

@@ -97,22 +97,6 @@ bool appendFileDurable(const std::string &Path, const std::string &Payload,
   return true;
 }
 
-bool publishFileDurable(const std::string &TmpPath, const std::string &Path,
-                        std::string *Err) {
-  IoEnv &Io = *IoEnv::current();
-  if (Io.rename(TmpPath.c_str(), Path.c_str()) != 0) {
-    setErr(Err, "rename");
-    return false;
-  }
-  int DirFd = Io.open(parentDir(Path).c_str(),
-                      O_RDONLY | O_DIRECTORY | O_CLOEXEC, 0);
-  if (DirFd >= 0) {
-    fsyncRetry(Io, DirFd);
-    Io.close(DirFd);
-  }
-  return true;
-}
-
 bool writeFileAtomic(const std::string &Path, const std::string &Payload,
                      std::string *Err) {
   IoEnv &Io = *IoEnv::current();

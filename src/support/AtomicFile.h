@@ -1,7 +1,8 @@
 //===- AtomicFile.h - Durable atomic file replacement ------------*- C++ -*-=//
 //
 // The one write-then-rename helper every artifact writer (checkpoints,
-// trace sinks, shard manifests/results, quarantine lists) goes through.
+// traces, shard manifests/results, quarantine lists, journal compaction)
+// goes through.
 // Two guarantees, both required by the crash-tolerant evaluation driver:
 //
 //  1. Atomicity: readers of Path see either the old contents or the
@@ -42,21 +43,12 @@ std::string atomicTempPath(const std::string &Path);
 
 /// Durably append \p Payload to \p Path (creating it if needed): O_APPEND
 /// write + fsync before returning. Appends are *not* atomic against readers
-/// — callers needing atomicity must frame records so a torn tail is
-/// detectable (the VerdictStore journal CRC-frames every line; the
-/// streaming trace sink appends to a ".stream" temporary and publishes via
-/// publishFileDurable). A short/failed append can leave a partial tail;
-/// both consumers tolerate every prefix by construction.
+/// — the caller must frame records so a torn tail is detectable (the
+/// VerdictStore journal CRC-frames every line). A short/failed append can
+/// leave a partial tail; the journal tolerates every prefix by
+/// construction.
 bool appendFileDurable(const std::string &Path, const std::string &Payload,
                        std::string *Err = nullptr);
-
-/// Durably publish an already-written, already-fsync'ed temporary at its
-/// final name: rename(2) + parent-directory fsync — the back half of
-/// writeFileAtomic, split out so incremental writers (the streaming trace
-/// sink) can build the payload with many durable appends and still finish
-/// with the same atomic-replace guarantee.
-bool publishFileDurable(const std::string &TmpPath, const std::string &Path,
-                        std::string *Err = nullptr);
 
 } // namespace veriopt
 

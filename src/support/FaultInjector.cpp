@@ -14,8 +14,6 @@ const char *faultSiteName(FaultSite S) {
     return "verdict-flip";
   case FaultSite::CacheMiss:
     return "cache-miss";
-  case FaultSite::CheckpointWrite:
-    return "checkpoint-write";
   case FaultSite::WorkerCrash:
     return "worker-crash";
   case FaultSite::WorkerHang:

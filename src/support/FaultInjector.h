@@ -2,10 +2,11 @@
 //
 // Seeded, deterministic injection of the fault classes the training runtime
 // must survive: oracle budget exhaustion, verdict flips, verify-cache
-// misses, and checkpoint-write failures. An injection decision is a pure
-// hash of (seed, site, caller-supplied key) — never a counter or a clock —
-// so the same run injects the same faults at any thread count and under any
-// scheduling, and the fault-tolerance tests are exactly reproducible.
+// misses, worker crashes and hangs, and failing durable-I/O syscalls. An
+// injection decision is a pure hash of (seed, site, caller-supplied key) —
+// never a counter or a clock — so the same run injects the same faults at
+// any thread count and under any scheduling, and the fault-tolerance tests
+// are exactly reproducible.
 //
 // A null FaultInjector* everywhere means "injection disabled"; production
 // paths pay one branch.
@@ -26,12 +27,12 @@ enum class FaultSite : unsigned {
   OracleBudget,    ///< force a tier-0 verification budget exhaustion
   VerdictFlip,     ///< flip the final Equivalent/NotEquivalent verdict
   CacheMiss,       ///< force a verify-cache lookup to recompute
-  CheckpointWrite, ///< fail a checkpoint write
   WorkerCrash,     ///< abort() an evaluation worker process mid-shard
   WorkerHang,      ///< hang a worker until the supervisor's deadline fires
   WorkerCorrupt,   ///< make a worker emit a torn/garbage result file
-  // I/O fault sites, consumed by FaultyIoEnv (support/IoEnv.h). Keys are
-  // (path, per-path op ordinal) hashes; errno shaping picks among
+  // I/O fault sites, consumed by FaultyIoEnv (support/IoEnv.h); a failed
+  // checkpoint, result or journal write is one of these. Keys are
+  // (logical path, per-path op ordinal) hashes; errno shaping picks among
   // ENOSPC / EIO / EDQUOT deterministically.
   IoOpen,       ///< fail an open(2) of a durable artifact
   IoWrite,      ///< fail a write(2) outright (nothing lands)

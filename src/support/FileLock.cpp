@@ -9,7 +9,6 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
-#include <unistd.h>
 
 namespace veriopt {
 
@@ -77,7 +76,9 @@ void FileLock::unlock() {
     return;
   // Closing the descriptor releases the flock; no explicit LOCK_UN needed
   // (and the kernel does the same on crash, which is the recovery story).
-  ::close(Fd);
+  // The close goes through the seam that opened the descriptor, so an env
+  // that tracks descriptors forgets this one before the kernel reuses it.
+  IoEnv::current()->close(Fd);
   Fd = -1;
   LockPath.clear();
 }

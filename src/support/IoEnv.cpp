@@ -59,42 +59,47 @@ IoEnv *IoEnv::install(IoEnv *E) {
 
 //===--- FaultyIoEnv -----------------------------------------------------------//
 
-bool FaultyIoEnv::exempt(const std::string &Path) {
-  // Exemptions name the *logical* destination, but writeFileAtomic stages
-  // through "<path>.tmp.<pid>.<seq>" — strip that decoration so exempting
-  // ".jsonl" also spares the temporary its payload is written to.
+/// The destination \p Path stands for: writeFileAtomic stages through
+/// "<path>.tmp.<pid>.<seq>", and both the exemption and the fault key
+/// belong to <path>, so neither depends on the pid or on how many atomic
+/// writes the process made before.
+static std::string logicalPath(const char *Path) {
   std::string P = Path;
   size_t Tmp = P.rfind(".tmp.");
-  if (Tmp != std::string::npos) {
-    bool Decorated = true;
-    unsigned Dots = 0;
-    for (size_t I = Tmp + 5; I < P.size(); ++I) {
-      if (P[I] == '.')
-        ++Dots;
-      else if (P[I] < '0' || P[I] > '9')
-        Decorated = false;
-    }
-    if (Decorated && Dots == 1)
-      P.resize(Tmp);
+  if (Tmp == std::string::npos)
+    return P;
+  unsigned Dots = 0;
+  for (size_t I = Tmp + 5; I < P.size(); ++I) {
+    if (P[I] == '.')
+      ++Dots;
+    else if (P[I] < '0' || P[I] > '9')
+      return P;
   }
+  if (Dots == 1)
+    P.resize(Tmp);
+  return P;
+}
+
+bool FaultyIoEnv::exempt(const std::string &Logical) {
   std::lock_guard<std::mutex> L(M);
   for (const std::string &S : Exempt)
-    if (P.size() >= S.size() &&
-        P.compare(P.size() - S.size(), S.size(), S) == 0)
+    if (Logical.size() >= S.size() &&
+        Logical.compare(Logical.size() - S.size(), S.size(), S) == 0)
       return true;
   return false;
 }
 
-uint64_t FaultyIoEnv::nextKey(const std::string &Path) {
+uint64_t FaultyIoEnv::nextKey(const std::string &Logical) {
   uint64_t Ordinal;
   {
     std::lock_guard<std::mutex> L(M);
-    Ordinal = PathOps[Path]++;
+    Ordinal = PathOps[Logical]++;
   }
   // SplitMix64-style mix of (path hash, ordinal): the Nth operation on a
   // given path always decides the same way for a given seed, independent
   // of what other paths (or threads) are doing.
-  uint64_t Z = FaultInjector::hashKey(Path) + 0x9e3779b97f4a7c15ULL * (Ordinal + 1);
+  uint64_t Z =
+      FaultInjector::hashKey(Logical) + 0x9e3779b97f4a7c15ULL * (Ordinal + 1);
   Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
   return Z ^ (Z >> 31);
@@ -114,9 +119,17 @@ int FaultyIoEnv::shapeErrno(uint64_t Key) {
 }
 
 int FaultyIoEnv::open(const char *Path, int Flags, mode_t Mode) {
-  const std::string P = Path;
-  if (exempt(P))
-    return IoEnv::open(Path, Flags, Mode);
+  const std::string P = logicalPath(Path);
+  if (exempt(P)) {
+    int Fd = IoEnv::open(Path, Flags, Mode);
+    // The kernel may hand back a descriptor whose earlier owner was closed
+    // behind this env's back; its path must not fault this exempt file.
+    if (Fd >= 0) {
+      std::lock_guard<std::mutex> L(M);
+      FdPath.erase(Fd);
+    }
+    return Fd;
+  }
   uint64_t Key = nextKey(P);
   if (FI.shouldInject(FaultSite::IoOpen, Key)) {
     errno = shapeErrno(Key);
@@ -170,7 +183,7 @@ int FaultyIoEnv::fsync(int Fd) {
 }
 
 int FaultyIoEnv::rename(const char *From, const char *To) {
-  const std::string T = To;
+  const std::string T = logicalPath(To);
   if (exempt(T))
     return IoEnv::rename(From, To);
   uint64_t Key = nextKey(T);

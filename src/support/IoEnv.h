@@ -1,11 +1,11 @@
 //===- IoEnv.h - Injectable I/O environment ----------------------*- C++ -*-=//
 //
 // The process-wide seam between the durable subsystems and the kernel.
-// Every syscall that AtomicFile, FileLock, the VerdictStore journal, and
-// the streaming trace sink issue (open/write/fsync/rename/close/flock/
-// unlink) routes through IoEnv::current(), so storage failures — ENOSPC,
-// EIO, quota exhaustion, short writes, failed renames, failed flocks — can
-// be injected deterministically instead of only ever succeeding in tests.
+// Every syscall that AtomicFile, FileLock and the VerdictStore journal
+// issue (open/write/fsync/rename/close/flock/unlink) routes through
+// IoEnv::current(), so storage failures — ENOSPC, EIO, quota exhaustion,
+// short writes, failed renames, failed flocks — can be injected
+// deterministically instead of only ever succeeding in tests.
 //
 // Three implementations:
 //
@@ -15,14 +15,16 @@
 //
 //  - FaultyIoEnv: drives the Io* sites of a seeded FaultInjector
 //    (support/FaultInjector.h). An injection decision is a pure hash of
-//    (seed, site, path, per-path operation ordinal) — never a counter
-//    shared across paths, never a clock — so the same seed fails the same
-//    operations on the same files regardless of thread scheduling. Errno
-//    shaping picks deterministically among ENOSPC / EIO / EDQUOT; short
-//    writes really write a prefix (>= 1 byte, so retry loops always make
-//    progress) and are how torn appends are simulated. Only descriptors
-//    opened *through* the env are candidates for fd-keyed faults, which
-//    automatically exempts stdio and sockets.
+//    (seed, site, logical path, per-path operation ordinal) — never a
+//    counter shared across paths, never a clock, never a pid — so the same
+//    seed fails the same operations on the same files in every process and
+//    regardless of thread scheduling. The logical path of writeFileAtomic's
+//    "<path>.tmp.<pid>.<seq>" temporary is <path>. Errno shaping picks
+//    deterministically among ENOSPC / EIO / EDQUOT; short writes really
+//    write a prefix (>= 1 byte, so retry loops always make progress) and
+//    are how torn appends are simulated. Only descriptors opened *through*
+//    the env are candidates for fd-keyed faults, which automatically
+//    exempts stdio and sockets.
 //
 //  - RecordingIoEnv: passes everything through while logging the full
 //    syscall sequence (including written bytes), the substrate of the
@@ -95,18 +97,18 @@ private:
 
 /// Deterministic fault-injecting environment over a seeded FaultInjector.
 /// Arm the injector's Io* sites (FaultSite::IoOpen .. IoFlock) at the
-/// desired rates; decisions key on (path, per-path op ordinal) so they are
-/// schedule-independent.
+/// desired rates; decisions key on (logical path, per-path op ordinal), so
+/// they are schedule-independent as long as one thread at a time writes a
+/// given path.
 class FaultyIoEnv : public IoEnv {
 public:
   explicit FaultyIoEnv(FaultInjector &FI) : FI(FI) {}
 
   /// Paths ending in any exempt suffix pass straight through — e.g. a
-  /// chaos run that must still publish its own trace file exempts
-  /// ".jsonl"/".stream" so the gate artifact survives the storm. The
-  /// ".tmp.<pid>.<seq>" decoration writeFileAtomic stages through is
-  /// stripped before matching, so an exemption covers the whole atomic
-  /// write, not just the final rename.
+  /// chaos run that must still publish its own trace file exempts ".jsonl"
+  /// so the gate artifact survives the storm. Matching uses the logical
+  /// path, so an exemption covers the whole atomic write, not just the
+  /// final rename.
   void exemptSuffix(std::string Suffix) {
     std::lock_guard<std::mutex> L(M);
     Exempt.push_back(std::move(Suffix));
@@ -120,16 +122,18 @@ public:
   int flock(int Fd, int Op) override;
 
 private:
-  bool exempt(const std::string &Path);
-  /// Next deterministic key for \p Path: hash(path) mixed with that path's
+  /// \p Logical ends in an exempt suffix.
+  bool exempt(const std::string &Logical);
+  /// Next deterministic key for \p Logical: its hash mixed with its
   /// operation ordinal (how many env calls have named it so far).
-  uint64_t nextKey(const std::string &Path);
+  uint64_t nextKey(const std::string &Logical);
   /// Deterministic errno from the fault classes storage really throws.
   static int shapeErrno(uint64_t Key);
 
   FaultInjector &FI;
   std::mutex M;
-  std::map<int, std::string> FdPath;        ///< fds opened through this env
+  std::map<int, std::string> FdPath;        ///< logical path per fd opened
+                                            ///< through this env
   std::map<std::string, uint64_t> PathOps;  ///< per-path op ordinals
   std::vector<std::string> Exempt;
 };

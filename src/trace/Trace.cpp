@@ -8,24 +8,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
-
-#include <unistd.h>
 
 namespace veriopt {
-
-// Durability-plane instruments ("io." prefix: excluded from the
-// deterministic trace plane, docs/OBSERVABILITY.md).
-static Counter &streamAppendFailuresCounter() {
-  static Counter &C =
-      MetricsRegistry::global().counter("io.trace.append_failures");
-  return C;
-}
-static Gauge &streamDegradedGauge() {
-  static Gauge &G = MetricsRegistry::global().gauge("io.trace.degraded");
-  return G;
-}
 
 TraceRecorder &TraceRecorder::instance() {
   static TraceRecorder R;
@@ -54,7 +38,7 @@ uint64_t TraceRecorder::nowNs() const {
 
 TraceRecorder::ThreadBuf &TraceRecorder::localBuf() {
   // The shared_ptr in the registry keeps the buffer alive after the thread
-  // exits, so a drain after a ThreadPool worker died still sees its events.
+  // exits, so a snapshot after a ThreadPool worker died still sees its events.
   thread_local std::shared_ptr<ThreadBuf> Local;
   if (!Local) {
     Local = std::make_shared<ThreadBuf>();
@@ -69,22 +53,10 @@ void TraceRecorder::record(TraceEvent E) {
   if (!enabled())
     return;
   ThreadBuf &B = localBuf();
-  {
-    std::lock_guard<std::mutex> L(B.M); // uncontended except during drain
-    E.Tid = B.Tid;
-    E.Seq = B.NextSeq++;
-    B.Events.push_back(std::move(E));
-  }
-  // Streaming sink back-pressure: drain once the process-wide pending count
-  // crosses the threshold. Checked outside the buffer lock (flushStream
-  // re-acquires every buffer's lock); the count is approximate under
-  // concurrency, which only moves a flush boundary — never loses an event.
-  if (StreamActive.load(std::memory_order_relaxed)) {
-    size_t N = StreamFlushN.load(std::memory_order_relaxed);
-    if (N &&
-        StreamPendingEvents.fetch_add(1, std::memory_order_relaxed) + 1 >= N)
-      flushStream();
-  }
+  std::lock_guard<std::mutex> L(B.M); // uncontended except during snapshot
+  E.Tid = B.Tid;
+  E.Seq = B.NextSeq++;
+  B.Events.push_back(std::move(E));
 }
 
 void TraceRecorder::instant(std::string Name, std::vector<TraceArg> Args) {
@@ -93,17 +65,6 @@ void TraceRecorder::instant(std::string Name, std::vector<TraceArg> Args) {
   TraceEvent E;
   E.Name = std::move(Name);
   E.Phase = TracePhase::Instant;
-  E.Args = std::move(Args);
-  E.TsNs = nowNs();
-  record(std::move(E));
-}
-
-void TraceRecorder::counter(std::string Name, std::vector<TraceArg> Args) {
-  if (!enabled())
-    return;
-  TraceEvent E;
-  E.Name = std::move(Name);
-  E.Phase = TracePhase::Counter;
   E.Args = std::move(Args);
   E.TsNs = nowNs();
   record(std::move(E));
@@ -137,26 +98,6 @@ void TraceRecorder::clear() {
     std::lock_guard<std::mutex> L(B->M);
     B->Events.clear();
   }
-}
-
-std::vector<TraceEvent> TraceRecorder::drain() {
-  std::vector<std::shared_ptr<ThreadBuf>> Bufs;
-  {
-    std::lock_guard<std::mutex> L(RegistryM);
-    Bufs = Buffers;
-  }
-  std::vector<TraceEvent> Out;
-  for (const auto &B : Bufs) {
-    std::lock_guard<std::mutex> L(B->M);
-    Out.insert(Out.end(), std::make_move_iterator(B->Events.begin()),
-               std::make_move_iterator(B->Events.end()));
-    B->Events.clear();
-  }
-  std::stable_sort(Out.begin(), Out.end(),
-                   [](const TraceEvent &A, const TraceEvent &B) {
-                     return A.Tid != B.Tid ? A.Tid < B.Tid : A.Seq < B.Seq;
-                   });
-  return Out;
 }
 
 size_t TraceRecorder::eventCount() const {
@@ -295,144 +236,6 @@ bool TraceRecorder::writeJsonl(const std::string &Path,
   if (Metrics)
     appendMetricsLines(Payload, *Metrics);
   return writeFileAtomic(Path, Payload);
-}
-
-//===--- Streaming sink -------------------------------------------------------//
-
-bool TraceRecorder::streamTo(const std::string &Path,
-                             const MetricsRegistry *Metrics) {
-  std::lock_guard<std::mutex> L(StreamM);
-  // Truncate-create the in-progress file up front so finishStream() always
-  // has something to publish, even for an event-free run.
-  std::ofstream F(Path + ".stream", std::ios::binary | std::ios::trunc);
-  if (!F.good())
-    return false;
-  F.close();
-  StreamPath = Path;
-  StreamMetrics = Metrics;
-  StreamBacklog.clear();
-  StreamGoodBytes = 0;
-  StreamConsecFailures = 0;
-  StreamDegradedFlag = false;
-  StreamMetricsAppended = false;
-  StreamPendingEvents.store(0, std::memory_order_relaxed);
-  StreamActive.store(true, std::memory_order_relaxed);
-  return true;
-}
-
-bool TraceRecorder::streamDegraded() {
-  std::lock_guard<std::mutex> L(StreamM);
-  return StreamDegradedFlag;
-}
-
-bool TraceRecorder::flushStream() {
-  std::lock_guard<std::mutex> L(StreamM);
-  if (!StreamActive.load(std::memory_order_relaxed))
-    return true;
-  StreamPendingEvents.store(0, std::memory_order_relaxed);
-  std::string Payload;
-  for (const TraceEvent &E : drain()) {
-    Payload += eventToJsonl(E);
-    Payload.push_back('\n');
-  }
-  if (StreamDegradedFlag) {
-    // Buffered-sink fallback: the disk stopped accepting appends, so
-    // accumulate in memory and let finishStream() publish everything with
-    // one atomic write. No event is lost, only incremental durability.
-    StreamBacklog += Payload;
-    return true;
-  }
-  if (Payload.empty() && StreamBacklog.empty())
-    return true;
-  // Durable append (support/AtomicFile.h): a crash mid-run loses at most
-  // the unflushed tail, and the ".stream" name keeps a partial file from
-  // being mistaken for a complete trace. Any backlog a previous failed
-  // flush retained goes first so file order stays drain order.
-  std::string Attempt = std::move(StreamBacklog) + Payload;
-  StreamBacklog.clear();
-  if (appendFileDurable(StreamPath + ".stream", Attempt)) {
-    StreamGoodBytes += Attempt.size();
-    StreamConsecFailures = 0;
-    return true;
-  }
-  // Retain the payload — a later flush or the finish will carry it — and
-  // truncate any torn tail the failed write left, so retrying the retained
-  // payload can never duplicate records in the file. Raw ::truncate on
-  // purpose: this is the repair path, not a fault-injection site.
-  ::truncate((StreamPath + ".stream").c_str(),
-             static_cast<off_t>(StreamGoodBytes));
-  StreamBacklog = std::move(Attempt);
-  streamAppendFailuresCounter().inc();
-  if (++StreamConsecFailures >= StreamDegradeAfterFailures) {
-    StreamDegradedFlag = true;
-    streamDegradedGauge().set(1);
-  }
-  return false;
-}
-
-bool TraceRecorder::finishStream() {
-  // A failed incremental flush is not fatal here: the payload it retained
-  // in the backlog is exactly what the degraded publish below carries.
-  flushStream();
-  std::lock_guard<std::mutex> L(StreamM);
-  if (!StreamActive.load(std::memory_order_relaxed))
-    return true;
-  const std::string StreamFile = StreamPath + ".stream";
-
-  if (StreamDegradedFlag || !StreamBacklog.empty()) {
-    // Buffered fallback: the in-progress file stopped accepting appends.
-    // Publish everything in one atomic write — the known-good prefix
-    // already durable in ".stream", the retained backlog, and the metric
-    // lines — so the final artifact is still complete and untorn.
-    std::string Payload;
-    if (StreamGoodBytes) {
-      std::ifstream F(StreamFile, std::ios::binary);
-      std::string Good(StreamGoodBytes, '\0');
-      if (F.read(&Good[0], static_cast<std::streamsize>(StreamGoodBytes)))
-        Payload = std::move(Good);
-      // Unreadable prefix: publish what the backlog still holds rather
-      // than nothing — degradation is best-effort by definition.
-    }
-    Payload += StreamBacklog;
-    if (StreamMetrics && !StreamMetricsAppended)
-      appendMetricsLines(Payload, *StreamMetrics);
-    if (!writeFileAtomic(StreamPath, Payload))
-      return false; // ".stream" and backlog intact; finish is retryable
-    std::remove(StreamFile.c_str()); // best-effort tidy-up
-  } else {
-    if (StreamMetrics && !StreamMetricsAppended) {
-      std::string Tail;
-      appendMetricsLines(Tail, *StreamMetrics);
-      if (!Tail.empty()) {
-        if (!appendFileDurable(StreamFile, Tail)) {
-          // Same repair as flushStream: drop any torn tail so a retried
-          // finish cannot duplicate the metric lines.
-          ::truncate(StreamFile.c_str(),
-                     static_cast<off_t>(StreamGoodBytes));
-          streamAppendFailuresCounter().inc();
-          return false;
-        }
-        StreamGoodBytes += Tail.size();
-      }
-      StreamMetricsAppended = true;
-    }
-    // The append path already fsync'ed the data; publishing is the back
-    // half of the atomic-replace discipline (rename + parent fsync). On
-    // failure ".stream" is intact and loadable and finishStream() can be
-    // retried.
-    if (!publishFileDurable(StreamFile, StreamPath))
-      return false;
-  }
-
-  StreamActive.store(false, std::memory_order_relaxed);
-  StreamPath.clear();
-  StreamMetrics = nullptr;
-  StreamBacklog.clear();
-  StreamGoodBytes = 0;
-  StreamConsecFailures = 0;
-  StreamDegradedFlag = false;
-  StreamMetricsAppended = false;
-  return true;
 }
 
 bool TraceRecorder::writeChromeTrace(const std::string &Path) const {

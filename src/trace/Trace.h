@@ -2,9 +2,8 @@
 //
 // A low-overhead, thread-safe structured observability layer. The process
 // owns one TraceRecorder; instrumented code emits typed *spans* (timed
-// regions: TRACE_SPAN("verify.encode")), *counter* samples and *instant*
-// events into per-thread buffers, so the hot path never contends on a
-// shared lock. Disabled tracing costs one relaxed atomic load per site and
+// regions: TRACE_SPAN("verify.encode")) and *instant* events into
+// per-thread buffers, so the hot path never contends on a shared lock. Disabled tracing costs one relaxed atomic load per site and
 // never touches the clock, preserving the < 2% overhead budget of the
 // rollout-scoring path.
 //
@@ -106,7 +105,7 @@ struct TraceEvent {
 
 /// Process-wide recorder. All methods are thread-safe; record() is
 /// contention-free (each thread appends to its own buffer; the buffer lock
-/// is only ever contested by drain/clear).
+/// is only ever contested by snapshot/clear).
 class TraceRecorder {
 public:
   static TraceRecorder &instance();
@@ -120,9 +119,8 @@ public:
   /// nowNs(), or is left 0 for purely logical events). No-op when disabled.
   void record(TraceEvent E);
 
-  /// Convenience emitters. All are no-ops when disabled.
+  /// Convenience emitter; a no-op when disabled.
   void instant(std::string Name, std::vector<TraceArg> Args = {});
-  void counter(std::string Name, std::vector<TraceArg> Args);
 
   /// Steady-clock ns since the recorder epoch.
   uint64_t nowNs() const;
@@ -149,73 +147,16 @@ public:
   /// converted to microseconds as the format requires.
   bool writeChromeTrace(const std::string &Path) const;
 
-  //===--- Streaming JSONL sink (bounded memory) ------------------------===//
-  //
-  // The buffered writeJsonl() holds every event until the end of the run;
-  // long runs want O(flush-batch) memory instead. streamTo() arms an
-  // incremental sink: every flushEvery(N) events (and on flushStream()/
-  // finishStream()) the per-thread buffers are drained — sorted by
-  // (Tid, Seq), exactly the buffered sink's order — and durably appended
-  // to "<path>.stream". finishStream() appends the metric lines and
-  // atomically publishes the finished file at its final name, so readers
-  // of <path> still never see a torn prefix, and a crash mid-run leaves
-  // the durable ".stream" partial for forensics without masquerading as a
-  // complete trace. For a single-threaded emitter the published file is
-  // byte-identical to writeJsonl(); with concurrent emitters the event
-  // *multiset* is identical while interleaving may differ (drains cut the
-  // stream at flush boundaries) — same-seed runs still diff clean on the
-  // deterministic plane (TraceTest asserts both).
-
-  /// Arm the streaming sink (truncating any previous "<path>.stream").
-  /// \p Metrics is captured for finishStream()'s metric lines.
-  bool streamTo(const std::string &Path,
-                const MetricsRegistry *Metrics = nullptr);
-
-  /// Auto-flush threshold: drain after every \p N recorded events
-  /// (0 = only explicit flushes). Default 4096.
-  void flushEvery(size_t N) {
-    StreamFlushN.store(N, std::memory_order_relaxed);
-  }
-
-  /// Drain all buffered events to the in-progress ".stream" file now.
-  /// No-op (true) when streaming is off.
-  ///
-  /// Graceful degradation: a failed append *retains* the drained payload in
-  /// an in-memory backlog (and truncates any torn tail off ".stream", so a
-  /// later retry can never duplicate records). After
-  /// StreamDegradeAfterFailures consecutive failures the sink stops
-  /// touching the disk and accumulates in memory — the buffered-sink
-  /// fallback — and finishStream() publishes everything with one atomic
-  /// write. Events are never lost to an append failure, only durability of
-  /// the in-progress file is.
-  bool flushStream();
-
-  /// Final drain + metric lines + durable rename to the armed path, then
-  /// disarm. Returns false on I/O errors with the durable ".stream" (and
-  /// the in-memory backlog) fully intact — finishStream() is retryable.
-  bool finishStream();
-
-  bool streaming() const {
-    return StreamActive.load(std::memory_order_relaxed);
-  }
-
-  /// True once the streaming sink fell back to in-memory accumulation.
-  bool streamDegraded();
-
 private:
   TraceRecorder() = default;
 
   struct ThreadBuf {
-    mutable std::mutex M; ///< uncontended except during drain/clear
+    mutable std::mutex M; ///< uncontended except during snapshot/clear
     std::vector<TraceEvent> Events;
     uint64_t NextSeq = 0;
     uint32_t Tid = 0;
   };
   ThreadBuf &localBuf();
-
-  /// Move all buffered events out, sorted by (Tid, Seq); buffers stay
-  /// registered but empty. The shared core of flushStream().
-  std::vector<TraceEvent> drain();
 
   std::atomic<bool> Enabled{false};
   std::atomic<uint64_t> EpochNs{0};
@@ -223,27 +164,6 @@ private:
   mutable std::mutex RegistryM;
   std::vector<std::shared_ptr<ThreadBuf>> Buffers; ///< outlive their threads
   uint32_t NextTid = 0;
-
-  // Streaming sink state. StreamM serializes flush/finish against each
-  // other; the hot record() path only touches the two atomics.
-  std::mutex StreamM;
-  std::atomic<bool> StreamActive{false};
-  std::atomic<size_t> StreamFlushN{4096};
-  std::atomic<size_t> StreamPendingEvents{0};
-  std::string StreamPath;                        ///< guarded by StreamM
-  const MetricsRegistry *StreamMetrics = nullptr; ///< guarded by StreamM
-
-  // Streaming-sink degradation state (all guarded by StreamM). The sink
-  // trades bounded memory for correctness under I/O faults: failed-append
-  // payloads are retained, and after enough consecutive failures the sink
-  // becomes the buffered sink it was optimizing away.
-  static constexpr size_t StreamDegradeAfterFailures = 3;
-  std::string StreamBacklog;      ///< drained events a failed append kept
-  size_t StreamGoodBytes = 0;     ///< bytes known durably in ".stream"
-  size_t StreamConsecFailures = 0;
-  bool StreamDegradedFlag = false;
-  bool StreamMetricsAppended = false; ///< keeps retried finishes from
-                                      ///< duplicating the metric lines
 };
 
 /// RAII span. Construct at region entry; args added before destruction land

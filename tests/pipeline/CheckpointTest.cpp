@@ -2,6 +2,8 @@
 
 #include "pipeline/Checkpoint.h"
 
+#include "support/IoEnv.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -197,36 +199,23 @@ TEST(Checkpoint, InjectedWriteFailureLeavesPreviousCheckpoint) {
   PipelineCheckpoint CP = makeRichCheckpoint();
   ASSERT_TRUE(saveCheckpoint(Path, CP));
 
+  // Every rename fails: the new checkpoint is never published.
   FaultInjector FI(11);
-  FI.enable(FaultSite::CheckpointWrite, 1.0);
+  FI.enable(FaultSite::IoRename, 1.0);
+  FaultyIoEnv Io(FI);
   PipelineCheckpoint Next = CP;
   Next.StageIdx = 2;
-  EXPECT_FALSE(saveCheckpoint(Path, Next, &FI));
-  EXPECT_GT(FI.counters().injected(FaultSite::CheckpointWrite), 0u);
+  {
+    ScopedIoEnv Install(&Io);
+    EXPECT_FALSE(saveCheckpoint(Path, Next));
+  }
+  EXPECT_GT(FI.counters().injected(FaultSite::IoRename), 0u);
 
   // The previous checkpoint still stands, bit for bit.
   PipelineCheckpoint L;
   ASSERT_TRUE(loadCheckpoint(Path, L));
   EXPECT_EQ(L.StageIdx, CP.StageIdx);
   std::remove(Path.c_str());
-}
-
-TEST(Checkpoint, WriteFailureKeyIsPositional) {
-  // The CheckpointWrite fault key depends on the checkpoint's position in
-  // the run (stage + per-stage progress), so an interrupted run and an
-  // uninterrupted run inject at the same checkpoints.
-  FaultInjector A(7), B(7);
-  A.enable(FaultSite::CheckpointWrite, 0.5);
-  B.enable(FaultSite::CheckpointWrite, 0.5);
-  const std::string PA = scratchPath("poskeyA"), PB = scratchPath("poskeyB");
-  PipelineCheckpoint CP = makeRichCheckpoint();
-  for (unsigned Step = 0; Step < 16; ++Step) {
-    CP.Stage1Log.resize(Step);
-    EXPECT_EQ(saveCheckpoint(PA, CP, &A), saveCheckpoint(PB, CP, &B))
-        << "step " << Step;
-  }
-  std::remove(PA.c_str());
-  std::remove(PB.c_str());
 }
 
 } // namespace

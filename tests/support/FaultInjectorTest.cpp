@@ -58,7 +58,7 @@ TEST(FaultInjector, SitesAreIndependent) {
   // Other sites stay silent.
   EXPECT_TRUE(FI.shouldInject(FaultSite::OracleBudget, 5));
   EXPECT_FALSE(FI.shouldInject(FaultSite::VerdictFlip, 5));
-  EXPECT_FALSE(FI.shouldInject(FaultSite::CheckpointWrite, 5));
+  EXPECT_FALSE(FI.shouldInject(FaultSite::IoRename, 5));
 }
 
 TEST(FaultInjector, RateControlsFrequencyRoughly) {
@@ -74,9 +74,9 @@ TEST(FaultInjector, RateControlsFrequencyRoughly) {
 
 TEST(FaultInjector, StringKeysHashStably) {
   FaultInjector FI(3);
-  FI.enable(FaultSite::CheckpointWrite, 0.5);
-  bool A = FI.shouldInject(FaultSite::CheckpointWrite, std::string("alpha"));
-  EXPECT_EQ(A, FI.shouldInject(FaultSite::CheckpointWrite,
+  FI.enable(FaultSite::IoRename, 0.5);
+  bool A = FI.shouldInject(FaultSite::IoRename, std::string("alpha"));
+  EXPECT_EQ(A, FI.shouldInject(FaultSite::IoRename,
                                FaultInjector::hashKey("alpha")));
 }
 
@@ -106,5 +106,5 @@ TEST(FaultInjector, SiteNamesAreDistinct) {
   EXPECT_STRNE(faultSiteName(FaultSite::OracleBudget),
                faultSiteName(FaultSite::VerdictFlip));
   EXPECT_STRNE(faultSiteName(FaultSite::CacheMiss),
-               faultSiteName(FaultSite::CheckpointWrite));
+               faultSiteName(FaultSite::IoRename));
 }

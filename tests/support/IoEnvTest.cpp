@@ -2,11 +2,12 @@
 //
 // The seam's contracts: the passthrough is the default and install/restore
 // is exact; FaultyIoEnv decisions are deterministic and schedule-independent
-// (a pure function of seed, path, and per-path ordinal — never of
-// interleaving); errnos are shaped from the classes real storage throws;
-// each fault site produces the documented degraded behavior through the
-// real call sites (writeFileAtomic, appendFileDurable, FileLock); exempt
-// suffixes spare the whole atomic write including its decorated temporary;
+// (a pure function of seed, logical path, and per-path ordinal — never of
+// interleaving, the pid or earlier writes); errnos are shaped from the
+// classes real storage throws; each fault site produces the documented
+// degraded behavior through the real call sites (writeFileAtomic,
+// appendFileDurable, FileLock); exempt suffixes spare the whole atomic
+// write including its decorated temporary, even on a reused descriptor;
 // and the unique-temporary discipline lets two concurrent writers race one
 // destination without tearing it.
 //
@@ -19,6 +20,7 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -145,6 +147,39 @@ TEST_F(IoEnvTest, FaultyDecisionsAreScheduleIndependent) {
   EXPECT_NE(std::count(A1.begin(), A1.end(), false), 0);
 }
 
+TEST_F(IoEnvTest, FaultyDecisionsKeyOnTheLogicalPath) {
+  // writeFileAtomic stages through "<path>.tmp.<pid>.<seq>", and seq counts
+  // every atomic write the process made. Decisions key on <path>, so a seed
+  // fails the same writes in a fresh process as in one that wrote other
+  // files first: run one write sequence through two same-seed envs, with an
+  // unrelated atomic write in between, and require identical outcomes.
+  const std::string P = path("logical.bin");
+  auto outcomes = [&] {
+    FaultInjector FI(2024);
+    arm(FI, {FaultSite::IoOpen, FaultSite::IoWrite, FaultSite::IoFsync,
+             FaultSite::IoRename},
+        0.2);
+    FaultyIoEnv Env(FI);
+    ScopedIoEnv Install(&Env);
+    std::vector<std::string> Out;
+    for (int I = 0; I < 32; ++I) {
+      std::string Err;
+      bool Ok = writeFileAtomic(P, "payload " + std::to_string(I), &Err);
+      Out.push_back(Ok ? "ok" : Err);
+    }
+    return Out;
+  };
+
+  std::vector<std::string> First = outcomes();
+  ASSERT_TRUE(writeFileAtomic(path("unrelated.bin"), "x"));
+  std::vector<std::string> Second = outcomes();
+  EXPECT_EQ(First, Second);
+  // Both outcomes occur, so the comparison means something.
+  const auto Ok = std::count(First.begin(), First.end(), "ok");
+  EXPECT_NE(Ok, 0);
+  EXPECT_NE(Ok, static_cast<std::ptrdiff_t>(First.size()));
+}
+
 TEST_F(IoEnvTest, ErrnoShapedFromRealStorageClasses) {
   FaultInjector FI(7);
   FI.enable(FaultSite::IoOpen, 1.0);
@@ -259,6 +294,32 @@ TEST_F(IoEnvTest, ExemptSuffixSparesWholeAtomicWrite) {
   ASSERT_TRUE(writeFileAtomic(path("gate.jsonl"), "events\n"));
   EXPECT_EQ(slurp(path("gate.jsonl")), "events\n");
   EXPECT_FALSE(writeFileAtomic(path("gate.bin"), "x"));
+}
+
+TEST_F(IoEnvTest, ExemptWriteNeverInheritsAClosedDescriptorsPath) {
+  // The kernel hands out the lowest free descriptor. An exempt file opened
+  // on the number a faulted path just released must not be faulted as that
+  // path — whether FileLock released it or a caller closed it behind the
+  // env's back.
+  FaultInjector FI(29);
+  FI.enable(FaultSite::IoWrite, 1.0);
+  FaultyIoEnv Env(FI);
+  Env.exemptSuffix(".jsonl");
+  ScopedIoEnv Install(&Env);
+
+  ASSERT_TRUE(writeFileAtomic(path("a.jsonl"), "a\n"));
+  {
+    FileLock L;
+    ASSERT_TRUE(L.lock(path("x.lock"), FileLock::Mode::Exclusive));
+  }
+  EXPECT_TRUE(writeFileAtomic(path("b.jsonl"), "b\n"));
+
+  int Fd = Env.open(path("raw.bin").c_str(), O_WRONLY | O_CREAT, 0644);
+  ASSERT_GE(Fd, 0);
+  ::close(Fd);
+  EXPECT_TRUE(writeFileAtomic(path("c.jsonl"), "c\n"));
+  EXPECT_EQ(slurp(path("c.jsonl")), "c\n");
+  EXPECT_FALSE(writeFileAtomic(path("d.bin"), "d"));
 }
 
 TEST_F(IoEnvTest, ForeignFdsPassThrough) {

@@ -9,7 +9,6 @@
 #include "trace/Trace.h"
 
 #include "rl/Trainer.h"
-#include "support/IoEnv.h"
 #include "support/ThreadPool.h"
 #include "trace/Json.h"
 #include "trace/Metrics.h"
@@ -334,266 +333,6 @@ TEST(Trace, SnapshotOrderedByTidThenSeq) {
                     Evs[I - 1].Seq < Evs[I].Seq);
     EXPECT_TRUE(Ordered) << "snapshot not sorted at index " << I;
   }
-}
-
-//===--- Streaming sink ------------------------------------------------------===//
-
-std::string slurp(const std::string &Path) {
-  std::ifstream IS(Path, std::ios::binary);
-  std::stringstream SS;
-  SS << IS.rdbuf();
-  return SS.str();
-}
-
-TEST(Trace, StreamedFileByteIdenticalToBufferedSink) {
-  // The same recorded events, written once through the buffered sink and
-  // once through the streaming sink, must produce byte-identical files —
-  // metric lines included.
-  TraceRecorder &R = TraceRecorder::instance();
-  R.clear();
-  R.enable();
-  for (int I = 0; I < 7; ++I)
-    R.instant("verify.tier", {TraceArg::ofInt("tier", I),
-                              TraceArg::ofStr("status", "equivalent"),
-                              TraceArg::ofStr("diag", "none")});
-  {
-    TraceSpan S("verify.encode");
-    S.arg(TraceArg::ofInt("n", 3));
-  }
-  R.disable();
-
-  MetricsRegistry M;
-  M.counter("store.hits").inc(5);
-
-  const std::string Buffered = ::testing::TempDir() + "trace_buf.jsonl";
-  ASSERT_TRUE(R.writeJsonl(Buffered, &M)); // does not consume the buffers
-
-  const std::string Streamed = ::testing::TempDir() + "trace_stream.jsonl";
-  ASSERT_TRUE(R.streamTo(Streamed, &M));
-  ASSERT_TRUE(R.flushStream()); // drains the very same events
-  ASSERT_TRUE(R.finishStream());
-
-  EXPECT_EQ(slurp(Buffered), slurp(Streamed));
-  EXPECT_FALSE(std::ifstream(Streamed + ".stream").good())
-      << "publish must rename the in-progress file away";
-  std::remove(Buffered.c_str());
-  std::remove(Streamed.c_str());
-}
-
-TEST(Trace, StreamingAutoFlushBoundsMemory) {
-  TraceRecorder &R = TraceRecorder::instance();
-  R.clear();
-  const std::string Path = ::testing::TempDir() + "trace_autoflush.jsonl";
-  ASSERT_TRUE(R.streamTo(Path));
-  R.flushEvery(3);
-  R.enable();
-  for (int I = 0; I < 8; ++I)
-    R.instant("verify.tier", {TraceArg::ofInt("tier", I)});
-  R.disable();
-
-  // Every completed batch of 3 was drained to disk as it filled: the
-  // resident buffers hold only the tail, and the in-progress file already
-  // carries the flushed prefix.
-  EXPECT_LT(R.eventCount(), 8u);
-  std::string Partial = slurp(Path + ".stream");
-  size_t PartialLines = std::count(Partial.begin(), Partial.end(), '\n');
-  EXPECT_GE(PartialLines, 6u);
-
-  ASSERT_TRUE(R.finishStream());
-  R.flushEvery(4096); // restore the default for later tests
-  EXPECT_EQ(R.eventCount(), 0u);
-  std::string Final = slurp(Path);
-  EXPECT_EQ(std::count(Final.begin(), Final.end(), '\n'), 8);
-  std::remove(Path.c_str());
-}
-
-TEST(Trace, StreamingKeepsEventMultisetUnderConcurrency) {
-  // Concurrent emitters + mid-run drains: interleaving may differ from the
-  // buffered sink, but the deterministic multiset must survive intact, and
-  // the published file must be schema-valid.
-  TraceRecorder &R = TraceRecorder::instance();
-  R.clear();
-  const std::string Path = ::testing::TempDir() + "trace_mt_stream.jsonl";
-  ASSERT_TRUE(R.streamTo(Path));
-  R.flushEvery(5);
-  R.enable();
-  {
-    ThreadPool Pool(4);
-    Pool.parallelFor(64, [&](size_t I) {
-      R.instant("verify.tier",
-                {TraceArg::ofInt("tier", static_cast<int64_t>(I)),
-                 TraceArg::ofStr("status", "equivalent"),
-                 TraceArg::ofStr("diag", "none")});
-    });
-  }
-  R.disable();
-  ASSERT_TRUE(R.finishStream());
-  R.flushEvery(4096);
-
-  TraceLog Log;
-  std::string Err;
-  ASSERT_TRUE(loadTraceJsonl(Path, Log, &Err)) << Err;
-  ASSERT_TRUE(validateTraceLog(Log, &Err)) << Err;
-  ASSERT_EQ(Log.Events.size(), 64u);
-  std::multiset<int64_t> Tiers;
-  for (const JsonValue &E : Log.Events)
-    Tiers.insert(static_cast<int64_t>(E.get("args")->get("tier")->number()));
-  std::multiset<int64_t> Want;
-  for (int64_t I = 0; I < 64; ++I)
-    Want.insert(I);
-  EXPECT_EQ(Tiers, Want);
-  std::remove(Path.c_str());
-}
-
-TEST(Trace, StreamToUnwritablePathFailsCleanly) {
-  TraceRecorder &R = TraceRecorder::instance();
-  R.clear();
-  EXPECT_FALSE(R.streamTo("/no_such_dir_xyz/trace.jsonl"));
-  EXPECT_FALSE(R.streaming());
-  // finishStream with no active stream is a harmless no-op.
-  EXPECT_TRUE(R.finishStream());
-}
-
-//===--- Streaming sink under I/O faults --------------------------------------===//
-
-TEST(Trace, StreamPublishFailureIsRetryableWithStreamIntact) {
-  // A failed final rename must not lose the run: ".stream" stays on disk,
-  // loadable, and a later finishStream() (disk recovered) publishes the
-  // identical file — with the metrics appended exactly once, not once per
-  // attempt.
-  TraceRecorder &R = TraceRecorder::instance();
-  R.clear();
-  MetricsRegistry M;
-  M.counter("test.publish_retry").inc(7);
-  const std::string Path = ::testing::TempDir() + "trace_pubfail.jsonl";
-  ASSERT_TRUE(R.streamTo(Path, &M));
-  R.enable();
-  for (int I = 0; I < 5; ++I)
-    R.instant("verify.tier", {TraceArg::ofInt("tier", I),
-                              TraceArg::ofStr("status", "equivalent"),
-                              TraceArg::ofStr("diag", "none")});
-  R.disable();
-
-  FaultInjector FI(31);
-  FI.enable(FaultSite::IoRename, 1.0);
-  FaultyIoEnv Env(FI);
-  {
-    ScopedIoEnv Install(&Env);
-    EXPECT_FALSE(R.finishStream());
-  }
-  EXPECT_TRUE(std::ifstream(Path + ".stream").good())
-      << "failed publish must leave the in-progress file on disk";
-
-  ASSERT_TRUE(R.finishStream()); // disk healthy: the retry succeeds
-  EXPECT_FALSE(std::ifstream(Path + ".stream").good());
-
-  TraceLog Log;
-  std::string Err;
-  ASSERT_TRUE(loadTraceJsonl(Path, Log, &Err)) << Err;
-  ASSERT_TRUE(validateTraceLog(Log, &Err)) << Err;
-  EXPECT_EQ(Log.Events.size(), 6u); // 5 instants + 1 metric line
-  std::string Text = slurp(Path);
-  size_t First = Text.find("test.publish_retry");
-  ASSERT_NE(First, std::string::npos);
-  EXPECT_EQ(Text.find("test.publish_retry", First + 1), std::string::npos)
-      << "metrics were appended once per publish attempt";
-  std::remove(Path.c_str());
-}
-
-TEST(Trace, StreamFailedAppendTailIsRepairedNotDuplicated) {
-  // appendFileDurable can fail *after* its bytes hit the file (the fsync
-  // fails): without the truncate repair a retried flush would duplicate
-  // every record of the failed batch.
-  TraceRecorder &R = TraceRecorder::instance();
-  R.clear();
-  const std::string Path = ::testing::TempDir() + "trace_torntail.jsonl";
-  ASSERT_TRUE(R.streamTo(Path));
-  R.enable();
-  for (int I = 0; I < 6; ++I)
-    R.instant("verify.tier", {TraceArg::ofInt("tier", I),
-                              TraceArg::ofStr("status", "equivalent"),
-                              TraceArg::ofStr("diag", "none")});
-  R.disable();
-
-  FaultInjector FI(37);
-  FI.enable(FaultSite::IoFsync, 1.0);
-  FaultyIoEnv Env(FI);
-  {
-    ScopedIoEnv Install(&Env);
-    EXPECT_FALSE(R.flushStream()); // payload written, fsync failed
-  }
-  EXPECT_FALSE(R.streamDegraded()); // one failure is not a trip
-  EXPECT_TRUE(R.flushStream());     // retry appends the retained payload
-  ASSERT_TRUE(R.finishStream());
-
-  TraceLog Log;
-  std::string Err;
-  ASSERT_TRUE(loadTraceJsonl(Path, Log, &Err)) << Err;
-  ASSERT_TRUE(validateTraceLog(Log, &Err)) << Err;
-  EXPECT_EQ(Log.Events.size(), 6u) << "torn tail was retried into duplicates";
-  std::remove(Path.c_str());
-}
-
-TEST(Trace, StreamDegradesToBufferedFallbackAfterPersistentFailures) {
-  // Three consecutive failed appends trip the sink to accumulate-only; the
-  // final publish then falls back to one atomic buffered write holding
-  // every event exactly once plus the metrics. "Persistent I/O failure
-  // costs the incremental-durability property, never the artifact."
-  TraceRecorder &R = TraceRecorder::instance();
-  R.clear();
-  MetricsRegistry M;
-  M.counter("test.fallback").inc(3);
-  const std::string Path = ::testing::TempDir() + "trace_degraded.jsonl";
-  ASSERT_TRUE(R.streamTo(Path, &M));
-  R.enable();
-
-  Counter &Failures =
-      MetricsRegistry::global().counter("io.trace.append_failures");
-  const double FailuresBefore = Failures.value();
-
-  FaultInjector FI(39);
-  FI.enable(FaultSite::IoWrite, 1.0);
-  FaultyIoEnv Env(FI);
-  {
-    ScopedIoEnv Install(&Env);
-    for (int I = 0; I < 12; ++I) {
-      R.instant("verify.tier", {TraceArg::ofInt("tier", I),
-                                TraceArg::ofStr("status", "equivalent"),
-                                TraceArg::ofStr("diag", "none")});
-      if (I % 4 == 3) {
-        EXPECT_FALSE(R.flushStream());
-      }
-    }
-    EXPECT_TRUE(R.streamDegraded()); // tripped on the third failure
-    // Degraded flushes succeed immediately: events accumulate in memory.
-    R.instant("verify.tier", {TraceArg::ofInt("tier", 12),
-                              TraceArg::ofStr("status", "equivalent"),
-                              TraceArg::ofStr("diag", "none")});
-    EXPECT_TRUE(R.flushStream());
-  }
-  R.disable();
-  EXPECT_EQ(Failures.value() - FailuresBefore, 3.0);
-
-  // Disk healthy again: the degraded finish publishes everything at once.
-  ASSERT_TRUE(R.finishStream());
-  EXPECT_FALSE(R.streamDegraded()); // state resets with the stream
-  EXPECT_FALSE(std::ifstream(Path + ".stream").good());
-
-  TraceLog Log;
-  std::string Err;
-  ASSERT_TRUE(loadTraceJsonl(Path, Log, &Err)) << Err;
-  ASSERT_TRUE(validateTraceLog(Log, &Err)) << Err;
-  ASSERT_EQ(Log.Events.size(), 14u); // 13 instants + 1 metric line
-  std::multiset<int64_t> Tiers;
-  for (const JsonValue &E : Log.Events)
-    if (const JsonValue *Args = E.get("args"))
-      if (const JsonValue *T = Args->get("tier"))
-        Tiers.insert(static_cast<int64_t>(T->number()));
-  std::multiset<int64_t> Want;
-  for (int64_t I = 0; I < 13; ++I)
-    Want.insert(I);
-  EXPECT_EQ(Tiers, Want) << "fallback lost or duplicated events";
-  std::remove(Path.c_str());
 }
 
 } // namespace

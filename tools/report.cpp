@@ -22,9 +22,9 @@
 #include "report/BenchDiff.h"
 #include "report/RunDiff.h"
 #include "report/RunReport.h"
+#include "support/CommandLine.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -172,8 +172,7 @@ int main(int argc, char **argv) {
     } else if (std::strcmp(Arg, "--top") == 0) {
       if (I + 1 >= argc)
         return usage(argv[0], "--top needs a count");
-      TopN = static_cast<unsigned>(std::atoi(argv[++I]));
-      if (TopN == 0)
+      if (!parseUnsignedArg(argv[++I], TopN) || TopN == 0)
         return usage(argv[0], "--top needs a positive count");
     } else if (Arg[0] == '-' && Arg[1] != '\0') {
       std::string Why = std::string("unknown flag '") + Arg + "'";

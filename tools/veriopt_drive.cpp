@@ -21,16 +21,19 @@
 // --chaos-io forwards worker-side I/O fault injection (the FaultyIoEnv
 // seam, docs/FAULT_TOLERANCE.md): every durable write a worker makes can
 // fail with a shaped errno at the given percentage, deterministically in
-// (seed, path, op ordinal) with the seed mixed per attempt — so a shard
-// whose result write fails (typed exit 5, classified [io] in the
+// (seed, logical path, op ordinal) with the seed mixed per attempt — so a
+// shard whose result write fails (typed exit 5, classified [io] in the
 // quarantine diagnostics, distinct from [logic] and [runtime]) is
 // salvageable by the driver's retries, exactly like a transiently failing
 // disk. The CI chaos-io job drives this with --max-attempts raised and
 // gates a clean exit.
 //
 // Exit codes: 0 all shards healthy; 1 hard error; 2 usage error (an unknown
-// flag, or a count that is not a whole unsigned number); 4 degraded (some
-// shards quarantined — healthy subset still merged and reported).
+// flag, or a numeric value that does not parse whole — counts, shard
+// indices and RATE are decimal, seeds and milliseconds decimal or 0x hex,
+// RATE at most 100); 4 degraded (some shards quarantined — healthy subset
+// still merged and reported). Values forwarded to the workers are checked
+// here, before any worker spawns.
 //
 // `--tiny` is the CI chaos gate. It runs three phases (four with
 // --verdict-store) over a scratch directory and exits nonzero unless every
@@ -61,8 +64,8 @@
 #include "trace/Metrics.h"
 #include "trace/Trace.h"
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -300,14 +303,39 @@ int main(int argc, char **argv) {
     *Out = argv[++I];
     return true;
   };
-  // A count flag matches its name; a value that is not a whole unsigned
-  // number makes the command line a usage error.
-  bool BadCount = false;
+  // A numeric flag matches its name; a value that does not parse whole
+  // makes the command line a usage error.
+  bool BadValue = false;
   auto countArg = [&](int &I, const char *Name, unsigned &Out) {
     const char *V = nullptr;
     if (!valArg(I, Name, &V))
       return false;
-    BadCount |= !parseUnsignedArg(V, Out);
+    BadValue |= !parseUnsignedArg(V, Out);
+    return true;
+  };
+  auto u64Arg = [&](int &I, const char *Name, uint64_t &Out) {
+    const char *V = nullptr;
+    if (!valArg(I, Name, &V))
+      return false;
+    BadValue |= !parseU64Arg(V, Out);
+    return true;
+  };
+  // A worker flag is checked as the worker parses it, then forwarded
+  // verbatim (argv[I] is the value the parse just consumed).
+  auto forwardCount = [&](int &I, const char *Name,
+                          unsigned Max = UINT_MAX) {
+    unsigned N = 0;
+    if (!countArg(I, Name, N))
+      return false;
+    BadValue |= N > Max;
+    C.InjectArgs.insert(C.InjectArgs.end(), {Name, argv[I]});
+    return true;
+  };
+  auto forwardSeed = [&](int &I, const char *Name) {
+    uint64_t Seed = 0;
+    if (!u64Arg(I, Name, Seed))
+      return false;
+    C.InjectArgs.insert(C.InjectArgs.end(), {Name, argv[I]});
     return true;
   };
   for (int I = 1; I < argc; ++I) {
@@ -327,33 +355,22 @@ int main(int argc, char **argv) {
     else if (countArg(I, "--valid-count", C.ValidCount) ||
              countArg(I, "--shards", C.Shards) ||
              countArg(I, "--workers", C.Workers) ||
-             countArg(I, "--max-attempts", C.MaxAttempts))
+             countArg(I, "--max-attempts", C.MaxAttempts) ||
+             u64Arg(I, "--dataset-seed", C.DatasetSeed) ||
+             u64Arg(I, "--timeout-ms", C.TimeoutMs) ||
+             u64Arg(I, "--backoff-ms", C.BackoffMs) ||
+             u64Arg(I, "--backoff-cap-ms", C.BackoffCapMs) ||
+             forwardCount(I, "--inject-crash-shard") ||
+             forwardCount(I, "--inject-hang-shard") ||
+             forwardCount(I, "--inject-corrupt-result") ||
+             forwardCount(I, "--inject-flaky-shard") ||
+             forwardCount(I, "--chaos-io", 100) ||
+             forwardSeed(I, "--chaos-io-seed"))
       continue;
-    else if (valArg(I, "--dataset-seed", &V))
-      C.DatasetSeed = static_cast<uint64_t>(std::atoll(V));
-    else if (valArg(I, "--timeout-ms", &V))
-      C.TimeoutMs = static_cast<uint64_t>(std::atoll(V));
-    else if (valArg(I, "--backoff-ms", &V))
-      C.BackoffMs = static_cast<uint64_t>(std::atoll(V));
-    else if (valArg(I, "--backoff-cap-ms", &V))
-      C.BackoffCapMs = static_cast<uint64_t>(std::atoll(V));
-    else if (valArg(I, "--inject-crash-shard", &V))
-      C.InjectArgs.insert(C.InjectArgs.end(), {"--inject-crash-shard", V});
-    else if (valArg(I, "--inject-hang-shard", &V))
-      C.InjectArgs.insert(C.InjectArgs.end(), {"--inject-hang-shard", V});
-    else if (valArg(I, "--inject-corrupt-result", &V))
-      C.InjectArgs.insert(C.InjectArgs.end(),
-                          {"--inject-corrupt-result", V});
-    else if (valArg(I, "--inject-flaky-shard", &V))
-      C.InjectArgs.insert(C.InjectArgs.end(), {"--inject-flaky-shard", V});
-    else if (valArg(I, "--chaos-io", &V))
-      C.InjectArgs.insert(C.InjectArgs.end(), {"--chaos-io", V});
-    else if (valArg(I, "--chaos-io-seed", &V))
-      C.InjectArgs.insert(C.InjectArgs.end(), {"--chaos-io-seed", V});
     else
       return usage(argv[0]);
   }
-  if (BadCount || C.Dir.empty())
+  if (BadValue || C.Dir.empty())
     return usage(argv[0]);
   ::mkdir(C.Dir.c_str(), 0755); // fine if it already exists (resume)
 

@@ -39,13 +39,17 @@
 //                              I/O seam: every open/write/fsync/rename/
 //                              flock this worker performs can fail with a
 //                              shaped errno at RATE/100 probability,
-//                              deterministically in (seed, path, op
-//                              ordinal). The seed is mixed with --attempt
-//                              so a retried shard sees an independent
-//                              fault pattern — transient disk failures are
-//                              salvageable, exactly like real ones.
+//                              deterministically in (seed, logical path,
+//                              op ordinal). The seed is mixed with
+//                              --attempt so a retried shard sees an
+//                              independent fault pattern — transient disk
+//                              failures are salvageable, exactly like real
+//                              ones.
 //   --chaos-io-seed S          base seed for --chaos-io (default
 //                              --fault-seed)
+//
+// Every numeric value must parse whole (seeds: decimal or 0x hex; RATE at
+// most 100); a bad one is a usage error.
 //
 //===----------------------------------------------------------------------===//
 
@@ -98,57 +102,71 @@ bool contains(const std::vector<unsigned> &V, unsigned X) {
 
 int main(int argc, char **argv) {
   std::string ManifestPath, OutDir, StorePath, LockProbePath;
-  int ShardIdx = -1;
-  unsigned ValidCount = 24, Attempt = 1;
-  uint64_t DatasetSeed = 2026, FaultSeed = 0xFA11;
-  long ChaosIoPct = 0;
-  uint64_t ChaosIoSeed = 0;
-  bool ChaosIoSeedSet = false;
+  unsigned ShardIdx = 0, ValidCount = 24, Attempt = 1, ChaosIoPct = 0;
+  bool HaveShard = false, ChaosIoSeedSet = false;
+  uint64_t DatasetSeed = 2026, FaultSeed = 0xFA11, ChaosIoSeed = 0;
   std::vector<unsigned> CrashShards, HangShards, CorruptShards, FlakyShards;
 
-  auto intArg = [&](int &I, const char *Name, long &Out) {
+  // A numeric flag matches its name; a value that does not parse whole
+  // makes the command line a usage error.
+  bool BadValue = false;
+  auto valArg = [&](int &I, const char *Name, const char **Out) {
     if (std::strcmp(argv[I], Name) != 0 || I + 1 >= argc)
       return false;
-    Out = std::atol(argv[++I]);
+    *Out = argv[++I];
+    return true;
+  };
+  auto countArg = [&](int &I, const char *Name, unsigned &Out) {
+    const char *V = nullptr;
+    if (!valArg(I, Name, &V))
+      return false;
+    BadValue |= !parseUnsignedArg(V, Out);
+    return true;
+  };
+  auto u64Arg = [&](int &I, const char *Name, uint64_t &Out) {
+    const char *V = nullptr;
+    if (!valArg(I, Name, &V))
+      return false;
+    BadValue |= !parseU64Arg(V, Out);
+    return true;
+  };
+  auto shardListArg = [&](int &I, const char *Name,
+                          std::vector<unsigned> &Out) {
+    unsigned Shard = 0;
+    if (!countArg(I, Name, Shard))
+      return false;
+    Out.push_back(Shard);
     return true;
   };
   for (int I = 1; I < argc; ++I) {
-    long V = 0;
-    if (std::strcmp(argv[I], "--manifest") == 0 && I + 1 < argc)
-      ManifestPath = argv[++I];
-    else if (std::strcmp(argv[I], "--out") == 0 && I + 1 < argc)
-      OutDir = argv[++I];
-    else if (std::strcmp(argv[I], "--verdict-store") == 0 && I + 1 < argc)
-      StorePath = argv[++I];
-    else if (std::strcmp(argv[I], "--lock-probe") == 0 && I + 1 < argc)
-      LockProbePath = argv[++I];
-    else if (std::strcmp(argv[I], "--valid-count") == 0 && I + 1 < argc) {
-      if (!parseUnsignedArg(argv[++I], ValidCount))
-        return usage(argv[0]);
-    } else if (intArg(I, "--shard", V))
-      ShardIdx = static_cast<int>(V);
-    else if (intArg(I, "--dataset-seed", V))
-      DatasetSeed = static_cast<uint64_t>(V);
-    else if (intArg(I, "--attempt", V))
-      Attempt = static_cast<unsigned>(V);
-    else if (intArg(I, "--fault-seed", V))
-      FaultSeed = static_cast<uint64_t>(V);
-    else if (intArg(I, "--chaos-io", V))
-      ChaosIoPct = V;
-    else if (intArg(I, "--chaos-io-seed", V)) {
-      ChaosIoSeed = static_cast<uint64_t>(V);
+    const char *V = nullptr;
+    if (valArg(I, "--manifest", &V))
+      ManifestPath = V;
+    else if (valArg(I, "--out", &V))
+      OutDir = V;
+    else if (valArg(I, "--verdict-store", &V))
+      StorePath = V;
+    else if (valArg(I, "--lock-probe", &V))
+      LockProbePath = V;
+    else if (countArg(I, "--shard", ShardIdx))
+      HaveShard = true;
+    else if (u64Arg(I, "--chaos-io-seed", ChaosIoSeed))
       ChaosIoSeedSet = true;
-    } else if (intArg(I, "--inject-crash-shard", V))
-      CrashShards.push_back(static_cast<unsigned>(V));
-    else if (intArg(I, "--inject-hang-shard", V))
-      HangShards.push_back(static_cast<unsigned>(V));
-    else if (intArg(I, "--inject-corrupt-result", V))
-      CorruptShards.push_back(static_cast<unsigned>(V));
-    else if (intArg(I, "--inject-flaky-shard", V))
-      FlakyShards.push_back(static_cast<unsigned>(V));
+    else if (countArg(I, "--valid-count", ValidCount) ||
+             countArg(I, "--attempt", Attempt) ||
+             countArg(I, "--chaos-io", ChaosIoPct) ||
+             u64Arg(I, "--dataset-seed", DatasetSeed) ||
+             u64Arg(I, "--fault-seed", FaultSeed) ||
+             shardListArg(I, "--inject-crash-shard", CrashShards) ||
+             shardListArg(I, "--inject-hang-shard", HangShards) ||
+             shardListArg(I, "--inject-corrupt-result", CorruptShards) ||
+             shardListArg(I, "--inject-flaky-shard", FlakyShards))
+      continue;
     else
       return usage(argv[0]);
   }
+  if (BadValue || ChaosIoPct > 100)
+    return usage(argv[0]);
   if (!LockProbePath.empty()) {
     // Test hook: report whether an exclusive flock on the path is free.
     FileLock Probe;
@@ -162,7 +180,7 @@ int main(int argc, char **argv) {
     }
     return Contended ? 7 : 0;
   }
-  if (ManifestPath.empty() || OutDir.empty() || ShardIdx < 0)
+  if (ManifestPath.empty() || OutDir.empty() || !HaveShard)
     return usage(argv[0]);
 
   std::vector<EvalShard> Plan;
@@ -184,10 +202,10 @@ int main(int argc, char **argv) {
   }
   const EvalShard *Shard = nullptr;
   for (const EvalShard &S : Plan)
-    if (S.Index == static_cast<unsigned>(ShardIdx))
+    if (S.Index == ShardIdx)
       Shard = &S;
   if (!Shard) {
-    std::fprintf(stderr, "veriopt-worker: shard %d not in manifest (%zu "
+    std::fprintf(stderr, "veriopt-worker: shard %u not in manifest (%zu "
                  "shards)\n",
                  ShardIdx, Plan.size());
     return 4;
@@ -195,7 +213,8 @@ int main(int argc, char **argv) {
 
   // Whole-process I/O chaos: every syscall the durable subsystems make
   // (store journal appends, lock files, the atomic result write) can fail
-  // with a shaped errno. Deterministic in (seed, path, per-path ordinal),
+  // with a shaped errno. Deterministic in (seed, logical path, per-path
+  // ordinal),
   // and the seed is mixed with the attempt number so the driver's retries
   // see an independent fault pattern — a transiently failing disk, not a
   // permanently cursed file.
@@ -214,7 +233,7 @@ int main(int argc, char **argv) {
     IoFaults = std::make_unique<FaultyIoEnv>(*IoFI);
     IoInstall = std::make_unique<ScopedIoEnv>(IoFaults.get());
     std::fprintf(stderr,
-                 "veriopt-worker: chaos-io armed at %ld%% (attempt %u)\n",
+                 "veriopt-worker: chaos-io armed at %u%% (attempt %u)\n",
                  ChaosIoPct, Attempt);
   }
 
